@@ -1,16 +1,16 @@
-//! Process-wide memoization of workload simulations, sharded by machine
-//! config and optionally spilled to an on-disk store.
+//! [`Memo`], the one sharded, optionally disk-backed memo of this
+//! workspace, and its use here: memoized workload simulations.
 //!
 //! Every experiment binary re-simulates the same original workloads:
 //! `fig8`/`fig9`/`fig10` all need `base_io`/`base_ooo`, `fig2` needs
 //! them again as the denominators of its perfect-memory bars, and
 //! `perf_report` times the whole lot. Those runs are pure functions of
 //! `(program, machine config)`, so each distinct pair needs to be
-//! simulated exactly once per process; [`baseline`] guarantees that.
+//! simulated exactly once; [`Memo::baseline`] guarantees that.
 //! Adapted binaries are pure too, once the adaptation options join the
-//! identity: [`adapted`] keys on `AdaptOptions::fingerprint` plus the
-//! tool's profiling machine, so the auto-tuner's candidate plans, the
-//! default suite rows, and ablation runs all coexist in one cache.
+//! identity: [`Memo::adapted`] keys on `AdaptOptions::fingerprint` plus
+//! the tool's profiling machine, so the auto-tuner's candidate plans,
+//! the default suite rows, and ablation runs all coexist in one memo.
 //!
 //! Programs are identified by `(workload name, builder seed)` — the
 //! builders are deterministic, so that pair pins the binary bit-for-bit
@@ -19,23 +19,14 @@
 //! [`MachineConfig::fingerprint`], the versioned field-explicit
 //! canonical encoding (never `Debug` formatting, whose output is not
 //! stable across field reorders or rustc versions — which the
-//! disk-persistent layer could not tolerate).
+//! disk-persistent layer could not tolerate). The fingerprint is the
+//! memo group, so one machine model's results share a memory shard and
+//! a store shard.
 //!
-//! The in-memory map is split into [`NUM_SHARDS`] mutexed shards
-//! selected by the fingerprint's hash, so requests for different
-//! machine models never contend on one lock; `ssp-serve` batches mix
-//! models freely. When a [`Store`] is attached ([`attach_store`]), a
-//! first-in-process request additionally consults the disk before
-//! simulating, and every simulated result is written back — that is
-//! what makes a daemon restart warm.
-//!
-//! Concurrency: each key maps to its own [`OnceLock`] cell, so when
-//! several workers race on one key the first computes and the rest
-//! block on the cell rather than duplicating the simulation. That also
-//! makes [`stats`] deterministic for a fixed request stream and store
-//! state: misses = distinct keys never on disk, disk hits = distinct
-//! keys on disk, memory hits = requests − distinct keys, whatever the
-//! thread schedule (asserted by the determinism tests).
+//! Tests and services own their instances. The free functions
+//! [`baseline`], [`adapted`], [`stats`] and [`attach_store`] use one
+//! process-default instance, for the one-shot binaries, whose suite
+//! runners share it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,255 +34,399 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::persist::{decode_sim_result, encode_sim_result, fnv64, Store};
 use ssp_core::{simulate, MachineConfig, SimResult};
+use ssp_ir::Program;
 use ssp_workloads::Workload;
 
-/// In-memory shard count. Shards are selected by the config
-/// fingerprint's hash, so every result for one machine model lives in
-/// one shard and different models never contend.
-pub const NUM_SHARDS: usize = 16;
+/// In-memory shard count of every [`Memo`].
+const SHARDS: usize = 16;
 
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-struct Key {
-    /// Entry kind: `"baseline"` (original binary, identified by the
-    /// workload alone) or `"adapted"` (identified additionally by
-    /// `adaptation` — the options fingerprint plus the tool's profiling
-    /// machine). Part of the key, so the two kinds can never collide.
-    kind: &'static str,
-    name: &'static str,
-    seed: u64,
-    next_tag: u32,
-    image_len: usize,
-    /// Adaptation identity (`opts=… tool=… …`); empty for baselines.
-    adaptation: String,
-    config: String,
+/// Cache effectiveness counters of one [`Memo`] instance.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct MemoStats {
+    /// Lookups answered from memory.
+    pub hits: u64,
+    /// Distinct keys decoded from the attached store.
+    pub disk_hits: u64,
+    /// Distinct keys computed: never stored, or stored undecodably.
+    pub misses: u64,
 }
 
-impl Key {
-    /// The canonical key string persisted (inside the entry, as the
-    /// collision guard) by the disk layer. Baseline keys render exactly
-    /// as they did before adapted entries existed, so stores written by
-    /// older binaries stay warm.
-    fn disk_key(&self) -> String {
-        let adaptation = if self.adaptation.is_empty() {
-            String::new()
-        } else {
-            format!("{} ", self.adaptation)
-        };
-        format!(
-            "{} name={} seed={} next_tag={} image_len={} {}{}",
-            self.kind, self.name, self.seed, self.next_tag, self.image_len, adaptation, self.config
+/// A sharded memo of pure answers, optionally backed by a [`Store`].
+///
+/// The contract, shared by the simulation memo here, `ssp-serve`'s
+/// response memo and `ssp-tune`'s evaluation memo:
+///
+/// * **Per-key `OnceLock`.** Each key maps to its own cell, so when
+///   several threads look up one key, the first computes and the rest
+///   block on the cell instead of computing it again.
+/// * **Counters independent of the thread schedule.** For a fixed
+///   multiset of lookups and a fixed store, `misses` is the number of
+///   distinct keys computed, `disk_hits` the number of distinct keys
+///   decoded from the store, and `hits` every other lookup.
+/// * **Disk probe inside the cell.** The first lookup of a key loads
+///   its entry from the attached store and decodes it inside the cell,
+///   so a stored answer is read and decoded once per instance.
+/// * **An undecodable entry is a miss.** An entry that is missing,
+///   corrupt, or written for a colliding key is computed once and
+///   counted as a miss.
+/// * **Write-back on compute.** A computed answer's persisted text is
+///   saved to the store (replacing any corrupt entry) before the cell
+///   is filled.
+///
+/// Each lookup names a `group`: its hash picks the memory shard
+/// (`fnv64(group) % 16`), and [`Store::shard_of`] of it the store
+/// shard. The in-memory value may differ from the persisted text — the
+/// server keeps rendered responses in memory and entries on disk — so
+/// [`Memo::get`] takes a decoder for the disk form and a compute
+/// closure that returns both.
+pub struct Memo<V> {
+    shards: Vec<Mutex<HashMap<String, Arc<OnceLock<V>>>>>,
+    store: OnceLock<Store>,
+    hits: AtomicU64,
+    disk_hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl<V> Default for Memo<V> {
+    fn default() -> Self {
+        Memo {
+            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
+            store: OnceLock::new(),
+            hits: AtomicU64::new(0),
+            disk_hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+}
+
+impl<V: Clone> Memo<V> {
+    /// Attach the store that first lookups probe and computed answers
+    /// are written to. A memo has at most one store, attached before
+    /// use; attaching a second one panics.
+    pub fn attach_store(&self, store: Store) {
+        if self.store.set(store).is_err() {
+            panic!("Memo::attach_store: a store is already attached");
+        }
+    }
+
+    /// The attached store, if any.
+    pub fn store(&self) -> Option<&Store> {
+        self.store.get()
+    }
+
+    /// This instance's counters.
+    pub fn stats(&self) -> MemoStats {
+        MemoStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            disk_hits: self.disk_hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Distinct keys held per memory shard, in shard order.
+    pub fn shard_sizes(&self) -> Vec<usize> {
+        self.shards.iter().map(|s| s.lock().expect("memo shard poisoned").len()).collect()
+    }
+
+    /// The answer for `key` in `group`: from memory, else decoded from
+    /// the store, else computed and written back (see the type docs).
+    pub fn get(
+        &self,
+        group: &str,
+        key: &str,
+        decode: impl FnOnce(&str) -> Option<V>,
+        compute: impl FnOnce() -> (V, String),
+    ) -> V {
+        let shard = &self.shards[(fnv64(group) % SHARDS as u64) as usize];
+        let cell = Arc::clone(
+            shard.lock().expect("memo shard poisoned").entry(key.to_owned()).or_default(),
+        );
+        let mut counter = &self.hits;
+        let value = cell.get_or_init(|| {
+            let store = self.store.get().map(|s| (s, Store::shard_of(group)));
+            if let Some((store, shard)) = &store {
+                if let Some(v) = store.load(shard, key).and_then(|text| decode(&text)) {
+                    counter = &self.disk_hits;
+                    return v;
+                }
+            }
+            counter = &self.misses;
+            let (v, text) = compute();
+            if let Some((store, shard)) = &store {
+                if let Err(e) = store.save(shard, key, &text) {
+                    eprintln!("memo: store write failed for {key:?} ({e}); continuing uncached");
+                }
+            }
+            v
+        });
+        counter.fetch_add(1, Ordering::Relaxed);
+        value.clone()
+    }
+}
+
+impl Memo<SimResult> {
+    /// Simulate workload `w`'s *original* binary under `cfg`, memoized:
+    /// the first lookup of a `(workload, config)` pair runs
+    /// [`ssp_core::simulate`] unless the store holds the result.
+    pub fn baseline(&self, w: &Workload, cfg: &MachineConfig) -> SimResult {
+        self.simulate(w, "baseline", "", &w.program, cfg)
+    }
+
+    /// Simulate workload `w`'s *adapted* binary under `cfg`, memoized
+    /// like [`Memo::baseline`]. An adapted binary is a pure function of
+    /// the workload, the adaptation options, and the tool's profiling
+    /// machine, so the key extends the baseline identity with
+    /// [`AdaptOptions::fingerprint`] (`opts_fp`) and the profiling
+    /// machine's fingerprint (`tool_fp`). `adapted_prog` (the emitted
+    /// binary itself) is simulated on a miss; its `next_tag` rides along
+    /// in the key as a cheap structural integrity check.
+    ///
+    /// [`AdaptOptions::fingerprint`]: ssp_core::AdaptOptions::fingerprint
+    pub fn adapted(
+        &self,
+        w: &Workload,
+        opts_fp: &str,
+        tool_fp: &str,
+        adapted_prog: &Program,
+        cfg: &MachineConfig,
+    ) -> SimResult {
+        let adaptation =
+            format!("adapted_next_tag={} opts={opts_fp} tool={tool_fp} ", adapted_prog.next_tag);
+        self.simulate(w, "adapted", &adaptation, adapted_prog, cfg)
+    }
+
+    /// The lookup behind [`Memo::baseline`] and [`Memo::adapted`].
+    fn simulate(
+        &self,
+        w: &Workload,
+        kind: &str,
+        adaptation: &str,
+        prog: &Program,
+        cfg: &MachineConfig,
+    ) -> SimResult {
+        let config = cfg.fingerprint();
+        self.get(
+            &config,
+            &sim_key(kind, w, adaptation, &config),
+            |text| decode_sim_result(text).ok(),
+            || {
+                let r = simulate(prog, cfg);
+                let text = encode_sim_result(&r);
+                (r, text)
+            },
         )
     }
 }
 
-type Cell = Arc<OnceLock<SimResult>>;
-
-static SHARDS: OnceLock<Vec<Mutex<HashMap<Key, Cell>>>> = OnceLock::new();
-static STORE: Mutex<Option<Arc<Store>>> = Mutex::new(None);
-static HITS: AtomicU64 = AtomicU64::new(0);
-static DISK_HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-
-fn shards() -> &'static Vec<Mutex<HashMap<Key, Cell>>> {
-    SHARDS.get_or_init(|| (0..NUM_SHARDS).map(|_| Mutex::default()).collect())
+/// The key of one simulation. The kind keeps baseline and adapted keys
+/// disjoint; baseline keys render exactly as they did before adapted
+/// entries existed, so older stores stay warm.
+fn sim_key(kind: &str, w: &Workload, adaptation: &str, config: &str) -> String {
+    format!(
+        "{kind} name={} seed={} next_tag={} image_len={} {adaptation}{config}",
+        w.name,
+        w.seed,
+        w.program.next_tag,
+        w.program.image.len(),
+    )
 }
 
-/// Attach an on-disk store: from now on, first-in-process [`baseline`]
-/// requests consult (and populate) the store before simulating. The
-/// daemon attaches its `--store` directory here so workload baselines
-/// survive restarts along with the serve-level entries.
+/// The process-default simulation memo behind the free functions.
+fn process_memo() -> &'static Memo<SimResult> {
+    static MEMO: OnceLock<Memo<SimResult>> = OnceLock::new();
+    MEMO.get_or_init(Memo::default)
+}
+
+/// Attach an on-disk store to the process-default memo. The daemon
+/// attaches its `--store` directory at start-up, so workload
+/// simulations survive restarts along with the serve-level entries.
 pub fn attach_store(store: Store) {
-    *STORE.lock().expect("store slot poisoned") = Some(Arc::new(store));
+    process_memo().attach_store(store);
 }
 
-/// Detach the on-disk store (in-memory memoization continues). Used by
-/// tests that simulate cold and warm processes in one binary.
-pub fn detach_store() {
-    *STORE.lock().expect("store slot poisoned") = None;
-}
-
-/// Simulate workload `w`'s *original* binary under `cfg`, memoized for
-/// the life of the process (and, with a store attached, across
-/// processes). The first request for a `(workload, config)` pair runs
-/// [`ssp_core::simulate`] — unless the attached store already holds the
-/// result, which is decoded instead; every later request (from any
-/// thread) returns a clone of the stored result.
+/// [`Memo::baseline`] on the process-default memo.
 pub fn baseline(w: &Workload, cfg: &MachineConfig) -> SimResult {
-    let key = Key {
-        kind: "baseline",
-        name: w.name,
-        seed: w.seed,
-        next_tag: w.program.next_tag,
-        image_len: w.program.image.len(),
-        adaptation: String::new(),
-        config: cfg.fingerprint(),
-    };
-    memoized(key, || simulate(&w.program, cfg))
+    process_memo().baseline(w, cfg)
 }
 
-/// Simulate workload `w`'s *adapted* binary under `cfg`, memoized like
-/// [`baseline`]. An adapted binary is a pure function of the workload,
-/// the adaptation options, and the tool's profiling machine, so the key
-/// extends the baseline identity with [`AdaptOptions::fingerprint`]
-/// (`opts_fp`) and the profiling machine's fingerprint (`tool_fp`) —
-/// before that versioned options encoding existed, tuned and default
-/// plans would have collided on workload+seed+machine alone, which is
-/// why only baselines used to be cacheable. `adapted_prog` (the emitted
-/// binary itself) is simulated on a miss; its `next_tag` rides along in
-/// the key as a cheap structural integrity check.
-///
-/// [`AdaptOptions::fingerprint`]: ssp_core::AdaptOptions::fingerprint
+/// [`Memo::adapted`] on the process-default memo.
 pub fn adapted(
     w: &Workload,
     opts_fp: &str,
     tool_fp: &str,
-    adapted_prog: &ssp_ir::Program,
+    adapted_prog: &Program,
     cfg: &MachineConfig,
 ) -> SimResult {
-    let key = Key {
-        kind: "adapted",
-        name: w.name,
-        seed: w.seed,
-        next_tag: w.program.next_tag,
-        image_len: w.program.image.len(),
-        adaptation: format!(
-            "adapted_next_tag={} opts={opts_fp} tool={tool_fp}",
-            adapted_prog.next_tag
-        ),
-        config: cfg.fingerprint(),
-    };
-    memoized(key, || simulate(adapted_prog, cfg))
+    process_memo().adapted(w, opts_fp, tool_fp, adapted_prog, cfg)
 }
 
-/// The shared memoization path behind [`baseline`] and [`adapted`]:
-/// per-key `OnceLock` in the shard selected by the machine-config
-/// fingerprint, disk probe + write-back when a store is attached, and
-/// the schedule-independent hit/disk-hit/miss accounting.
-fn memoized(key: Key, compute: impl FnOnce() -> SimResult) -> SimResult {
-    let shard_idx = (fnv64(&key.config) % NUM_SHARDS as u64) as usize;
-    let cell: Cell = {
-        let mut map = shards()[shard_idx].lock().expect("baseline cache shard poisoned");
-        Arc::clone(map.entry(key.clone()).or_default())
-    };
-    let store = STORE.lock().expect("store slot poisoned").clone();
-    let mut computed = false;
-    let mut from_disk = false;
-    let result = cell.get_or_init(|| {
-        if let Some(store) = &store {
-            let shard = Store::shard_of(&key.config);
-            if let Some(decoded) =
-                store.load(&shard, &key.disk_key()).and_then(|p| decode_sim_result(&p).ok())
-            {
-                from_disk = true;
-                return decoded;
-            }
-        }
-        computed = true;
-        compute()
-    });
-    if computed {
-        MISSES.fetch_add(1, Ordering::Relaxed);
-        if let Some(store) = &store {
-            let shard = Store::shard_of(&key.config);
-            if let Err(e) = store.save(&shard, &key.disk_key(), &encode_sim_result(result)) {
-                eprintln!("ssp-bench: baseline store write failed ({e}); continuing uncached");
-            }
-        }
-    } else if from_disk {
-        DISK_HITS.fetch_add(1, Ordering::Relaxed);
-    } else {
-        HITS.fetch_add(1, Ordering::Relaxed);
-    }
-    result.clone()
-}
-
-/// Cache effectiveness counters for [`baseline`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct CacheStats {
-    /// Requests answered from the in-memory cache.
-    pub hits: u64,
-    /// First-in-process requests answered by decoding a store entry.
-    pub disk_hits: u64,
-    /// Requests that ran a simulation (== distinct keys never on disk).
-    pub misses: u64,
-}
-
-/// Snapshot the process-wide [`baseline`] hit/miss counters.
-pub fn stats() -> CacheStats {
-    CacheStats {
-        hits: HITS.load(Ordering::Relaxed),
-        disk_hits: DISK_HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-    }
+/// The process-default memo's counters.
+pub fn stats() -> MemoStats {
+    process_memo().stats()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::STORE_FORMAT;
     use crate::SEED;
     use ssp_sim::MemoryMode;
+    use std::path::PathBuf;
+
+    fn tmpdir(name: &str) -> PathBuf {
+        let d = std::env::temp_dir().join(format!("ssp-memo-test-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&d);
+        d
+    }
+
+    fn stored_memo<V: Clone>(root: &PathBuf) -> Memo<V> {
+        let memo = Memo::default();
+        memo.attach_store(Store::open(root).expect("open store"));
+        memo
+    }
+
+    fn stats(hits: u64, disk_hits: u64, misses: u64) -> MemoStats {
+        MemoStats { hits, disk_hits, misses }
+    }
+
+    /// A lookup of `key` that decodes and computes `u64`s, counting its
+    /// computations in `computed`.
+    fn lookup(memo: &Memo<u64>, key: &str, computed: &AtomicU64) -> u64 {
+        memo.get(
+            "group",
+            key,
+            |text| text.parse().ok(),
+            || {
+                computed.fetch_add(1, Ordering::Relaxed);
+                (42, "42".to_owned())
+            },
+        )
+    }
+
+    #[test]
+    fn concurrent_lookups_of_one_key_compute_once() {
+        let memo = Memo::default();
+        let computed = AtomicU64::new(0);
+        let answers =
+            crate::parallel::map_indexed(&[(); 8], 8, |_, ()| lookup(&memo, "k", &computed));
+        assert_eq!(answers, vec![42; 8]);
+        assert_eq!(computed.load(Ordering::Relaxed), 1, "one computation per key");
+        assert_eq!(memo.stats(), stats(7, 0, 1));
+    }
+
+    #[test]
+    fn a_restarted_memo_answers_every_miss_from_disk() {
+        let root = tmpdir("restart");
+        let computed = AtomicU64::new(0);
+        let cold = stored_memo(&root);
+        for key in ["a", "b", "c", "a"] {
+            lookup(&cold, key, &computed);
+        }
+        assert_eq!(cold.stats(), stats(1, 0, 3));
+        let warm = stored_memo(&root);
+        for key in ["a", "b", "c", "a"] {
+            assert_eq!(lookup(&warm, key, &computed), 42);
+        }
+        assert_eq!(warm.stats(), stats(1, cold.stats().misses, 0));
+        assert_eq!(computed.load(Ordering::Relaxed), 3, "the restart computed nothing");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn an_entry_recorded_for_another_key_is_a_miss() {
+        let root = tmpdir("collision");
+        let memo = stored_memo(&root);
+        // A decodable entry under `k`'s file name that records another
+        // key: the store's key guard must reject it.
+        let shard = root.join(Store::shard_of("group"));
+        std::fs::create_dir_all(&shard).unwrap();
+        std::fs::write(
+            shard.join(format!("{:016x}.entry", fnv64("k"))),
+            format!("{STORE_FORMAT}\nkey=not-k\n7"),
+        )
+        .unwrap();
+        let computed = AtomicU64::new(0);
+        assert_eq!(lookup(&memo, "k", &computed), 42, "the forged answer must not leak");
+        assert_eq!(memo.stats(), stats(0, 0, 1));
+        let _ = std::fs::remove_dir_all(&root);
+    }
 
     #[test]
     fn memoizes_and_counts_deterministically() {
-        // Use a config no other test shares so the stats delta is ours.
+        let memo = Memo::default();
         let w = ssp_workloads::mcf::build(SEED);
         let mut cfg = MachineConfig::in_order();
         cfg.max_cycles = 31_337;
 
-        let before = stats();
-        let first = baseline(&w, &cfg);
-        let mid = stats();
-        assert_eq!(mid.misses, before.misses + 1, "first request simulates");
+        let first = memo.baseline(&w, &cfg);
+        assert_eq!(memo.stats(), stats(0, 0, 1), "first request simulates");
 
-        let results = crate::parallel::map_indexed(&[(); 8], 4, |_, ()| baseline(&w, &cfg));
+        let results = crate::parallel::map_indexed(&[(); 8], 4, |_, ()| memo.baseline(&w, &cfg));
         for r in &results {
             assert_eq!(*r, first, "cached result must be bit-identical");
         }
-        let after = stats();
-        assert_eq!(after.misses, mid.misses, "repeat requests never re-simulate");
-        assert_eq!(after.hits, mid.hits + 8, "every repeat request is a hit");
-        assert_eq!(first, ssp_core::simulate_stepped(&w.program, &cfg), "cache returns the truth");
+        assert_eq!(memo.stats(), stats(8, 0, 1), "every repeat request is a hit");
+        assert_eq!(first, ssp_core::simulate_stepped(&w.program, &cfg), "memo returns the truth");
     }
 
     #[test]
     fn adapted_entries_key_on_the_options_fingerprint() {
+        let memo = Memo::default();
         let w = ssp_workloads::mcf::build(SEED);
         let mut cfg = MachineConfig::in_order();
-        cfg.max_cycles = 17_389; // unique to this test, so the deltas are ours
-        let before = stats();
-        let a = adapted(&w, "ssp-adapt-options/1 test=a", "tool", &w.program, &cfg);
-        let mid = stats();
-        assert_eq!(mid.misses, before.misses + 1, "first request simulates");
-        let b = adapted(&w, "ssp-adapt-options/1 test=b", "tool", &w.program, &cfg);
-        let after = stats();
-        assert_eq!(
-            after.misses,
-            mid.misses + 1,
-            "a different options fingerprint must be a different key"
-        );
+        cfg.max_cycles = 17_389;
+        let a = memo.adapted(&w, "ssp-adapt-options/1 test=a", "tool", &w.program, &cfg);
+        assert_eq!(memo.stats().misses, 1, "first request simulates");
+        let b = memo.adapted(&w, "ssp-adapt-options/1 test=b", "tool", &w.program, &cfg);
+        assert_eq!(memo.stats().misses, 2, "a different options fingerprint is a different key");
         assert_eq!(a, b, "same program, same config: same truth under either key");
-        let again = adapted(&w, "ssp-adapt-options/1 test=a", "tool", &w.program, &cfg);
+        let again = memo.adapted(&w, "ssp-adapt-options/1 test=a", "tool", &w.program, &cfg);
         assert_eq!(again, a, "repeat request answers from memory");
         // Baseline and adapted entries never collide, even when the
         // "adapted" binary is byte-identical to the original (a no-op
         // adaptation): the key kind keeps the namespaces disjoint.
-        let base = baseline(&w, &cfg);
+        let base = memo.baseline(&w, &cfg);
         assert_eq!(base, a);
-        assert_eq!(
-            stats().misses,
-            after.misses + 1,
-            "baseline keys are disjoint from adapted keys"
-        );
+        assert_eq!(memo.stats(), stats(1, 0, 3), "baseline keys are disjoint from adapted keys");
+    }
+
+    #[test]
+    fn a_truncated_baseline_entry_is_recomputed_and_repaired() {
+        let root = tmpdir("truncated");
+        let w = ssp_workloads::mcf::build(SEED);
+        let mut cfg = MachineConfig::in_order();
+        cfg.max_cycles = 23_011;
+        let cold = encode_sim_result(&stored_memo(&root).baseline(&w, &cfg));
+
+        // Keep the entry's key header, cut its payload in half.
+        let store = Store::open(&root).unwrap();
+        let config = cfg.fingerprint();
+        let (shard, key) = (Store::shard_of(&config), sim_key("baseline", &w, "", &config));
+        let payload = store.load(&shard, &key).expect("the cold run wrote its entry");
+        store.save(&shard, &key, &payload[..payload.len() / 2]).unwrap();
+
+        let repaired = stored_memo(&root);
+        assert_eq!(encode_sim_result(&repaired.baseline(&w, &cfg)), cold);
+        assert_eq!(repaired.stats(), stats(0, 0, 1), "a corrupt entry is a miss");
+        let warm = stored_memo(&root);
+        assert_eq!(encode_sim_result(&warm.baseline(&w, &cfg)), cold);
+        assert_eq!(warm.stats(), stats(0, 1, 0), "the recompute rewrote the entry");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn distinct_configs_do_not_collide() {
+        let memo = Memo::default();
         let w = ssp_workloads::em3d::build(SEED);
         let mut a = MachineConfig::in_order();
         a.max_cycles = 10_007;
         let mut b = a.clone();
         b.max_cycles = 20_021;
-        assert_ne!(baseline(&w, &a), baseline(&w, &b), "different caps, different results");
+        assert_ne!(
+            memo.baseline(&w, &a),
+            memo.baseline(&w, &b),
+            "different caps, different results"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Experiment harnesses regenerating every table and figure of the
 //! paper's evaluation (§4). Each `fig*`/`table*` binary in `src/bin/`
 //! prints the same rows/series the paper reports; the functions here do
-//! the work so the benches and integration tests can reuse them.
+//! the work so the binaries and integration tests can reuse them.
 //!
 //! Every simulation is a pure function of a `(program, machine config)`
 //! pair, so whole suites fan out across host cores: [`run_suite`] runs

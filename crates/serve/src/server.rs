@@ -1,29 +1,21 @@
-//! The request scheduler behind `ssp-serve`: batch handling, sharded
-//! in-memory response caches, optional persistent store, and the
+//! The request scheduler behind `ssp-serve`: batch handling, the
+//! response memo with its optional persistent store, and the
 //! `ssp-serve-report/2` statistics document.
 //!
 //! # Caching and sharding
 //!
-//! Every request has a *key* (its full identity, machine-config
-//! fingerprints included) and a *config fingerprint* (the part of the
-//! key that names the configuration). Both cache layers shard by the
-//! fingerprint:
+//! Every answer goes through the server's [`Memo`], whose doc comment
+//! states the caching contract (per-key cells, schedule-independent
+//! counters, disk probe, write-back). A request's *key* is its full
+//! identity, machine-config fingerprints included; its memo *group* is
+//! the in-order machine fingerprint (workload and tune requests) or the
+//! oracle configuration fingerprint (case requests), so one
+//! configuration's answers share a memory shard and a store shard.
 //!
-//! * the in-memory layer keeps [`NUM_SHARDS`] mutexed maps from key to
-//!   a per-key `OnceLock`, so two in-flight
-//!   requests for the same key compute once and requests for different
-//!   configurations never contend on one lock;
-//! * the on-disk layer (when a store is attached) files each entry
-//!   under [`Store::shard_of`] of the fingerprint.
-//!
-//! A memory miss probes the store before computing; a computed answer
-//! is written back. Warm answers are rendered from the decoded entry by
-//! the same renderer a cold answer uses, so they are byte-identical.
-//!
-//! Counters are schedule-independent for a fixed batch: `misses` counts
-//! distinct keys computed, `disk_hits` distinct keys loaded from the
-//! store, and `hits` every other request — concurrent duplicates block
-//! on the `OnceLock` and count as hits regardless of interleaving.
+//! The memo holds the rendered response; the store holds the entry
+//! ([`crate::store`]). A warm answer is rendered from the decoded entry
+//! by the same renderer a cold answer uses, so the two are
+//! byte-identical.
 //!
 //! # Options in keys
 //!
@@ -38,16 +30,14 @@
 
 use crate::protocol::{parse_line, Request};
 use crate::store::{CaseEntry, TuneEntry, WorkloadEntry};
-use ssp_bench::cache::NUM_SHARDS;
-use ssp_bench::persist::{fnv64, Store};
+use ssp_bench::cache::Memo;
+use ssp_bench::persist::Store;
 use ssp_bench::{parallel, suite_row_json, SEED};
 use ssp_core::{AdaptOptions, MachineConfig};
 use ssp_fuzz::oracle::{run_case, OracleConfig};
 use ssp_fuzz::spec::CaseSpec;
 use ssp_tune::{TargetModel, TuneConfig, Tuner};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// Everything a [`Server`] is parameterized over. The default is the
 /// exact one-shot experiment configuration: paper machine models,
@@ -82,28 +72,13 @@ impl Default for ServerConfig {
     }
 }
 
-/// How one response was produced — drives the counter bump after the
-/// per-key `OnceLock` resolves.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Source {
-    Memory,
-    Disk,
-    Computed,
-}
-
-type Shard = Mutex<HashMap<String, Arc<OnceLock<String>>>>;
-
 /// A persistent adaptation service instance.
 ///
 /// Instance-based on purpose: "restart the daemon" in a test is just a
 /// second `Server` pointed at the same store directory.
 pub struct Server {
     config: ServerConfig,
-    store: Option<Store>,
-    shards: Vec<Shard>,
-    hits: AtomicU64,
-    disk_hits: AtomicU64,
-    misses: AtomicU64,
+    memo: Memo<String>,
     requests: AtomicU64,
     workloads: AtomicU64,
     cases: AtomicU64,
@@ -116,11 +91,7 @@ impl Server {
     pub fn new(config: ServerConfig) -> Server {
         Server {
             config,
-            store: None,
-            shards: (0..NUM_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            memo: Memo::default(),
             requests: AtomicU64::new(0),
             workloads: AtomicU64::new(0),
             cases: AtomicU64::new(0),
@@ -131,8 +102,8 @@ impl Server {
 
     /// Attach a persistent store: memory misses probe it, computed
     /// answers are written back.
-    pub fn with_store(mut self, store: Store) -> Server {
-        self.store = Some(store);
+    pub fn with_store(self, store: Store) -> Server {
+        self.memo.attach_store(store);
         self
     }
 
@@ -172,12 +143,9 @@ impl Server {
     /// in-memory occupancy, and (when a store is attached) per-shard
     /// on-disk entry counts. Deterministic for a fixed request multiset.
     pub fn report_json(&self) -> String {
-        let shard_sizes: Vec<String> = self
-            .shards
-            .iter()
-            .map(|s| s.lock().expect("shard poisoned").len().to_string())
-            .collect();
-        let store_json = match &self.store {
+        let shard_sizes: Vec<String> =
+            self.memo.shard_sizes().iter().map(ToString::to_string).collect();
+        let store_json = match self.memo.store() {
             None => "null".to_owned(),
             Some(store) => {
                 let counts: Vec<String> = store
@@ -188,6 +156,7 @@ impl Server {
                 format!("[{}]", counts.join(", "))
             }
         };
+        let cache = self.memo.stats();
         format!(
             concat!(
                 "{{\"schema\": \"ssp-serve-report/2\", ",
@@ -200,9 +169,9 @@ impl Server {
             self.cases.load(Ordering::Relaxed),
             self.tunes.load(Ordering::Relaxed),
             self.errors.load(Ordering::Relaxed),
-            self.hits.load(Ordering::Relaxed),
-            self.disk_hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
+            cache.hits,
+            cache.disk_hits,
+            cache.misses,
             shard_sizes.join(", "),
             store_json,
         )
@@ -217,12 +186,8 @@ impl Server {
             "workload name={name} seed={} io={io_fp} ooo={ooo_fp} opts={opts_fp}",
             self.config.seed
         );
-        self.answer(&key, &io_fp, || {
-            if let Some(text) = self.store_load(&io_fp, &key) {
-                if let Ok(entry) = WorkloadEntry::decode(&text) {
-                    return (Source::Disk, render_workload(&entry));
-                }
-            }
+        let decode = |text: &str| WorkloadEntry::decode(text).ok().as_ref().map(render_workload);
+        self.memo.get(&io_fp, &key, decode, || {
             let w = ssp_workloads::by_name(name, self.config.seed)
                 .expect("parse_line admits only known workload names");
             let run = ssp_bench::run_benchmark_configured(
@@ -242,8 +207,7 @@ impl Server {
                 base_ooo: run.base_ooo,
                 ssp_ooo: run.ssp_ooo,
             };
-            self.store_save(&io_fp, &key, &entry.encode());
-            (Source::Computed, render_workload(&entry))
+            (render_workload(&entry), entry.encode())
         })
     }
 
@@ -256,12 +220,8 @@ impl Server {
             "tune name={name} seed={} rounds={} io={io_fp} ooo={ooo_fp} opts={opts_fp}",
             self.config.seed, self.config.tune_rounds
         );
-        self.answer(&key, &io_fp, || {
-            if let Some(text) = self.store_load(&io_fp, &key) {
-                if let Ok(entry) = TuneEntry::decode(&text) {
-                    return (Source::Disk, render_tune(&entry));
-                }
-            }
+        let decode = |text: &str| TuneEntry::decode(text).ok().as_ref().map(render_tune);
+        self.memo.get(&io_fp, &key, decode, || {
             let w = ssp_workloads::by_name(name, self.config.seed)
                 .expect("parse_line admits only known workload names");
             // Workers = 1: the batch is already fanned out across the
@@ -273,7 +233,7 @@ impl Server {
                 max_rounds: self.config.tune_rounds,
                 workers: 1,
             });
-            if let Some(store) = &self.store {
+            if let Some(store) = self.memo.store() {
                 // The tuner's own evaluation cache shares the daemon's
                 // store directory, so a restarted daemon replays even
                 // half-finished tunes from disk.
@@ -288,8 +248,7 @@ impl Server {
                 io_row: tuner.tune_workload(&w, TargetModel::InOrder),
                 ooo_row: tuner.tune_workload(&w, TargetModel::OutOfOrder),
             };
-            self.store_save(&io_fp, &key, &entry.encode());
-            (Source::Computed, render_tune(&entry))
+            (render_tune(&entry), entry.encode())
         })
     }
 
@@ -297,12 +256,8 @@ impl Server {
         self.cases.fetch_add(1, Ordering::Relaxed);
         let fp = format!("ssp-oracle-config/1 max_cycles={}", self.config.oracle.max_cycles);
         let key = format!("case {spec} {fp}");
-        self.answer(&key, &fp, || {
-            if let Some(text) = self.store_load(&fp, &key) {
-                if let Ok(entry) = CaseEntry::decode(&text) {
-                    return (Source::Disk, render_case(&entry));
-                }
-            }
+        let decode = |text: &str| CaseEntry::decode(text).ok().as_ref().map(render_case);
+        self.memo.get(&fp, &key, decode, || {
             let result = run_case(spec, &self.config.oracle);
             let entry = CaseEntry {
                 spec: result.spec.to_string(),
@@ -311,46 +266,8 @@ impl Server {
                 slices: result.slices as u64,
                 threads_spawned: result.threads_spawned,
             };
-            self.store_save(&fp, &key, &entry.encode());
-            (Source::Computed, render_case(&entry))
+            (render_case(&entry), entry.encode())
         })
-    }
-
-    /// Memoize `compute` under `key` in the shard selected by
-    /// `fingerprint`, bumping the hit/disk-hit/miss counters.
-    fn answer(
-        &self,
-        key: &str,
-        fingerprint: &str,
-        compute: impl FnOnce() -> (Source, String),
-    ) -> String {
-        let shard = &self.shards[(fnv64(fingerprint) as usize) % NUM_SHARDS];
-        let cell = shard.lock().expect("shard poisoned").entry(key.to_owned()).or_default().clone();
-        let mut source = Source::Memory;
-        let response = cell.get_or_init(|| {
-            let (src, text) = compute();
-            source = src;
-            text
-        });
-        match source {
-            Source::Memory => &self.hits,
-            Source::Disk => &self.disk_hits,
-            Source::Computed => &self.misses,
-        }
-        .fetch_add(1, Ordering::Relaxed);
-        response.clone()
-    }
-
-    fn store_load(&self, fingerprint: &str, key: &str) -> Option<String> {
-        self.store.as_ref()?.load(&Store::shard_of(fingerprint), key)
-    }
-
-    fn store_save(&self, fingerprint: &str, key: &str, payload: &str) {
-        if let Some(store) = &self.store {
-            if let Err(e) = store.save(&Store::shard_of(fingerprint), key, payload) {
-                eprintln!("ssp-serve: store write failed for {key:?}: {e}");
-            }
-        }
     }
 }
 
@@ -402,6 +319,8 @@ fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
+    use std::path::Path;
 
     fn capped_config() -> ServerConfig {
         let mut io = MachineConfig::in_order();
@@ -439,6 +358,44 @@ mod tests {
             "report: {report}"
         );
         assert!(report.contains("\"store_shards\": null"), "report: {report}");
+    }
+
+    /// Cut the payload of every entry under `root` short, keeping its
+    /// format and key lines.
+    fn truncate_entries(root: &Path) {
+        for shard in fs::read_dir(root).unwrap().flatten().filter(|d| d.path().is_dir()) {
+            for entry in fs::read_dir(shard.path()).unwrap().flatten() {
+                let text = fs::read_to_string(entry.path()).unwrap();
+                let kept: String = text.lines().take(4).map(|l| format!("{l}\n")).collect();
+                fs::write(entry.path(), kept).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn truncated_workload_and_case_entries_are_recomputed_and_repaired() {
+        let root = std::env::temp_dir().join(format!("ssp-serve-truncated-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let batch = "mcf\nseed=1 chase=48 loads=2\n";
+        let server = || Server::new(capped_config()).with_store(Store::open(&root).unwrap());
+        let cold = server().handle_batch(batch);
+        truncate_entries(&root);
+
+        let repaired = server();
+        assert_eq!(repaired.handle_batch(batch), cold);
+        let report = repaired.report_json();
+        assert!(
+            report.contains("\"cache\": {\"hits\": 0, \"disk_hits\": 0, \"misses\": 2}"),
+            "corrupt entries are misses: {report}"
+        );
+        let warm = server();
+        assert_eq!(warm.handle_batch(batch), cold);
+        let report = warm.report_json();
+        assert!(
+            report.contains("\"cache\": {\"hits\": 0, \"disk_hits\": 2, \"misses\": 0}"),
+            "the recompute rewrote both entries: {report}"
+        );
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]

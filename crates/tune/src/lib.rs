@@ -43,19 +43,17 @@
 //! with [`parallel::map_indexed`] (order-preserving), and acceptance
 //! breaks ties by menu position — so a tune run is byte-identical
 //! across worker counts. Every evaluation and telemetry read is
-//! memoized in an instance-level sharded cache keyed by the workload
-//! identity, both machine fingerprints, and the candidate's
-//! [`AdaptOptions::fingerprint`]; attach a [`Store`] and a warm restart
-//! replays the whole search from disk without re-simulating.
+//! memoized in the tuner's own [`Memo`] (see its doc comment for the
+//! caching contract), keyed by the workload identity, both machine
+//! fingerprints, and the candidate's [`AdaptOptions::fingerprint`];
+//! attach a [`Store`] and a warm restart replays the whole search from
+//! disk without re-simulating.
 
 pub mod report;
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
+use ssp_bench::cache::{Memo, MemoStats};
 use ssp_bench::parallel;
-use ssp_bench::persist::{fnv64, Store};
+use ssp_bench::persist::Store;
 use ssp_core::{
     prefetch_targets, simulate_traced, AdaptError, AdaptOptions, MachineConfig, PostPassTool,
     Profile, SpModel,
@@ -74,8 +72,6 @@ pub const DEFAULT_MAX_ROUNDS: usize = 8;
 pub const EVAL_FORMAT: &str = "ssp-tune-eval/1";
 /// Versioned encoding of one telemetry read.
 pub const TELEMETRY_FORMAT: &str = "ssp-tune-telemetry/1";
-/// In-memory cache shards (same layout as `ssp_bench::cache`).
-const SHARDS: usize = 16;
 
 /// Everything a [`Tuner`] is parameterized over. The default mirrors
 /// the one-shot experiment pipeline: paper machine models, [`SEED`],
@@ -431,49 +427,31 @@ fn decode_telemetry(text: &str) -> Option<TelemetrySummary> {
     Some(TelemetrySummary { triggers_fired, slices_spawned, prefetches_issued, per_load })
 }
 
-type Shard = Mutex<HashMap<String, Arc<OnceLock<String>>>>;
+/// One memoized answer: evaluations and telemetry reads share the
+/// tuner's memo under disjoint key prefixes.
+#[derive(Clone)]
+enum Answer {
+    Eval(Eval),
+    Telemetry(TelemetrySummary),
+}
 
 /// Instance-based auto-tuner (the `ssp-serve` pattern: "restart the
 /// tuner" in a test is a second `Tuner` on the same store directory).
 pub struct Tuner {
     config: TuneConfig,
-    store: Option<Store>,
-    shards: Vec<Shard>,
-    hits: AtomicU64,
-    disk_hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// Schedule-independent cache counters of a [`Tuner`] instance:
-/// `misses` counts distinct keys computed, `disk_hits` distinct keys
-/// loaded from the store, `hits` everything else.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct TunerStats {
-    /// In-memory answers.
-    pub hits: u64,
-    /// Distinct keys loaded from the persistent store.
-    pub disk_hits: u64,
-    /// Distinct keys computed from scratch.
-    pub misses: u64,
+    memo: Memo<Answer>,
 }
 
 impl Tuner {
     /// A tuner with no persistent store (memory-only memoization).
     pub fn new(config: TuneConfig) -> Tuner {
-        Tuner {
-            config,
-            store: None,
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
+        Tuner { config, memo: Memo::default() }
     }
 
     /// Attach a persistent store: memory misses probe it, computed
     /// evaluations are written back.
-    pub fn with_store(mut self, store: Store) -> Tuner {
-        self.store = Some(store);
+    pub fn with_store(self, store: Store) -> Tuner {
+        self.memo.attach_store(store);
         self
     }
 
@@ -483,42 +461,8 @@ impl Tuner {
     }
 
     /// Current cache counters.
-    pub fn stats(&self) -> TunerStats {
-        TunerStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
-
-    fn answer(&self, key: &str, compute: impl FnOnce() -> String) -> String {
-        let shard = &self.shards[(fnv64(key) as usize) % SHARDS];
-        let cell = shard.lock().expect("shard poisoned").entry(key.to_owned()).or_default().clone();
-        // 0 = memory hit, 1 = disk hit, 2 = computed.
-        let mut source = 0u8;
-        let payload = cell.get_or_init(|| {
-            if let Some(store) = &self.store {
-                if let Some(text) = store.load(&Store::shard_of(key), key) {
-                    source = 1;
-                    return text;
-                }
-            }
-            source = 2;
-            let text = compute();
-            if let Some(store) = &self.store {
-                if let Err(e) = store.save(&Store::shard_of(key), key, &text) {
-                    eprintln!("ssp-tune: store write failed for {key:?}: {e}");
-                }
-            }
-            text
-        });
-        match source {
-            0 => &self.hits,
-            1 => &self.disk_hits,
-            _ => &self.misses,
-        }
-        .fetch_add(1, Ordering::Relaxed);
-        payload.clone()
+    pub fn stats(&self) -> MemoStats {
+        self.memo.stats()
     }
 
     fn identity(&self, w: &Workload) -> String {
@@ -545,8 +489,20 @@ impl Tuner {
         opts: &AdaptOptions,
     ) -> Eval {
         let key = format!("tune-eval {} {}", self.identity(w), opts.fingerprint());
-        let payload = self.answer(&key, || encode_eval(&self.compute_eval(w, profile, base, opts)));
-        decode_eval(&payload).unwrap_or_else(|| self.compute_eval(w, profile, base, opts))
+        let answer = self.memo.get(
+            &key,
+            &key,
+            |text| decode_eval(text).map(Answer::Eval),
+            || {
+                let e = self.compute_eval(w, profile, base, opts);
+                let text = encode_eval(&e);
+                (Answer::Eval(e), text)
+            },
+        );
+        match answer {
+            Answer::Eval(e) => e,
+            Answer::Telemetry(_) => unreachable!("tune-eval keys hold evaluations"),
+        }
     }
 
     fn compute_eval(
@@ -628,10 +584,20 @@ impl Tuner {
             target.name(),
             opts.fingerprint()
         );
-        let payload = self
-            .answer(&key, || encode_telemetry(&self.compute_telemetry(w, profile, opts, target)));
-        decode_telemetry(&payload)
-            .unwrap_or_else(|| self.compute_telemetry(w, profile, opts, target))
+        let answer = self.memo.get(
+            &key,
+            &key,
+            |text| decode_telemetry(text).map(Answer::Telemetry),
+            || {
+                let t = self.compute_telemetry(w, profile, opts, target);
+                let text = encode_telemetry(&t);
+                (Answer::Telemetry(t), text)
+            },
+        );
+        match answer {
+            Answer::Telemetry(t) => t,
+            Answer::Eval(_) => unreachable!("tune-telemetry keys hold telemetry"),
+        }
     }
 
     fn compute_telemetry(
@@ -874,5 +840,35 @@ mod tests {
         assert_eq!(decoded, t);
         assert_eq!(decoded.totals().total(), 16);
         assert_eq!(decode_telemetry(""), None);
+    }
+
+    #[test]
+    fn a_truncated_eval_entry_is_recomputed_and_repaired() {
+        let root = std::env::temp_dir().join(format!("ssp-tune-truncated-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut config = TuneConfig { max_rounds: 1, workers: 1, ..TuneConfig::default() };
+        config.io.max_cycles = 60_000;
+        config.ooo.max_cycles = 60_000;
+        let tuner = || Tuner::new(config.clone()).with_store(Store::open(&root).unwrap());
+        let w = ssp_workloads::mcf::build(SEED);
+        let profile = ssp_core::profile(&w.program, &config.io);
+        let base = oracle::baseline_snapshots(&w.program, &config.io, &config.ooo);
+        let opts = AdaptOptions::default();
+        let first = tuner();
+        let cold = encode_eval(&first.evaluate(&w, &profile, &base, &opts));
+
+        // Keep the entry's key header, cut its payload in half.
+        let key = format!("tune-eval {} {}", first.identity(&w), opts.fingerprint());
+        let (store, shard) = (first.memo.store().unwrap(), Store::shard_of(&key));
+        let payload = store.load(&shard, &key).expect("the cold run wrote its entry");
+        store.save(&shard, &key, &payload[..payload.len() / 2]).unwrap();
+
+        let repaired = tuner();
+        assert_eq!(encode_eval(&repaired.evaluate(&w, &profile, &base, &opts)), cold);
+        assert_eq!(repaired.stats(), MemoStats { hits: 0, disk_hits: 0, misses: 1 });
+        let warm = tuner();
+        assert_eq!(encode_eval(&warm.evaluate(&w, &profile, &base, &opts)), cold);
+        assert_eq!(warm.stats(), MemoStats { hits: 0, disk_hits: 1, misses: 0 });
+        let _ = std::fs::remove_dir_all(&root);
     }
 }
