@@ -10,8 +10,13 @@
 //! cycle-capped because tier-1 runs this in a debug build; equivalence
 //! does not depend on the cap.
 
-use ssp_core::{simulate, simulate_stepped, AdaptOptions, MachineConfig, PostPassTool, SimResult};
-use ssp_sim::{simulate_snapshot, simulate_snapshot_stepped, simulate_windowed};
+use ssp_core::{
+    prefetch_targets, simulate, simulate_stepped, simulate_traced, AdaptOptions, MachineConfig,
+    PostPassTool, SimResult,
+};
+use ssp_sim::{
+    simulate_snapshot, simulate_snapshot_stepped, simulate_windowed, simulate_with, SimOptions,
+};
 
 const CORPUS: &str = include_str!("../../../tests/corpus/adaptation_oracle.corpus");
 
@@ -46,6 +51,33 @@ fn workloads_baseline_and_adapted_match_stepped_engine() {
             for (class, prog) in [("baseline", &w.program), ("adapted", &adapted.program)] {
                 let what = format!("{} {class} on {model}", w.name);
                 assert_equivalent(&what, &simulate(prog, &cfg), &simulate_stepped(prog, &cfg));
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_snapshot_and_telemetry_run_matches_the_separate_runs() {
+    // The tuner's oracle gate installs the snapshot recorder and the
+    // telemetry collector in one run; each must see exactly what it sees
+    // alone, on both engines.
+    for w in &ssp_workloads::suite(ssp_bench::SEED) {
+        let adapted = PostPassTool::new(MachineConfig::in_order())
+            .run(&w.program)
+            .expect("adaptation succeeds");
+        let targets = prefetch_targets(&adapted);
+        let bound = w.program.next_tag;
+        for (model, cfg) in machines(120_000) {
+            let (result, snapshot) = simulate_snapshot(&adapted.program, &cfg, bound);
+            let (traced, trace) = simulate_traced(&adapted.program, &cfg, &targets);
+            assert_equivalent(&format!("{} traced on {model}", w.name), &traced, &result);
+            for stepped in [false, true] {
+                let what = format!("{} fused on {model} (stepped: {stepped})", w.name);
+                let opts = SimOptions { stepped, snapshot: Some(bound), telemetry: Some(&targets) };
+                let run = simulate_with(&adapted.program, &cfg, opts);
+                assert_equivalent(&what, &run.result, &result);
+                assert_eq!(run.snapshot.as_ref(), Some(&snapshot), "{what}: snapshot");
+                assert_eq!(run.trace.as_ref(), Some(&trace), "{what}: trace");
             }
         }
     }

@@ -31,9 +31,10 @@ use crate::gen;
 use crate::spec::CaseSpec;
 use ssp_core::PostPassTool;
 use ssp_ir::reg::{conv, NUM_REGS};
-use ssp_ir::{Op, Program};
+use ssp_ir::{InstTag, Op, Program};
 use ssp_sim::{
-    simulate_snapshot, simulate_snapshot_stepped, ArchSnapshot, MachineConfig, SimResult, TrapKind,
+    simulate_snapshot, simulate_snapshot_stepped, simulate_with, ArchSnapshot, MachineConfig,
+    SimOptions, SimResult, SimRun, TrapKind,
 };
 use std::collections::HashMap;
 
@@ -384,23 +385,39 @@ pub fn check_adapted(
     io: &MachineConfig,
     ooo: &MachineConfig,
 ) -> (Vec<Violation>, SimResult, SimResult) {
+    let (violations, [a_io, a_ooo]) = check_adapted_with(adapted, base, io, ooo, None);
+    (violations, a_io.result, a_ooo.result)
+}
+
+/// [`check_adapted`], returning each model's whole [`SimRun`] (in-order
+/// first) and, when `targets` is given, collecting each model's
+/// telemetry in the same run (see [`ssp_sim::simulate_traced`] for what
+/// `targets` maps). A caller that steers on Figure-9 signals thus pays
+/// one simulation per model for the gate and the telemetry together.
+pub fn check_adapted_with(
+    adapted: &Program,
+    base: &BaselineSnapshots,
+    io: &MachineConfig,
+    ooo: &MachineConfig,
+    targets: Option<&[(InstTag, InstTag)]>,
+) -> (Vec<Violation>, [SimRun; 2]) {
     let mut violations = Vec::new();
     if let Err(e) = ssp_ir::verify::verify_speculative(adapted) {
         violations.push(Violation { kind: "store-in-slice", detail: e.to_string() });
     }
     check_single_trigger(adapted, &mut violations);
-    let (a_io_res, a_io) = simulate_snapshot(adapted, io, base.bound);
-    let (a_ooo_res, a_ooo) = simulate_snapshot(adapted, ooo, base.bound);
-    for (model, b_snap, (a_res, a_snap)) in [
-        ("in-order", &base.io.1, (&a_io_res, &a_io)),
-        ("out-of-order", &base.ooo.1, (&a_ooo_res, &a_ooo)),
-    ] {
+    let opts = SimOptions { snapshot: Some(base.bound), telemetry: targets, ..Default::default() };
+    let runs = [simulate_with(adapted, io, opts), simulate_with(adapted, ooo, opts)];
+    for (model, b_snap, run) in
+        [("in-order", &base.io.1, &runs[0]), ("out-of-order", &base.ooo.1, &runs[1])]
+    {
+        let a_snap = run.snapshot.as_ref().expect("snapshot requested");
         if b_snap.trap != TrapKind::CycleCap {
             check_equivalence(model, b_snap, a_snap, &base.mentioned, &mut violations);
         }
-        check_ssp_invariants(model, a_snap, a_res, &mut violations);
+        check_ssp_invariants(model, a_snap, &run.result, &mut violations);
     }
-    (violations, a_io_res, a_ooo_res)
+    (violations, runs)
 }
 
 /// Run the full differential check for one case.

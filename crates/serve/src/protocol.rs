@@ -116,11 +116,16 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// all); a truncated length or payload is an error.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
-    match r.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    // Only a hang-up before the first length byte is clean.
+    loop {
+        match r.read(&mut len[..1]) {
+            Ok(0) => return Ok(None),
+            Ok(_) => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
+    r.read_exact(&mut len[1..])?;
     let len = u32::from_le_bytes(len);
     if len > MAX_FRAME {
         return Err(io::Error::new(
@@ -180,5 +185,9 @@ mod tests {
         assert!(read_frame(&mut &bad[..]).is_err());
         let truncated = 10u32.to_le_bytes().to_vec(); // promises 10 bytes, has 0
         assert!(read_frame(&mut &truncated[..]).is_err());
+        for cut in 1..4 {
+            let err = read_frame(&mut &truncated[..cut]).expect_err("a cut length is not EOF");
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{cut}-byte length prefix");
+        }
     }
 }

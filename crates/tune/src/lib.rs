@@ -32,10 +32,12 @@
 //! Every candidate goes through [`PostPassTool::run_with_profile`]
 //! (which rejects on `ssp-lint` diagnostics and emit-verify failures)
 //! and then through the fuzz oracle's
-//! [`ssp_fuzz::oracle::check_adapted`] invariants: baseline
-//! architectural equivalence on both machine models plus the
-//! SSP-specific spec-store and spawn-leak checks. A candidate with any
-//! violation is never accepted, no matter its cycle count.
+//! [`ssp_fuzz::oracle::check_adapted`] invariants (via
+//! [`ssp_fuzz::oracle::check_adapted_with`], which also collects the
+//! telemetry): baseline architectural equivalence on both machine
+//! models plus the SSP-specific spec-store and spawn-leak checks. A
+//! candidate with any violation is never accepted, no matter its cycle
+//! count.
 //!
 //! # Determinism and caching
 //!
@@ -48,6 +50,14 @@
 //! fingerprints, and the candidate's [`AdaptOptions::fingerprint`];
 //! attach a [`Store`] and a warm restart replays the whole search from
 //! disk without re-simulating.
+//!
+//! Below that memo, a second, memory-only one holds oracle-gate runs
+//! by exact adapted binary: many moves emit the same program, so the
+//! gate simulates each distinct binary once, with the telemetry
+//! collector installed in the same runs, and telemetry reads take
+//! their trace from there ([`Tuner::gate_stats`] counts it). The
+//! workload's profile and baseline snapshots are computed once per
+//! tuner, for both rows.
 
 pub mod report;
 
@@ -55,12 +65,13 @@ use ssp_bench::cache::{Memo, MemoStats};
 use ssp_bench::parallel;
 use ssp_bench::persist::Store;
 use ssp_core::{
-    prefetch_targets, simulate_traced, AdaptError, AdaptOptions, MachineConfig, PostPassTool,
-    Profile, SpModel,
+    prefetch_targets, AdaptError, AdaptOptions, AdaptedBinary, MachineConfig, PostPassTool,
+    Profile, SimTrace, SpModel,
 };
 use ssp_fuzz::oracle::{self, BaselineSnapshots};
 use ssp_trace::TimelinessCounts;
 use ssp_workloads::Workload;
+use std::sync::Arc;
 
 pub use report::{render_report, TuneRow};
 
@@ -383,6 +394,15 @@ pub struct TelemetrySummary {
 }
 
 impl TelemetrySummary {
+    fn of(trace: SimTrace) -> TelemetrySummary {
+        TelemetrySummary {
+            triggers_fired: trace.triggers_fired,
+            slices_spawned: trace.slices_spawned,
+            prefetches_issued: trace.prefetches_issued,
+            per_load: trace.per_load,
+        }
+    }
+
     /// Sum of all per-load histograms.
     pub fn totals(&self) -> TimelinessCounts {
         let mut t = TimelinessCounts::default();
@@ -435,17 +455,42 @@ enum Answer {
     Telemetry(TelemetrySummary),
 }
 
+/// One oracle-gated run of an adapted binary on both machine models:
+/// the verdict, and the cycles and telemetry of each model's run.
+#[derive(Clone)]
+struct Gate {
+    /// Deduplicated oracle violation kinds, detection order.
+    violations: Vec<String>,
+    io_cycles: u64,
+    ooo_cycles: u64,
+    io_telemetry: TelemetrySummary,
+    ooo_telemetry: TelemetrySummary,
+}
+
 /// Instance-based auto-tuner (the `ssp-serve` pattern: "restart the
 /// tuner" in a test is a second `Tuner` on the same store directory).
 pub struct Tuner {
     config: TuneConfig,
+    /// Both machine fingerprints as they appear in every key.
+    machines: String,
     memo: Memo<Answer>,
+    /// Oracle-gate runs by exact adapted binary; memory only.
+    gates: Memo<Gate>,
+    /// Profile and baseline snapshots by workload; memory only.
+    inputs: Memo<Arc<(Profile, BaselineSnapshots)>>,
 }
 
 impl Tuner {
     /// A tuner with no persistent store (memory-only memoization).
     pub fn new(config: TuneConfig) -> Tuner {
-        Tuner { config, memo: Memo::default() }
+        let machines = format!("io={} ooo={}", config.io.fingerprint(), config.ooo.fingerprint());
+        Tuner {
+            config,
+            machines,
+            memo: Memo::default(),
+            gates: Memo::default(),
+            inputs: Memo::default(),
+        }
     }
 
     /// Attach a persistent store: memory misses probe it, computed
@@ -465,16 +510,97 @@ impl Tuner {
         self.memo.stats()
     }
 
+    /// Counters of the oracle-gate memo: `misses` is the number of
+    /// distinct adapted binaries simulated, `hits` the evaluations and
+    /// telemetry reads that reused one of those runs.
+    pub fn gate_stats(&self) -> MemoStats {
+        self.gates.stats()
+    }
+
     fn identity(&self, w: &Workload) -> String {
         format!(
-            "name={} seed={} next_tag={} image_len={} io={} ooo={}",
+            "name={} seed={} next_tag={} image_len={} {}",
             w.name,
             w.seed,
             w.program.next_tag,
             w.program.image.len(),
-            self.config.io.fingerprint(),
-            self.config.ooo.fingerprint(),
+            self.machines,
         )
+    }
+
+    /// `w`'s profile and baseline snapshots, computed once per workload
+    /// and shared by both of its rows and by every gate miss.
+    fn inputs(&self, w: &Workload) -> Arc<(Profile, BaselineSnapshots)> {
+        let id = self.identity(w);
+        self.inputs.get(
+            &id,
+            &id,
+            |_| None,
+            || {
+                let profile = ssp_core::profile(&w.program, &self.config.io);
+                let base =
+                    oracle::baseline_snapshots(&w.program, &self.config.io, &self.config.ooo);
+                (Arc::new((profile, base)), String::new())
+            },
+        )
+    }
+
+    /// Run the oracle gate on `adapted` with telemetry collected in the
+    /// same runs, once per distinct binary. The key is exact: workload
+    /// identity, the binary's code and its prefetch targets. A plan
+    /// digest would not do, since one digest can emit different code
+    /// (a `chain_budget` change). Adaptation never writes the data
+    /// image, so the key leaves it out and the image is compared with
+    /// the workload's instead: a binary with a foreign image is gated
+    /// uncached. `base` is looked up only on a miss; `None` takes the
+    /// tuner's own baselines of `w`.
+    fn gate(
+        &self,
+        w: &Workload,
+        adapted: &AdaptedBinary,
+        base: Option<&BaselineSnapshots>,
+    ) -> Gate {
+        let prog = &adapted.program;
+        let targets = prefetch_targets(adapted);
+        let run = || {
+            let own;
+            let base = match base {
+                Some(b) => b,
+                None => {
+                    own = self.inputs(w);
+                    &own.1
+                }
+            };
+            let (violations, [io, ooo]) = oracle::check_adapted_with(
+                prog,
+                base,
+                &self.config.io,
+                &self.config.ooo,
+                Some(&targets),
+            );
+            let mut kinds: Vec<String> = Vec::new();
+            for v in &violations {
+                if !kinds.iter().any(|k| k == v.kind) {
+                    kinds.push(v.kind.to_owned());
+                }
+            }
+            Gate {
+                violations: kinds,
+                io_cycles: io.result.cycles,
+                ooo_cycles: ooo.result.cycles,
+                io_telemetry: TelemetrySummary::of(io.trace.expect("telemetry requested")),
+                ooo_telemetry: TelemetrySummary::of(ooo.trace.expect("telemetry requested")),
+            }
+        };
+        if prog.image != w.program.image {
+            return run();
+        }
+        let id = self.identity(w);
+        let key = format!(
+            "tune-gate {id} entry={} next_tag={} targets={:?} funcs={:?}",
+            prog.entry, prog.next_tag, targets, prog.funcs
+        );
+        self.gates.get(&id, &key, |_| None, || (run(), String::new()))
     }
 
     /// Evaluate one candidate option set: adapt with the shared
@@ -543,34 +669,24 @@ impl Tuner {
                         ooo_cycles: base.ooo.0.cycles,
                     };
                 }
-                let (violations, io_res, ooo_res) = oracle::check_adapted(
-                    &adapted.program,
-                    base,
-                    &self.config.io,
-                    &self.config.ooo,
-                );
-                let mut kinds: Vec<String> = Vec::new();
-                for v in &violations {
-                    if !kinds.iter().any(|k| k == v.kind) {
-                        kinds.push(v.kind.to_owned());
-                    }
-                }
+                let gate = self.gate(w, &adapted, Some(base));
                 Eval {
                     adapt_error: None,
                     slices,
                     skipped,
                     plan_digest: adapted.report.plan_digest(),
-                    violations: kinds,
-                    io_cycles: io_res.cycles,
-                    ooo_cycles: ooo_res.cycles,
+                    violations: gate.violations,
+                    io_cycles: gate.io_cycles,
+                    ooo_cycles: gate.ooo_cycles,
                 }
             }
         }
     }
 
-    /// Traced-simulation telemetry of `opts`'s plan on `target`.
-    /// Memoized like [`Tuner::evaluate`], additionally keyed by the
-    /// target model.
+    /// Telemetry of `opts`'s plan on `target`, read from the plan's
+    /// oracle-gate run (which [`Tuner::evaluate`] of the same plan has
+    /// usually made already). Memoized like [`Tuner::evaluate`],
+    /// additionally keyed by the target model.
     pub fn telemetry(
         &self,
         w: &Workload,
@@ -614,17 +730,10 @@ impl Tuner {
         if adapted.report.is_noop() {
             return TelemetrySummary::default();
         }
-        let targets = prefetch_targets(&adapted);
-        let cfg = match target {
-            TargetModel::InOrder => &self.config.io,
-            TargetModel::OutOfOrder => &self.config.ooo,
-        };
-        let (_, trace) = simulate_traced(&adapted.program, cfg, &targets);
-        TelemetrySummary {
-            triggers_fired: trace.triggers_fired,
-            slices_spawned: trace.slices_spawned,
-            prefetches_issued: trace.prefetches_issued,
-            per_load: trace.per_load,
+        let gate = self.gate(w, &adapted, None);
+        match target {
+            TargetModel::InOrder => gate.io_telemetry,
+            TargetModel::OutOfOrder => gate.ooo_telemetry,
         }
     }
 
@@ -639,14 +748,14 @@ impl Tuner {
     ///   `best_candidate_cycles >= base_cycles`: *no* evaluated clean
     ///   candidate beat the baseline (checked, not asserted away).
     pub fn tune_workload(&self, w: &Workload, target: TargetModel) -> TuneRow {
-        let profile = ssp_core::profile(&w.program, &self.config.io);
-        let base = oracle::baseline_snapshots(&w.program, &self.config.io, &self.config.ooo);
+        let inputs = self.inputs(w);
+        let (profile, base) = &*inputs;
         let base_cycles = match target {
             TargetModel::InOrder => base.io.0.cycles,
             TargetModel::OutOfOrder => base.ooo.0.cycles,
         };
         let default_opts = AdaptOptions::default();
-        let default_eval = self.evaluate(w, &profile, &base, &default_opts);
+        let default_eval = self.evaluate(w, profile, base, &default_opts);
 
         let mut candidates = 1u64;
         let mut emitting = u64::from(default_eval.clean() && default_eval.emitting());
@@ -679,14 +788,14 @@ impl Tuner {
             let signal = if !cur_eval.emitting() {
                 Signal::Noop
             } else {
-                classify(&self.telemetry(w, &profile, &cur_opts, target).totals())
+                classify(&self.telemetry(w, profile, &cur_opts, target).totals())
             };
             let menu = moves_for(signal, &cur_opts, !improving);
             if menu.is_empty() {
                 break;
             }
             let evals = parallel::map_indexed(&menu, self.config.workers, |_, (_, o)| {
-                self.evaluate(w, &profile, &base, o)
+                self.evaluate(w, profile, base, o)
             });
             let mut accepted: Option<usize> = None;
             for (i, e) in evals.iter().enumerate() {
@@ -726,7 +835,7 @@ impl Tuner {
             "structural-cap verdict with a sub-baseline candidate ({best_candidate} < {base_cycles})"
         );
         let timeliness = if cur_eval.emitting() {
-            self.telemetry(w, &profile, &cur_opts, target).totals()
+            self.telemetry(w, profile, &cur_opts, target).totals()
         } else {
             TimelinessCounts::default()
         };
@@ -840,6 +949,96 @@ mod tests {
         assert_eq!(decoded, t);
         assert_eq!(decoded.totals().total(), 16);
         assert_eq!(decode_telemetry(""), None);
+    }
+
+    /// A cycle-capped tuner (tier-1 runs these in a debug build) and
+    /// mcf, whose default plan emits chaining slices.
+    fn capped_mcf() -> (Tuner, Workload) {
+        let mut config = TuneConfig { max_rounds: 1, workers: 1, ..TuneConfig::default() };
+        config.io.max_cycles = 60_000;
+        config.ooo.max_cycles = 60_000;
+        (Tuner::new(config), ssp_workloads::mcf::build(SEED))
+    }
+
+    fn with(f: impl FnOnce(&mut AdaptOptions)) -> AdaptOptions {
+        let mut o = AdaptOptions::default();
+        f(&mut o);
+        o
+    }
+
+    fn adapt(tuner: &Tuner, w: &Workload, opts: &AdaptOptions) -> AdaptedBinary {
+        let tool = PostPassTool::new(tuner.config.io.clone()).with_options(opts.clone());
+        tool.run_with_profile(&w.program, tuner.inputs(w).0.clone()).expect("mcf adapts")
+    }
+
+    #[test]
+    fn moves_that_emit_one_binary_share_one_gate_run() {
+        let (tuner, w) = capped_mcf();
+        let inputs = tuner.inputs(&w);
+        let (profile, base) = &*inputs;
+        let default = tuner.evaluate(&w, profile, base, &AdaptOptions::default());
+        assert!(default.clean() && default.emitting(), "{default:?}");
+        for opts in [
+            with(|o| o.coverage = 0.99),
+            with(|o| o.select.max_slice_size = 128),
+            with(|o| o.select.min_slack = 0),
+        ] {
+            let e = tuner.evaluate(&w, profile, base, &opts);
+            assert_eq!((e.io_cycles, e.ooo_cycles), (default.io_cycles, default.ooo_cycles));
+        }
+        assert_eq!(tuner.gate_stats(), MemoStats { hits: 3, disk_hits: 0, misses: 1 });
+        assert_eq!(tuner.stats().misses, 4, "each candidate is still its own evaluation");
+
+        // A smaller chain budget keeps the plan, and so its digest, but
+        // the stubs load a different budget: a new binary, its own run.
+        let budget = tuner.evaluate(&w, profile, base, &with(|o| o.emit.chain_budget = 256));
+        assert_eq!(budget.plan_digest, default.plan_digest);
+        assert_eq!(tuner.gate_stats(), MemoStats { hits: 3, disk_hits: 0, misses: 2 });
+    }
+
+    #[test]
+    fn a_binary_with_a_foreign_image_is_gated_uncached() {
+        let (tuner, w) = capped_mcf();
+        let inputs = tuner.inputs(&w);
+        let mut adapted = adapt(&tuner, &w, &AdaptOptions::default());
+        let targets = prefetch_targets(&adapted);
+        let own = tuner.gate(&w, &adapted, Some(&inputs.1));
+        // Same code, every data word zero: all node pointers null.
+        for (_, word) in &mut adapted.program.image {
+            *word = 0;
+        }
+        for _ in 0..2 {
+            let foreign = tuner.gate(&w, &adapted, Some(&inputs.1));
+            assert_ne!(foreign.io_telemetry, own.io_telemetry, "the image changes the run");
+            for (cfg, cycles, telemetry) in [
+                (&tuner.config.io, foreign.io_cycles, foreign.io_telemetry),
+                (&tuner.config.ooo, foreign.ooo_cycles, foreign.ooo_telemetry),
+            ] {
+                let (r, trace) = ssp_core::simulate_traced(&adapted.program, cfg, &targets);
+                assert_eq!(cycles, r.cycles);
+                assert_eq!(telemetry, TelemetrySummary::of(trace));
+            }
+        }
+        assert_eq!(tuner.gate_stats(), MemoStats { hits: 0, disk_hits: 0, misses: 1 });
+    }
+
+    #[test]
+    fn telemetry_of_a_gated_plan_equals_a_traced_run() {
+        let (tuner, w) = capped_mcf();
+        let inputs = tuner.inputs(&w);
+        let opts = AdaptOptions::default();
+        tuner.evaluate(&w, &inputs.0, &inputs.1, &opts);
+        let adapted = adapt(&tuner, &w, &opts);
+        let targets = prefetch_targets(&adapted);
+        for (target, cfg) in
+            [(TargetModel::InOrder, &tuner.config.io), (TargetModel::OutOfOrder, &tuner.config.ooo)]
+        {
+            let (_, trace) = ssp_core::simulate_traced(&adapted.program, cfg, &targets);
+            let t = tuner.telemetry(&w, &inputs.0, &opts, target);
+            assert!(t.totals().total() > 0, "{} classified no prefetch", target.name());
+            assert_eq!(t, TelemetrySummary::of(trace), "{}", target.name());
+        }
+        assert_eq!(tuner.gate_stats(), MemoStats { hits: 2, disk_hits: 0, misses: 1 });
     }
 
     #[test]

@@ -48,10 +48,16 @@ fn tmpdir(name: &str) -> PathBuf {
 
 #[test]
 fn report_is_byte_identical_across_worker_counts() {
-    let serial = report_for(&Tuner::new(capped_config(1)));
-    let parallel = report_for(&Tuner::new(capped_config(4)));
+    let (serial_tuner, parallel_tuner) =
+        (Tuner::new(capped_config(1)), Tuner::new(capped_config(4)));
+    let serial = report_for(&serial_tuner);
+    let parallel = report_for(&parallel_tuner);
     assert_eq!(serial, parallel, "tune report depends on worker count");
     assert!(serial.starts_with("{\n  \"schema\": \"ssp-tune-report/1\""));
+    // Candidates of one round that emit one binary race for its gate
+    // run at 4 workers; the counters must not show which one won.
+    assert_eq!(serial_tuner.gate_stats(), parallel_tuner.gate_stats(), "gate counters");
+    assert!(serial_tuner.gate_stats().hits > 0, "no two candidates shared a binary");
 }
 
 #[test]
