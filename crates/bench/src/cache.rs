@@ -72,6 +72,10 @@ pub struct MemoStats {
 /// * **Write-back on compute.** A computed answer's persisted text is
 ///   saved to the store (replacing any corrupt entry) before the cell
 ///   is filled.
+/// * **A panicking compute leaves no trace.** The shard lock is dropped
+///   before computing and counters move only after `compute` returns,
+///   so a key whose computation panicked stays uncomputed and
+///   uncounted, and the next lookup retries it.
 ///
 /// Each lookup names a `group`: its hash picks the memory shard
 /// (`fnv64(group) % 16`), and [`Store::shard_of`] of it the store

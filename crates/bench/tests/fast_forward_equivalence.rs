@@ -73,7 +73,8 @@ fn fused_snapshot_and_telemetry_run_matches_the_separate_runs() {
             assert_equivalent(&format!("{} traced on {model}", w.name), &traced, &result);
             for stepped in [false, true] {
                 let what = format!("{} fused on {model} (stepped: {stepped})", w.name);
-                let opts = SimOptions { stepped, snapshot: Some(bound), telemetry: Some(&targets) };
+                let mode = if stepped { ssp_sim::SimMode::Stepped } else { ssp_sim::SimMode::Fast };
+                let opts = SimOptions { mode, snapshot: Some(bound), telemetry: Some(&targets) };
                 let run = simulate_with(&adapted.program, &cfg, opts);
                 assert_equivalent(&what, &run.result, &result);
                 assert_eq!(run.snapshot.as_ref(), Some(&snapshot), "{what}: snapshot");

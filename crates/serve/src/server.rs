@@ -37,6 +37,8 @@ use ssp_core::{AdaptOptions, MachineConfig};
 use ssp_fuzz::oracle::{run_case, OracleConfig};
 use ssp_fuzz::spec::CaseSpec;
 use ssp_tune::{TargetModel, TuneConfig, Tuner};
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Everything a [`Server`] is parameterized over. The default is the
@@ -127,19 +129,27 @@ impl Server {
     /// [`ServerConfig::workers`], and return one JSON response line per
     /// request, in request order (trailing newline included when the
     /// batch was non-empty). Blank lines and `#` comments are skipped;
-    /// unparseable lines yield `{"kind": "error", …}` responses in
-    /// place rather than aborting the batch.
+    /// unparseable lines, and requests whose computation panics, yield
+    /// `{"kind": "error", …}` responses in place rather than aborting
+    /// the batch. A panicked computation leaves its memo key uncomputed
+    /// and uncounted, so a later lookup retries it.
     pub fn handle_batch(&self, input: &str) -> String {
         let requests: Vec<_> = input.lines().filter_map(parse_line).collect();
         self.requests.fetch_add(requests.len() as u64, Ordering::Relaxed);
-        let responses = parallel::map_indexed(&requests, self.config.workers, |_, req| match req {
-            Ok(Request::Workload(name)) => self.respond_workload(name),
-            Ok(Request::Tune(name)) => self.respond_tune(name),
-            Ok(Request::Case(spec)) => self.respond_case(spec),
-            Err(e) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                format!("{{\"kind\": \"error\", \"error\": \"{}\"}}", json_escape(&e.to_string()))
-            }
+        let responses = parallel::map_indexed(&requests, self.config.workers, |_, req| {
+            let answer = catch_unwind(AssertUnwindSafe(|| match req {
+                Ok(Request::Workload(name)) => Ok(self.respond_workload(name)),
+                Ok(Request::Tune(name)) => Ok(self.respond_tune(name)),
+                Ok(Request::Case(spec)) => Ok(self.respond_case(spec)),
+                Err(e) => Err(e.to_string()),
+            }));
+            let error = match answer {
+                Ok(Ok(response)) => return response,
+                Ok(Err(e)) => e,
+                Err(panic) => format!("request panicked: {}", panic_message(panic.as_ref())),
+            };
+            self.errors.fetch_add(1, Ordering::Relaxed);
+            format!("{{\"kind\": \"error\", \"error\": \"{}\"}}", json_escape(&error))
         });
         let mut out = String::new();
         for r in responses {
@@ -306,6 +316,14 @@ fn render_tune(entry: &TuneEntry) -> String {
     )
 }
 
+/// The message a panic was raised with, when it carries one.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    match payload.downcast_ref::<&str>() {
+        Some(s) => s,
+        None => payload.downcast_ref::<String>().map_or("(no message)", String::as_str),
+    }
+}
+
 /// Minimal JSON string escaping for error text (the only response field
 /// that can carry arbitrary request bytes).
 fn json_escape(s: &str) -> String {
@@ -404,6 +422,32 @@ mod tests {
             "the recompute rewrote both entries: {report}"
         );
         let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_panicking_request_answers_an_error_and_spares_the_batch() {
+        // No hardware contexts: the engine has no main thread to start,
+        // so simulating a workload panics.
+        let mut broken = capped_config();
+        broken.io.num_contexts = 0;
+        let server = Server::new(broken);
+        let case = "seed=1 chase=48 loads=2\n";
+        let out = server.handle_batch(&format!("mcf\n{case}"));
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 2, "one response per request: {out}");
+        assert!(
+            lines[0].starts_with("{\"kind\": \"error\", \"error\": \"request panicked: "),
+            "the panic is an error line: {out}"
+        );
+        let healthy = Server::new(capped_config()).handle_batch(case);
+        assert_eq!(format!("{}\n", lines[1]), healthy, "the case answer is unharmed");
+        let report = server.report_json();
+        assert!(report.contains("\"errors\": 1"), "report: {report}");
+        assert!(
+            report.contains("\"cache\": {\"hits\": 0, \"disk_hits\": 0, \"misses\": 1}"),
+            "the panicked key is neither computed nor counted: {report}"
+        );
+        assert_eq!(server.handle_batch(case), healthy, "the server still answers");
     }
 
     #[test]

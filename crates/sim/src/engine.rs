@@ -28,14 +28,14 @@
 use crate::branch::{static_pc, Btb, Gshare};
 use crate::cache::{Hierarchy, HitWhere};
 use crate::config::{MachineConfig, MemoryMode, PipelineKind};
-use crate::decode::{fu_class, DecodedProgram, FuClass};
+use crate::decode::{DecodedProgram, FuClass};
 use crate::exec::{alu_eval, cmp_eval, falu_eval, RegFile, Scoreboard};
 use crate::mem::{LiveInBuffer, Memory, LIB_NO_SLOT};
 use crate::snapshot::{ArchSnapshot, SnapshotRec, TrapKind};
 use crate::stats::{SimResult, WindowStats};
 use crate::stride::StridePrefetcher;
 use crate::telemetry::Telemetry;
-use crate::window::BatchOutcome;
+use crate::window::Issuers;
 use ssp_ir::reg::{conv, NUM_REGS};
 use ssp_ir::{BlockId, FuncId, InstRef, Op, Program};
 use std::cmp::Reverse;
@@ -58,6 +58,17 @@ pub(crate) enum StallReason {
     /// load's hit level, if one is pending (the RS is usually what backs
     /// up behind long misses, since it is far smaller than the ROB).
     RsFull(Option<HitWhere>),
+}
+
+impl StallReason {
+    /// The cache level of the load behind the stall, which picks the
+    /// Figure-10 bucket of a zero-issue cycle.
+    pub(crate) fn hit(self) -> Option<HitWhere> {
+        match self {
+            StallReason::SrcNotReady(h) | StallReason::RobFull(h) | StallReason::RsFull(h) => h,
+            StallReason::Structural | StallReason::FetchWait => None,
+        }
+    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -187,12 +198,13 @@ impl Thread {
     }
 }
 
-/// Replicate the per-cycle in-order commit the stepped engine would
-/// perform for one thread over the window `[from, to]` (both
-/// inclusive), in one pass: entry `k` pops at the later of its
+/// The OOO in-order commit of one thread over the cycles `[from, to]`
+/// (both inclusive), in one pass: entry `k` pops at the later of its
 /// completion time and the cycle commit bandwidth (`width` per cycle)
-/// reaches it.
-pub(crate) fn drain_thread(t: &mut Thread, width: usize, from: u64, to: u64) {
+/// reaches it. `from == to` is one cycle's commit phase; a longer span
+/// replays the commits of cycles no one observed (a skip, or a blocked
+/// context's share of a busy window).
+fn drain_thread(t: &mut Thread, width: usize, from: u64, to: u64) {
     let mut at_cycle = from;
     let mut used = 0usize;
     while let Some(e) = t.rob.front() {
@@ -215,19 +227,19 @@ pub(crate) fn drain_thread(t: &mut Thread, width: usize, from: u64, to: u64) {
     }
 }
 
-/// What one simulated cycle did — the inputs to the event-driven
-/// fast-forward decision in [`Engine::run_to_end`].
-pub(crate) struct StepOutcome {
+/// What one simulated cycle did — the inputs to the skip decision of a
+/// busy window ([`Engine::run_window`]).
+struct StepOutcome {
     /// The program halted this cycle.
-    pub(crate) halt: bool,
-    /// Instructions issued across *all* threads this cycle. Zero means
-    /// every active thread was gated on a known future timestamp, which
-    /// is exactly when the clock may jump.
-    pub(crate) issued: usize,
+    halt: bool,
+    /// Instructions issued across the contexts allowed to issue. Zero
+    /// in a main-only cycle means the whole machine is gated on known
+    /// future timestamps, which is exactly when the clock may jump.
+    issued: usize,
     /// The main thread's stall classification (`None` when it issued or
-    /// is inactive). Constant across a legal skip window, so skipped
-    /// cycles are bulk-accounted under the same Figure-10 bucket.
-    pub(crate) main_stall: Option<StallReason>,
+    /// is inactive). Constant across a legal skip, so skipped cycles
+    /// are bulk-accounted under the same Figure-10 bucket.
+    main_stall: Option<StallReason>,
 }
 
 /// What the engine should do after executing one instruction.
@@ -242,34 +254,17 @@ enum Flow {
     Halt,
 }
 
-/// The simulation engine. Construct with [`Engine::new`], run with
-/// [`Engine::run`].
-pub struct Engine<'a> {
+/// The simulation engine, built and run only by [`simulate_with`].
+pub(crate) struct Engine<'a> {
     pub(crate) prog: &'a Program,
     /// Pre-decoded side table: FU class, use lists, flags, and tags,
     /// computed once so the cycle loop allocates nothing.
     pub(crate) decode: DecodedProgram,
-    /// When set, re-derive use lists and FU classes from the [`Op`] on
-    /// every issue (the pre-optimization behaviour). Only differential
-    /// tests use this; results must be bit-identical to the fast path.
-    pub(crate) reference: bool,
-    /// When set (the default), the cycle loop jumps over windows where
-    /// no thread can issue: if every active thread is gated on a known
-    /// future timestamp (`fetch_ready`, a source register's ready time,
-    /// or a ROB entry's issue/completion time), the clock advances
-    /// straight to the earliest such event and the skipped cycles are
-    /// bulk-accounted. It also enables the busy-window batcher
-    /// ([`crate::window`]) and the incremental event queues backing
-    /// both. Every statistic, snapshot, and telemetry classification is
-    /// byte-identical to the stepped engine; the stepped twins
-    /// ([`simulate_stepped`] and friends) keep the original O(ROB)
-    /// scans as the semantic oracle, so differential tests can assert
-    /// exactly that.
-    pub(crate) fast_forward: bool,
-    /// When set, every fast next-event query is cross-checked against
-    /// the brute-force O(ROB) rescan and any disagreement panics — the
-    /// property-test hook behind [`simulate_crosschecked`].
-    pub(crate) crosscheck: bool,
+    /// How the clock advances. [`SimMode::Fast`] and
+    /// [`SimMode::Crosschecked`] run busy windows on the incremental
+    /// event queues; [`SimMode::Stepped`] keeps the original O(ROB)
+    /// scans as the semantic oracle.
+    pub(crate) mode: SimMode,
     pub(crate) cfg: &'a MachineConfig,
     pub(crate) mem: Memory,
     pub(crate) lib: LiveInBuffer,
@@ -302,10 +297,9 @@ pub struct Engine<'a> {
     /// discipline as `telemetry`: `None` keeps every hook to a single
     /// branch.
     pub(crate) snap: Option<Box<SnapshotRec>>,
-    /// Per-window instrumentation, present only under
-    /// [`simulate_windowed`]. Same side-structure discipline as the
-    /// recorders above; never feeds back into timing.
-    pub(crate) winstats: Option<Box<WindowStats>>,
+    /// How the run's cycles split between busy windows and stepped
+    /// cycles; never feeds back into timing.
+    pub(crate) windows: WindowStats,
     /// Fast-engine cache of the main thread's stall classification while
     /// it sleeps on an in-order source stall (`blocked_until > cycle`).
     /// The payload is stable for the whole sleep: the thread's
@@ -317,8 +311,8 @@ pub struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    /// Set up a machine to run `prog`.
-    pub fn new(prog: &'a Program, cfg: &'a MachineConfig) -> Self {
+    /// Set up a machine to run `prog` with the recorders `opts` asks for.
+    fn new(prog: &'a Program, cfg: &'a MachineConfig, opts: SimOptions<'_>) -> Self {
         let mut mem = Memory::new();
         mem.load_image(&prog.image);
         let mut threads = vec![Thread::new(); cfg.num_contexts];
@@ -332,9 +326,7 @@ impl<'a> Engine<'a> {
         Engine {
             prog,
             decode: DecodedProgram::new(prog),
-            reference: false,
-            fast_forward: true,
-            crosscheck: false,
+            mode: opts.mode,
             cfg,
             mem,
             lib: LiveInBuffer::new(cfg.lib_slots, cfg.lib_slot_words),
@@ -352,117 +344,157 @@ impl<'a> Engine<'a> {
             fu_ring_base: 0,
             rr_next: 1,
             stride: cfg.stride_prefetcher.then(|| StridePrefetcher::new(cfg.stride_degree)),
-            telemetry: None,
-            snap: None,
-            winstats: None,
+            telemetry: opts.telemetry.map(|targets| Box::new(Telemetry::new(prog, cfg, targets))),
+            snap: opts.snapshot.map(|bound| Box::new(SnapshotRec::new(bound))),
+            windows: WindowStats::default(),
             main_sleep_stall: None,
         }
     }
 
-    /// Run to `halt` (or the cycle cap) and return the statistics.
-    pub fn run(mut self) -> SimResult {
-        self.run_to_end();
-        self.result
-    }
-
-    /// The body of [`Engine::run`], borrowed rather than consuming so
-    /// [`simulate_with`] can extract the result and its records.
+    /// Run to `halt` (or the cycle cap), leaving the statistics in
+    /// `result` and the regime split in `windows`.
     ///
-    /// The fast engine runs a three-regime loop:
-    ///
-    /// * **busy windows** — when every speculative context is provably
-    ///   unable to issue before a known horizon, the busy-window batcher
-    ///   ([`crate::window`]) runs a lean main-thread-only replica of the
-    ///   cycle loop up to that horizon;
-    /// * **idle skips** — after a cycle where *nothing* issued anywhere,
-    ///   every active thread is gated on a known future timestamp, so
-    ///   the clock jumps straight to the earliest such event (clamped to
-    ///   the cycle cap) and the skipped cycles are bulk-accounted under
-    ///   the stall bucket the stepped engine would have charged;
-    /// * **stepped cycles** — everything else goes through the full
-    ///   [`Engine::step_cycle`].
-    ///
-    /// With [`Engine::fast_forward`] off, only the third regime runs —
-    /// that is the stepped oracle the equivalence suite pits the other
-    /// two against, byte for byte.
-    fn run_to_end(&mut self) {
+    /// Each turn of the loop runs the entry proof ([`Engine::issuers`])
+    /// and then either one cycle in which every context may issue, or a
+    /// busy window in which the main thread issues alone up to a proven
+    /// horizon ([`Engine::run_window`]). Both run the one cycle
+    /// protocol, [`Engine::step_cycle`]. Under [`SimMode::Stepped`]
+    /// every turn is one all-contexts cycle: the oracle the equivalence
+    /// suites pit the windows against, byte for byte.
+    fn run(&mut self) {
         let max = if self.cfg.max_cycles == 0 { u64::MAX } else { self.cfg.max_cycles };
         let mut halted = false;
-        while self.cycle < max {
-            if self.fast_forward {
-                match self.try_busy_window(max) {
-                    BatchOutcome::Halt => {
-                        halted = true;
-                        break;
+        while self.cycle < max && !halted {
+            halted = match self.issuers(max) {
+                Issuers::All => {
+                    let halt = self.step_cycle(Issuers::All).halt;
+                    // The halting cycle is excluded from `total_cycles`
+                    // (the clock is never advanced past it), so it is
+                    // not a stepped cycle either: the regimes partition
+                    // exactly the cycles `total_cycles` counts.
+                    if !halt {
+                        self.windows.stepped_cycles += 1;
+                        self.cycle += 1;
                     }
-                    BatchOutcome::Ran => continue,
-                    BatchOutcome::NotApplicable => {}
+                    halt
                 }
-            }
-            let step = self.step_cycle();
-            // The halting cycle is excluded from `total_cycles` (the
-            // clock is never advanced past it), so it must not be
-            // counted as a stepped cycle either — the window regimes
-            // partition exactly the cycles `total_cycles` counts.
-            if !step.halt {
-                if let Some(w) = self.winstats.as_deref_mut() {
-                    w.stepped_cycles += 1;
-                }
-            }
-            if step.halt {
-                halted = true;
-                break;
-            }
-            self.cycle += 1;
-            if self.fast_forward && step.issued == 0 && self.cycle < max {
-                self.fast_forward_clock(step.main_stall, max);
-            }
+                Issuers::MainUntil(horizon) => self.run_window(horizon),
+            };
         }
         self.result.halted = halted;
         self.result.total_cycles = self.cycle;
     }
 
-    pub(crate) fn effective_roi(&self) -> bool {
-        !self.has_roi || self.in_roi
+    /// Run a busy window: main-only cycles from the current one up to
+    /// `horizon`, before which every speculative context is proven
+    /// blocked. Returns whether the program halted.
+    ///
+    /// The window closes at its horizon, on a spawn (which activates a
+    /// context the entry proof does not cover), or on a halt. After a
+    /// cycle in which the main thread issued nothing, the clock jumps
+    /// to its next event ([`Engine::skip_to_main_event`]). The blocked
+    /// contexts' OOO commits, which nothing observes mid-window, are
+    /// replayed in one pass at exit.
+    fn run_window(&mut self, horizon: u64) -> bool {
+        let entry = self.cycle;
+        let spawned = self.result.threads_spawned;
+        let mut halted = false;
+        while self.cycle < horizon {
+            let step = self.step_cycle(Issuers::MainUntil(horizon));
+            if step.halt {
+                halted = true;
+                break;
+            }
+            self.cycle += 1;
+            if step.issued == 0 {
+                self.skip_to_main_event(step.main_stall, horizon);
+            } else if self.result.threads_spawned != spawned {
+                break;
+            }
+        }
+        if self.cfg.pipeline == PipelineKind::OutOfOrder {
+            // The halt cycle, when there is one, runs its commit phase
+            // like any other.
+            let last = if halted { self.cycle } else { self.cycle - 1 };
+            let width = self.commit_width();
+            for t in &mut self.threads[1..] {
+                drain_thread(t, width, entry, last);
+            }
+        }
+        // On halt the clock stays on the halt cycle, which `total_cycles`
+        // excludes, so it is not part of the window either (a window
+        // that halts on its first cycle is not recorded).
+        if self.cycle > entry {
+            self.windows.record_busy(self.cycle - entry);
+        }
+        halted
     }
 
-    /// The earliest cycle strictly after `now` (the no-progress cycle
-    /// just completed) at which any thread's issue eligibility *or* its
-    /// stall classification could change. Between `now + 1` and this
-    /// cycle the stepped engine would repeat cycle `now` exactly:
-    /// nothing issues, nothing commits, and the main thread's stall
-    /// reason (including its cache-level payload) is unchanged.
+    /// After main-only cycle `self.cycle - 1` issued nothing, jump to the
+    /// main thread's next event ([`Engine::thread_event_fast`]), clamped
+    /// to the window's `horizon`. Until then the whole machine repeats
+    /// that cycle, so the skipped cycles land in the same Figure-10
+    /// bucket, the round-robin pointer rotates in closed form, and the
+    /// main thread's ROB drains in one pass. A fetch redirect is the
+    /// same jump, to `fetch_ready`.
     ///
-    /// Computed from the incremental per-thread event queues — O(active
-    /// threads) amortised, not O(ROB). Under [`Engine::crosscheck`],
-    /// every query is verified against [`Engine::thread_event_brute`],
-    /// the O(ROB) rescan spelling out the same event definition.
-    fn next_event_cycle(&mut self, now: u64) -> u64 {
-        let mut ev = u64::MAX;
-        for tid in 0..self.threads.len() {
-            let fast = self.thread_event_fast(tid, now);
-            if self.crosscheck {
-                let brute = self.thread_event_brute(tid, now);
-                assert_eq!(
-                    fast, brute,
-                    "event-queue divergence: thread {tid}, now {now}: fast {fast} != brute {brute}"
-                );
-                assert!(fast > now, "thread {tid}: event {fast} not after now {now}");
-            }
-            ev = ev.min(fast);
+    /// Under [`SimMode::Crosschecked`] the event is verified against
+    /// the brute-force rescan ([`Engine::thread_event_brute`]).
+    fn skip_to_main_event(&mut self, stall: Option<StallReason>, horizon: u64) {
+        let now = self.cycle - 1;
+        let event = self.thread_event_fast(0, now);
+        if self.mode == SimMode::Crosschecked {
+            let brute = self.thread_event_brute(0, now);
+            assert_eq!(
+                event, brute,
+                "event-queue divergence: main thread, now {now}: fast {event} != brute {brute}"
+            );
+            assert!(event > now, "main thread: event {event} not after now {now}");
         }
-        ev
+        let target = event.min(horizon);
+        if target <= self.cycle {
+            return;
+        }
+        let skipped = target - self.cycle;
+        if self.cfg.pipeline == PipelineKind::OutOfOrder {
+            let width = self.commit_width();
+            drain_thread(&mut self.threads[0], width, self.cycle, target - 1);
+        }
+        self.rotate_rr(skipped);
+        if self.effective_roi() {
+            self.result.cycles += skipped;
+            self.result.account_stalled(stall.and_then(StallReason::hit), skipped);
+        }
+        self.cycle = target;
+    }
+
+    /// Whether the clock runs on the incremental event queues (every
+    /// mode but [`SimMode::Stepped`]).
+    fn fast(&self) -> bool {
+        self.mode != SimMode::Stepped
+    }
+
+    /// OOO commit bandwidth: instructions retired per thread per cycle.
+    fn commit_width(&self) -> usize {
+        self.cfg.bundles_per_cycle * self.cfg.bundle_width
+    }
+
+    fn effective_roi(&self) -> bool {
+        !self.has_roi || self.in_roi
     }
 
     /// Per-thread next-event query backed by the incremental structures:
     /// the earliest cycle strictly after `now` at which thread `tid`'s
-    /// issue eligibility or stall classification could change.
+    /// issue eligibility or stall classification could change. Between
+    /// `now + 1` and this cycle a blocked thread would repeat cycle `now`
+    /// exactly: it issues nothing and its stall reason (including the
+    /// cache-level payload) is unchanged. O(1) amortised, not O(ROB).
     ///
     /// The events, per pipeline:
     ///
     /// * inactive → `u64::MAX` (nothing will ever change);
     /// * front end redirecting → `fetch_ready` (its ROB keeps draining,
-    ///   which [`Engine::drain_commits`] replicates);
+    ///   which the skip replays with [`drain_thread`]);
     /// * **in-order** → the earliest ready time among the current
     ///   instruction's unready sources (bitset scoreboard query); if all
     ///   are ready the thread was gated on something same-cycle-stable
@@ -476,7 +508,7 @@ impl<'a> Engine<'a> {
     ///   *not* events: commit is in order, so no entry pops before the
     ///   head completes, and occupancy counts only change at `start_at`
     ///   boundaries.
-    pub(crate) fn thread_event_fast(&mut self, tid: usize, now: u64) -> u64 {
+    fn thread_event_fast(&mut self, tid: usize, now: u64) -> u64 {
         if !self.threads[tid].active() {
             return u64::MAX;
         }
@@ -525,7 +557,7 @@ impl<'a> Engine<'a> {
     /// architectural bookkeeping with no incremental state. The
     /// crosscheck harness ([`simulate_crosschecked`]) asserts the two
     /// agree on every query of a run.
-    pub(crate) fn thread_event_brute(&self, tid: usize, now: u64) -> u64 {
+    fn thread_event_brute(&self, tid: usize, now: u64) -> u64 {
         let t = &self.threads[tid];
         if !t.active() {
             return u64::MAX;
@@ -568,43 +600,10 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Jump the clock from `self.cycle` (the first unsimulated cycle)
-    /// to the next event, bulk-applying everything the stepped engine
-    /// does on a no-progress cycle: Figure-10 stall accounting for the
-    /// main thread, the speculative round-robin rotation, and in-order
-    /// ROB commit draining.
-    fn fast_forward_clock(&mut self, main_stall: Option<StallReason>, max: u64) {
-        let target = self.next_event_cycle(self.cycle - 1).min(max);
-        if target <= self.cycle {
-            return;
-        }
-        let skipped = target - self.cycle;
-        if let Some(w) = self.winstats.as_deref_mut() {
-            w.record_idle(skipped);
-        }
-        if self.cfg.pipeline == PipelineKind::OutOfOrder {
-            self.drain_commits(self.cycle, target - 1);
-        }
-        // rr_next rotates every simulated cycle whether or not a
-        // speculative thread issues; apply `skipped` rotations.
-        self.rotate_rr(skipped);
-        if self.effective_roi() {
-            let hit = match main_stall {
-                Some(StallReason::SrcNotReady(h))
-                | Some(StallReason::RobFull(h))
-                | Some(StallReason::RsFull(h)) => h,
-                _ => None,
-            };
-            self.result.cycles += skipped;
-            self.result.account_stalled(hit, skipped);
-        }
-        self.cycle = target;
-    }
-
     /// Apply `k` cycles' worth of speculative round-robin rotation in
     /// closed form (equal to `k` applications of the per-cycle
     /// `rr_next = 1 + rr_next % (n - 1)` step).
-    pub(crate) fn rotate_rr(&mut self, k: u64) {
+    fn rotate_rr(&mut self, k: u64) {
         let n = self.threads.len();
         if n > 1 && k > 0 {
             let m = (n - 1) as u64;
@@ -612,18 +611,13 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Replicate the per-cycle in-order commit the stepped engine would
-    /// perform over the skipped window `[from, to]` (both inclusive),
-    /// in one pass, for every thread.
-    pub(crate) fn drain_commits(&mut self, from: u64, to: u64) {
-        let width = self.cfg.bundles_per_cycle * self.cfg.bundle_width;
-        for t in &mut self.threads {
-            drain_thread(t, width, from, to);
-        }
-    }
-
-    /// Simulate one cycle.
-    pub(crate) fn step_cycle(&mut self) -> StepOutcome {
+    /// Simulate one cycle in which the contexts `issuers` names may
+    /// issue: the one cycle protocol every mode and regime runs. Under
+    /// [`Issuers::MainUntil`] no speculative context issues or commits,
+    /// but the round-robin pointer still rotates; the busy window
+    /// replays their commits at exit.
+    fn step_cycle(&mut self, issuers: Issuers) -> StepOutcome {
+        let main_only = issuers != Issuers::All;
         self.fu_used = [0; 4];
         self.advance_fu_ring();
 
@@ -645,7 +639,7 @@ impl<'a> Engine<'a> {
             main_stall = Some(StallReason::FetchWait);
         }
         if main_ready {
-            if self.fast_forward && self.threads[0].blocked_until > self.cycle {
+            if self.fast() && self.threads[0].blocked_until > self.cycle {
                 // Sleeping on an in-order source stall: reuse the cached
                 // classification instead of re-deriving it — the payload
                 // is provably constant until the cached wakeup.
@@ -655,7 +649,7 @@ impl<'a> Engine<'a> {
                 main_issued = count;
                 if count == 0 {
                     main_stall = stall;
-                    if self.fast_forward
+                    if self.fast()
                         && self.cfg.pipeline == PipelineKind::InOrder
                         && matches!(stall, Some(StallReason::SrcNotReady(_)))
                     {
@@ -669,12 +663,14 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        // Speculative threads, round-robin, one bundle each.
+        // Speculative threads, round-robin, one bundle each. The pointer
+        // rotates every cycle, even when none of them may issue.
         if !halt && n > 1 {
             let start = self.rr_next;
             self.rr_next = if start + 1 < n { start + 1 } else { 1 };
+            let turns = if main_only { 0 } else { n - 1 };
             let mut tid = start;
-            for _ in 0..n - 1 {
+            for _ in 0..turns {
                 if bundles_left == 0 {
                     break;
                 }
@@ -688,7 +684,7 @@ impl<'a> Engine<'a> {
                 // time) is skipped with one compare. The stepped oracle
                 // re-attempts the issue, which has no side effects when
                 // it stalls — the equivalence suite pins that down.
-                if self.fast_forward && self.threads[tid].blocked_until > self.cycle {
+                if self.fast() && self.threads[tid].blocked_until > self.cycle {
                     continue;
                 }
                 let (count, _, halted) = self.issue_thread(tid, width);
@@ -699,7 +695,7 @@ impl<'a> Engine<'a> {
                 }
                 if count > 0 {
                     bundles_left -= 1;
-                } else if self.fast_forward {
+                } else if self.fast() {
                     // Stalled: cache the proven wakeup so the next cycles
                     // skip this context without re-deriving the stall.
                     self.threads[tid].blocked_until = self.spec_blocked_until(tid);
@@ -720,20 +716,12 @@ impl<'a> Engine<'a> {
             halt = halted;
         }
 
-        // OOO commit.
+        // OOO commit, by the contexts allowed to issue.
         if self.cfg.pipeline == PipelineKind::OutOfOrder {
-            let commit_width = self.cfg.bundles_per_cycle * width;
-            for t in &mut self.threads {
-                let mut committed = 0;
-                while committed < commit_width {
-                    match t.rob.front() {
-                        Some(e) if e.complete_at <= self.cycle => {
-                            t.rob.pop_front();
-                            committed += 1;
-                        }
-                        _ => break,
-                    }
-                }
+            let (width, now) = (self.commit_width(), self.cycle);
+            let committers = if main_only { 1 } else { n };
+            for t in &mut self.threads[..committers] {
+                drain_thread(t, width, now, now);
             }
         }
 
@@ -749,16 +737,16 @@ impl<'a> Engine<'a> {
     /// Whether the main thread has an L1-missing load outstanding — the
     /// `exec` vs `cache_exec` test of Figure 10. The fast engine answers
     /// from the miss-completion queue; the stepped oracle rescans.
-    pub(crate) fn main_has_miss(&mut self) -> bool {
+    fn main_has_miss(&mut self) -> bool {
         let now = self.cycle;
-        if self.fast_forward {
+        if self.fast() {
             self.threads[0].has_miss_fast(now)
         } else {
             self.threads[0].has_outstanding_miss(now)
         }
     }
 
-    pub(crate) fn advance_fu_ring(&mut self) {
+    fn advance_fu_ring(&mut self) {
         while self.fu_ring_base < self.cycle {
             if self.fu_ring.pop_front().is_none() {
                 // Ring already empty — after a clock jump, snap the base
@@ -788,11 +776,7 @@ impl<'a> Engine<'a> {
 
     /// Issue (in-order) or dispatch (OOO) up to `max` instructions from
     /// thread `tid`. Returns `(issued, stall, halted)`.
-    pub(crate) fn issue_thread(
-        &mut self,
-        tid: usize,
-        max: usize,
-    ) -> (usize, Option<StallReason>, bool) {
+    fn issue_thread(&mut self, tid: usize, max: usize) -> (usize, Option<StallReason>, bool) {
         let mut count = 0usize;
         let ooo = self.cfg.pipeline == PipelineKind::OutOfOrder;
         // `prog` is copied out of `self` so `op` borrows the program (not
@@ -822,13 +806,13 @@ impl<'a> Engine<'a> {
                 // The fast engine answers from the monotone event queue;
                 // the stepped oracle keeps the O(ROB) occupancy rescan.
                 let now = self.cycle;
-                let waiting = if self.fast_forward {
+                let waiting = if self.fast() {
                     self.threads[tid].rs_waiting_count(now)
                 } else {
                     self.threads[tid].rob.iter().filter(|e| e.start_at > now).count()
                 };
                 if waiting >= self.cfg.rs_entries {
-                    let h = if self.fast_forward {
+                    let h = if self.fast() {
                         self.threads[tid].first_outstanding_load(now).map(|(_, h)| h)
                     } else {
                         self.threads[tid]
@@ -848,21 +832,10 @@ impl<'a> Engine<'a> {
                 // keep in the event computations (`min_ready` /
                 // `max_ready`), where the *unready subset* is needed.
                 let mut stall = None;
-                if self.reference {
-                    let mut uses = Vec::new();
-                    op.uses_into(&mut uses);
-                    for u in uses {
-                        if self.threads[tid].sb.ready_at(u) > self.cycle {
-                            stall = Some(self.threads[tid].sb.src_of(u));
-                            break;
-                        }
-                    }
-                } else {
-                    for &u in self.decode.get(at).uses() {
-                        if self.threads[tid].sb.ready_at(u) > self.cycle {
-                            stall = Some(self.threads[tid].sb.src_of(u));
-                            break;
-                        }
+                for &u in self.decode.get(at).uses() {
+                    if self.threads[tid].sb.ready_at(u) > self.cycle {
+                        stall = Some(self.threads[tid].sb.src_of(u));
+                        break;
                     }
                 }
                 if let Some(src) = stall {
@@ -873,7 +846,7 @@ impl<'a> Engine<'a> {
             // Functional-unit check (in-order uses per-cycle counters;
             // OOO books at the computed start time inside exec).
             if !ooo {
-                let class = self.fu_of(at, op);
+                let class = self.decode.get(at).fu;
                 if self.fu_used[class as usize] >= self.fu_limits[class as usize] {
                     return (count, Some(StallReason::Structural), false);
                 }
@@ -926,19 +899,11 @@ impl<'a> Engine<'a> {
     /// engine computes the max through the scoreboard bitset (order-free,
     /// so `trailing_zeros` iteration over the pending intersection is
     /// enough); the stepped oracle walks the use list.
-    fn start_time(&mut self, tid: usize, at: InstRef, op: &Op) -> u64 {
+    fn start_time(&mut self, tid: usize, at: InstRef) -> u64 {
         if self.cfg.pipeline == PipelineKind::InOrder {
             return self.cycle;
         }
-        if self.reference {
-            let mut t = self.cycle;
-            let mut uses = Vec::new();
-            op.uses_into(&mut uses);
-            for u in uses {
-                t = t.max(self.threads[tid].sb.ready_at(u));
-            }
-            t
-        } else if self.fast_forward {
+        if self.fast() {
             let mask = self.decode.get(at).use_mask;
             let now = self.cycle;
             self.threads[tid].sb.max_ready(&mask, now)
@@ -948,17 +913,6 @@ impl<'a> Engine<'a> {
                 t = t.max(self.threads[tid].sb.ready_at(u));
             }
             t
-        }
-    }
-
-    /// Functional-unit class of the instruction at `at` (decoded table in
-    /// the fast path, re-derived from the op in reference mode).
-    #[inline]
-    fn fu_of(&self, at: InstRef, op: &Op) -> FuClass {
-        if self.reference {
-            fu_class(op)
-        } else {
-            self.decode.get(at).fu
         }
     }
 
@@ -989,7 +943,7 @@ impl<'a> Engine<'a> {
     ) {
         if self.cfg.pipeline == PipelineKind::OutOfOrder {
             let now = self.cycle;
-            let fast = self.fast_forward;
+            let fast = self.fast();
             let t = &mut self.threads[tid];
             if fast {
                 if start_at > now {
@@ -1060,9 +1014,9 @@ impl<'a> Engine<'a> {
     /// Execute one instruction functionally and apply its timing.
     fn exec_inst(&mut self, tid: usize, at: InstRef, op: &Op) -> Flow {
         let ooo = self.cfg.pipeline == PipelineKind::OutOfOrder;
-        let start0 = self.start_time(tid, at, op);
+        let start0 = self.start_time(tid, at);
         let start = if ooo {
-            let class = self.fu_of(at, op);
+            let class = self.decode.get(at).fu;
             self.book_fu(class, start0)
         } else {
             start0
@@ -1411,18 +1365,12 @@ impl SimResult {
             }
             return;
         }
-        let hit = match main_stall {
-            Some(StallReason::SrcNotReady(h))
-            | Some(StallReason::RobFull(h))
-            | Some(StallReason::RsFull(h)) => h,
-            _ => None,
-        };
-        self.account_stalled(hit, 1);
+        self.account_stalled(main_stall.and_then(StallReason::hit), 1);
     }
 
     /// Charge `n` zero-issue cycles to the Figure-10 stall bucket for a
     /// main thread blocked on a load that hit at `hit`. Used per-cycle by
-    /// [`SimResult::cycles_account`] and in bulk by the fast-forward skip.
+    /// [`SimResult::cycles_account`] and in bulk by a busy window's skip.
     pub(crate) fn account_stalled(&mut self, hit: Option<HitWhere>, n: u64) {
         let b = &mut self.breakdown;
         match hit {
@@ -1436,80 +1384,62 @@ impl SimResult {
 
 /// Run `prog` on the machine described by `cfg`.
 pub fn simulate(prog: &Program, cfg: &MachineConfig) -> SimResult {
-    Engine::new(prog, cfg).run()
+    simulate_with(prog, cfg, SimOptions::default()).result
 }
 
-/// Run `prog` with the pre-decode fast path disabled: use lists and
-/// functional-unit classes are re-derived from each [`Op`] on every
-/// issue, as the engine did before the side table existed.
-///
-/// This exists so differential tests can assert the optimized engine is
-/// bit-identical to the original behaviour; it is not meant for regular
-/// use.
-pub fn simulate_reference(prog: &Program, cfg: &MachineConfig) -> SimResult {
-    let mut e = Engine::new(prog, cfg);
-    e.reference = true;
-    e.fast_forward = false;
-    e.run()
-}
-
-/// Run `prog` with the event-driven clock fast-forward disabled: every
-/// cycle is stepped individually, as the engine did before skips existed.
+/// Run `prog` in [`SimMode::Stepped`]: every cycle stepped individually
+/// with the O(ROB) rescans, as the engine did before busy windows and
+/// event queues existed.
 ///
 /// This exists so differential tests (and the `perf_report` timing
-/// comparison) can pit the fast-forward engine against the stepped one;
-/// the two must produce byte-identical [`SimResult`]s.
+/// comparison) can pit the fast engine against the stepped one; the two
+/// must produce byte-identical [`SimResult`]s.
 pub fn simulate_stepped(prog: &Program, cfg: &MachineConfig) -> SimResult {
-    let mut e = Engine::new(prog, cfg);
-    e.fast_forward = false;
-    e.run()
+    simulate_with(prog, cfg, SimOptions { mode: SimMode::Stepped, ..Default::default() }).result
 }
 
-/// Run `prog` with the fast engine *and* per-query verification: every
-/// incremental next-event computation is checked against a brute-force
+/// Run `prog` in [`SimMode::Crosschecked`]: the fast engine with every
+/// incremental next-event computation checked against a brute-force
 /// O(ROB) rescan of the same event definition, panicking on the first
 /// divergence or on any event not strictly in the future.
 ///
 /// This is the property-test harness behind the event-queue regression
-/// suite; it is not meant for regular use (the rescans make it as slow
-/// as the stepped engine).
+/// suite; it is not meant for regular use.
 pub fn simulate_crosschecked(prog: &Program, cfg: &MachineConfig) -> SimResult {
-    let mut e = Engine::new(prog, cfg);
-    e.crosscheck = true;
-    e.run()
+    simulate_with(prog, cfg, SimOptions { mode: SimMode::Crosschecked, ..Default::default() })
+        .result
 }
 
-/// Run `prog` on the fast engine and additionally report how its cycles
-/// were simulated — busy-window batches, idle skips, and individually
-/// stepped cycles, with per-window length histograms
-/// ([`WindowStats`]). The instrumentation never feeds back into timing:
-/// the returned [`SimResult`] is identical to what [`simulate`]
-/// produces.
+/// Run `prog` on the fast engine and also return how its cycles split
+/// between busy windows and individually stepped cycles, with
+/// per-window length histograms ([`WindowStats`]). The returned
+/// [`SimResult`] is identical to what [`simulate`] produces.
 pub fn simulate_windowed(prog: &Program, cfg: &MachineConfig) -> (SimResult, WindowStats) {
-    let mut e = Engine::new(prog, cfg);
-    e.winstats = Some(Box::new(WindowStats::default()));
-    e.run_to_end();
-    let w = e.winstats.take().expect("window stats installed above");
-    assert_eq!(
-        w.simulated(),
-        e.result.total_cycles,
-        "window accounting: busy {} + idle {} + stepped {} must equal total_cycles {}",
-        w.busy_cycles,
-        w.idle_cycles,
-        w.stepped_cycles,
-        e.result.total_cycles,
-    );
-    (e.result, *w)
+    let run = simulate_with(prog, cfg, SimOptions::default());
+    (run.result, run.windows)
 }
 
-/// What one [`simulate_with`] run records besides its statistics. The
-/// default is the plain fast-forward run of [`simulate`].
+/// How [`simulate_with`] advances the clock. Every mode produces the
+/// same bytes; the equivalence suites assert exactly that.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub enum SimMode {
+    /// Busy windows on the incremental event queues (the default).
+    #[default]
+    Fast,
+    /// Every cycle stepped through the full protocol with the O(ROB)
+    /// rescans: the oracle the differential tests compare against.
+    Stepped,
+    /// [`SimMode::Fast`] with every event query checked against the
+    /// brute-force rescan (see [`simulate_crosschecked`]).
+    Crosschecked,
+}
+
+/// How one [`simulate_with`] run steps and what it records besides its
+/// statistics. The default is the plain fast run of [`simulate`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SimOptions<'t> {
-    /// Step every cycle individually, with the clock fast-forward
-    /// disabled: the stepped oracle the differential tests compare
-    /// against.
-    pub stepped: bool,
+    /// How the clock advances.
+    pub mode: SimMode,
     /// Capture the final [`ArchSnapshot`], its commit digest restricted
     /// to tags below this bound (see [`simulate_snapshot`]).
     pub snapshot: Option<u32>,
@@ -1529,27 +1459,39 @@ pub struct SimRun {
     pub snapshot: Option<ArchSnapshot>,
     /// The telemetry trace, if [`SimOptions::telemetry`] asked for it.
     pub trace: Option<ssp_trace::SimTrace>,
+    /// How the run's cycles split between busy windows and stepped
+    /// cycles.
+    pub windows: WindowStats,
 }
 
-/// Run `prog` once with every recorder `opts` asks for installed
-/// together, so a caller that needs both the architectural snapshot
-/// and the telemetry of one binary pays for one simulation.
+/// Run `prog` once in the mode `opts` names, with every recorder it asks
+/// for installed together, so a caller that needs both the architectural
+/// snapshot and the telemetry of one binary pays for one simulation.
+/// Every other `simulate_*` function is a wrapper over this one.
 ///
-/// Recorders never change timing: the returned [`SimResult`] is
-/// identical to what [`simulate`] (or [`simulate_stepped`], when
-/// [`SimOptions::stepped`] is set) produces for the same inputs.
+/// Neither the mode nor the recorders change timing: the returned
+/// [`SimResult`] is identical to what [`simulate`] produces for the same
+/// inputs. Every run asserts the window accounting invariant
+/// ([`WindowStats::simulated`] equals `total_cycles`).
 pub fn simulate_with(prog: &Program, cfg: &MachineConfig, opts: SimOptions<'_>) -> SimRun {
-    let mut e = Engine::new(prog, cfg);
-    e.fast_forward = !opts.stepped;
-    e.snap = opts.snapshot.map(|bound| Box::new(SnapshotRec::new(bound)));
-    e.telemetry = opts.telemetry.map(|targets| Box::new(Telemetry::new(prog, cfg, targets)));
-    e.run_to_end();
+    let mut e = Engine::new(prog, cfg, opts);
+    e.run();
+    let w = &e.windows;
+    assert_eq!(
+        w.simulated(),
+        e.result.total_cycles,
+        "window accounting: busy {} + idle {} + stepped {} must equal total_cycles {}",
+        w.busy_cycles,
+        w.idle_cycles,
+        w.stepped_cycles,
+        e.result.total_cycles,
+    );
     let trace = e.telemetry.take().map(|tel| tel.finish(&e.result, e.cycle));
     let snapshot = e.snap.take().map(|rec| ArchSnapshot {
         regs: (0..NUM_REGS).map(|r| e.threads[0].rf.read(ssp_ir::Reg(r as u16))).collect(),
         mem_digest: e.mem.digest(),
-        // `run_to_end` ends either at a Flow::Halt site (all of which
-        // record a trap) or at the cycle cap.
+        // `run` ends either at a Flow::Halt site (all of which record a
+        // trap) or at the cycle cap.
         trap: rec.trap.unwrap_or(TrapKind::CycleCap),
         commit_digest: rec.commit_digest,
         commit_len: rec.commit_len,
@@ -1557,7 +1499,7 @@ pub fn simulate_with(prog: &Program, cfg: &MachineConfig, opts: SimOptions<'_>) 
         spec_kills: rec.spec_kills,
         spec_live_at_end: e.threads[1..].iter().filter(|t| t.active()).count() as u64,
     });
-    SimRun { result: e.result, snapshot, trace }
+    SimRun { result: e.result, snapshot, trace, windows: e.windows }
 }
 
 /// Run `prog` with structured tracing enabled, returning the usual
@@ -1583,14 +1525,15 @@ pub fn simulate_traced(
     (run.result, run.trace.expect("telemetry requested"))
 }
 
-/// [`simulate_traced`] with the clock fast-forward disabled; for
-/// differential tests that the telemetry classification is skip-proof.
+/// [`simulate_traced`] in [`SimMode::Stepped`]; for differential tests
+/// that the telemetry classification is skip-proof.
 pub fn simulate_traced_stepped(
     prog: &Program,
     cfg: &MachineConfig,
     targets: &[(ssp_ir::InstTag, ssp_ir::InstTag)],
 ) -> (SimResult, ssp_trace::SimTrace) {
-    let opts = SimOptions { stepped: true, telemetry: Some(targets), ..Default::default() };
+    let opts =
+        SimOptions { mode: SimMode::Stepped, telemetry: Some(targets), ..Default::default() };
     let run = simulate_with(prog, cfg, opts);
     (run.result, run.trace.expect("telemetry requested"))
 }
@@ -1618,14 +1561,15 @@ pub fn simulate_snapshot(
     (run.result, run.snapshot.expect("snapshot requested"))
 }
 
-/// [`simulate_snapshot`] with the clock fast-forward disabled; for
-/// differential tests that skips preserve final architectural state.
+/// [`simulate_snapshot`] in [`SimMode::Stepped`]; for differential tests
+/// that skips preserve final architectural state.
 pub fn simulate_snapshot_stepped(
     prog: &Program,
     cfg: &MachineConfig,
     tag_bound: u32,
 ) -> (SimResult, ArchSnapshot) {
-    let opts = SimOptions { stepped: true, snapshot: Some(tag_bound), ..Default::default() };
+    let opts =
+        SimOptions { mode: SimMode::Stepped, snapshot: Some(tag_bound), ..Default::default() };
     let run = simulate_with(prog, cfg, opts);
     (run.result, run.snapshot.expect("snapshot requested"))
 }

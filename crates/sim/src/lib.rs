@@ -66,9 +66,9 @@ pub use cache::{AccessResult, Hierarchy, HitWhere};
 pub use config::{CacheConfig, MachineConfig, MemoryMode, PipelineKind};
 pub use decode::{DecodedInst, DecodedProgram};
 pub use engine::{
-    simulate, simulate_crosschecked, simulate_reference, simulate_snapshot,
-    simulate_snapshot_stepped, simulate_stepped, simulate_traced, simulate_traced_stepped,
-    simulate_windowed, simulate_with, Engine, SimOptions, SimRun,
+    simulate, simulate_crosschecked, simulate_snapshot, simulate_snapshot_stepped,
+    simulate_stepped, simulate_traced, simulate_traced_stepped, simulate_windowed, simulate_with,
+    SimMode, SimOptions, SimRun,
 };
 pub use exec::{RegFile, Scoreboard};
 pub use mem::{LiveInBuffer, Memory, LIB_NO_SLOT};

@@ -173,19 +173,25 @@ pub fn speedup(base: &SimResult, new: &SimResult) -> f64 {
 /// bucket open-ended.
 pub const WINDOW_HIST_BUCKETS: usize = 24;
 
-/// How the fast engine spent its simulated cycles — the per-window
-/// instrumentation behind `ssp-perf-report/4`'s `windows` object.
+/// How a run spent its simulated cycles — the per-window
+/// instrumentation behind `ssp-perf-report/4`'s `windows` object, which
+/// `perf_report` takes from its timed fast runs.
 ///
-/// Three regimes are distinguished:
+/// Two regimes are distinguished:
 ///
-/// * **busy windows** — spans the busy-path batcher ran in its lean
-///   main-thread-only loop (no speculative thread could issue);
-/// * **idle skips** — spans the event-driven clock jumped over entirely
-///   (no thread could issue);
+/// * **busy windows** — spans in which the main thread issued alone
+///   because every speculative context was proven blocked;
 /// * **stepped cycles** — everything else, simulated one cycle at a time
-///   by the full `step_cycle` loop.
+///   with every context allowed to issue.
 ///
-/// The two histograms bucket window lengths by power of two (bucket `i`
+/// The `idle_*` fields are always 0. They counted an all-contexts clock
+/// jump that could never fire: the fast engine steps all contexts only
+/// when some speculative context can issue within a cycle, so after
+/// such a cycle either something issued or the next event is the very
+/// next cycle. They stay so the `ssp-perf-report/4` schema keeps its
+/// bytes.
+///
+/// The histograms bucket window lengths by power of two (bucket `i`
 /// counts lengths in `[2^i, 2^(i+1))`), so a glance shows whether the
 /// residual bottleneck is many short windows (per-window entry/exit
 /// overhead) or a few long ones.
@@ -195,15 +201,15 @@ pub struct WindowStats {
     pub busy_windows: u64,
     /// Cycles simulated inside busy windows.
     pub busy_cycles: u64,
-    /// Idle spans the event-driven clock jumped over.
+    /// Always 0 (see the type docs).
     pub idle_skips: u64,
-    /// Cycles skipped by idle jumps.
+    /// Always 0 (see the type docs).
     pub idle_cycles: u64,
     /// Cycles simulated one at a time by the full cycle loop.
     pub stepped_cycles: u64,
     /// Busy-window lengths, bucketed by power of two.
     pub busy_len_hist: [u64; WINDOW_HIST_BUCKETS],
-    /// Idle-skip lengths, bucketed by power of two.
+    /// Always all 0 (see the type docs).
     pub idle_len_hist: [u64; WINDOW_HIST_BUCKETS],
 }
 
@@ -227,12 +233,11 @@ fn hist_bucket(len: u64) -> usize {
 }
 
 impl WindowStats {
-    /// Total cycles the three regimes account for. The accounting
-    /// invariant — asserted by `simulate_windowed`, the crosscheck
-    /// suites, and `perf_report` — is that this equals the run's
-    /// `total_cycles`: every simulated cycle lands in exactly one
-    /// regime (the halting cycle, which `total_cycles` excludes, is
-    /// counted by none).
+    /// Total cycles the regimes account for. The accounting invariant —
+    /// asserted by every `simulate_with` run and by `perf_report` — is
+    /// that this equals the run's `total_cycles`: every simulated cycle
+    /// lands in exactly one regime (the halting cycle, which
+    /// `total_cycles` excludes, is counted by none).
     pub fn simulated(&self) -> u64 {
         self.busy_cycles + self.idle_cycles + self.stepped_cycles
     }
@@ -242,13 +247,6 @@ impl WindowStats {
         self.busy_windows += 1;
         self.busy_cycles += len;
         self.busy_len_hist[hist_bucket(len)] += 1;
-    }
-
-    /// Record one idle skip of `len` cycles.
-    pub fn record_idle(&mut self, len: u64) {
-        self.idle_skips += 1;
-        self.idle_cycles += len;
-        self.idle_len_hist[hist_bucket(len)] += 1;
     }
 
     /// Merge another run's window statistics into this one (used by
@@ -302,29 +300,29 @@ mod tests {
         w.record_busy(1); // bucket 0
         w.record_busy(3); // bucket 1
         w.record_busy(4); // bucket 2
-        w.record_idle(1 << 30); // clamps into the last bucket
-        assert_eq!(w.busy_windows, 3);
-        assert_eq!(w.busy_cycles, 8);
+        w.record_busy(1 << 30); // clamps into the last bucket
+        assert_eq!(w.busy_windows, 4);
+        assert_eq!(w.busy_cycles, 8 + (1 << 30));
         assert_eq!(w.busy_len_hist[0], 1);
         assert_eq!(w.busy_len_hist[1], 1);
         assert_eq!(w.busy_len_hist[2], 1);
-        assert_eq!(w.idle_len_hist[WINDOW_HIST_BUCKETS - 1], 1);
-        assert_eq!(w.idle_cycles, 1 << 30);
+        assert_eq!(w.busy_len_hist[WINDOW_HIST_BUCKETS - 1], 1);
+        assert_eq!(w.simulated(), 8 + (1 << 30));
     }
 
     #[test]
     fn window_stats_merge_is_fieldwise() {
         let mut a = WindowStats::default();
         a.record_busy(4);
-        a.record_idle(2);
+        a.stepped_cycles = 2;
         let mut b = WindowStats::default();
         b.record_busy(1);
         b.stepped_cycles = 10;
         a.merge(&b);
         assert_eq!(a.busy_windows, 2);
         assert_eq!(a.busy_cycles, 5);
-        assert_eq!(a.idle_skips, 1);
-        assert_eq!(a.stepped_cycles, 10);
+        assert_eq!(a.idle_skips, 0);
+        assert_eq!(a.stepped_cycles, 12);
         assert_eq!(a.busy_len_hist[0], 1);
         assert_eq!(a.busy_len_hist[2], 1);
     }

@@ -1,62 +1,36 @@
-//! Busy-window batching: a lean main-thread-only replica of the cycle
-//! loop for spans where no speculative context can issue.
+//! The busy-window entry proof: which contexts may issue.
 //!
-//! The event-driven clock ([`crate::engine`]) already jumps over *idle*
-//! windows — cycles where nothing issues anywhere. After the adaptation
-//! pass, though, most simulation time goes to *busy* windows: the main
-//! thread issuing steadily while every speculative context is dead,
-//! blocked on a slice load, or waiting out its spawn latency. Those
-//! cycles can't be skipped (architectural state changes every cycle),
-//! but they can be run on a specialised loop that drops the work the
-//! full [`Engine::step_cycle`] wastes on provably-blocked contexts:
+//! After the adaptation pass, most simulation time goes to *busy*
+//! windows: the main thread issuing steadily while every speculative
+//! context is dead, blocked on a slice load, or waiting out its spawn
+//! latency. Those cycles can't be skipped (architectural state changes
+//! every cycle), but the cycle loop need not visit provably blocked
+//! contexts. [`Engine::issuers`] decides, once at window entry, whether
+//! the next cycles run with every context allowed to issue or with the
+//! main thread alone up to a proven horizon; both run the one cycle
+//! protocol, `Engine::step_cycle`.
 //!
-//! * no per-cycle speculative-thread scan (their round-robin rotation is
-//!   applied in closed form, their bandwidth is untouched since blocked
-//!   threads consume no bundles);
-//! * speculative ROB commit drains are deferred to window exit and
-//!   replayed in one bandwidth-limited pass ([`drain_thread`]) — legal
-//!   because nothing observes a blocked context's ROB mid-window;
-//! * main-thread fetch bubbles and source/occupancy stalls inside the
-//!   window are bulk-skipped with the same event queries and Figure-10
-//!   bulk accounting the idle fast-forward uses.
-//!
-//! **Preconditions.** A window may only start when every speculative
-//! context is provably unable to issue before a *horizon* cycle
-//! ([`Engine::spec_blocked_until`]), and it ends early the moment the
-//! proof could be invalidated — a successful spawn activates a new
-//! context — or the main thread halts. Within the window the main
-//! thread runs the exact per-cycle issue-group protocol of
-//! [`Engine::step_cycle`] (two bundle groups, round-robin rotation
-//! between them, redirect and halt handling), so every statistic,
+//! **The proof.** A window may only start when every speculative
+//! context is provably unable to issue before its horizon
+//! ([`Engine::spec_blocked_until`]). The window loop (`Engine::run_window`)
+//! closes it early the moment the proof could be invalidated (a
+//! successful spawn activates a new context) or the program halts.
+//! Inside it the main thread runs the full issue-group protocol, and the
+//! blocked contexts' commits are replayed at exit, so every statistic,
 //! snapshot, and telemetry byte matches the stepped engine; the
 //! equivalence suite asserts exactly that.
 
-use crate::cache::HitWhere;
 use crate::config::PipelineKind;
-use crate::engine::{drain_thread, Engine, StallReason};
+use crate::engine::{Engine, SimMode};
 
-/// What [`Engine::try_busy_window`] did.
+/// The contexts allowed to issue, chosen once by [`Engine::issuers`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum BatchOutcome {
-    /// Preconditions not met (or the window closed before simulating
-    /// anything): the caller must step normally.
-    NotApplicable,
-    /// At least one cycle was simulated; state is consistent and the
-    /// caller should re-evaluate from the new current cycle.
-    Ran,
-    /// The program halted inside the window; the current cycle is the
-    /// halt cycle (not yet incremented), as after a halting step.
-    Halt,
-}
-
-/// The stall-payload cache level, as the bulk accounting needs it.
-fn stall_hit(stall: Option<StallReason>) -> Option<HitWhere> {
-    match stall {
-        Some(StallReason::SrcNotReady(h))
-        | Some(StallReason::RobFull(h))
-        | Some(StallReason::RsFull(h)) => h,
-        _ => None,
-    }
+pub(crate) enum Issuers {
+    /// Every context, for one cycle.
+    All,
+    /// The main thread alone, for a busy window up to this horizon:
+    /// every speculative context is proven blocked before it.
+    MainUntil(u64),
 }
 
 impl Engine<'_> {
@@ -117,11 +91,15 @@ impl Engine<'_> {
         }
     }
 
-    /// Try to run a busy window starting at the current cycle: if every
-    /// speculative context is provably blocked until some horizon, run
-    /// the lean main-only loop up to that horizon (clamped to the cycle
-    /// cap `max`) and return what happened.
-    pub(crate) fn try_busy_window(&mut self, max: u64) -> BatchOutcome {
+    /// The entry proof: the contexts allowed to issue from the current
+    /// cycle on. If every speculative context is provably blocked until
+    /// a horizon more than one cycle away (clamped to the cycle cap
+    /// `max`), the main thread issues alone until then; otherwise every
+    /// context steps one cycle. [`SimMode::Stepped`] always steps.
+    pub(crate) fn issuers(&mut self, max: u64) -> Issuers {
+        if self.mode == SimMode::Stepped {
+            return Issuers::All;
+        }
         let entry = self.cycle;
         let mut horizon = max;
         for tid in 1..self.threads.len() {
@@ -143,191 +121,11 @@ impl Engine<'_> {
             };
             horizon = horizon.min(b);
             if horizon <= entry + 1 {
-                // Too small for the entry/exit bookkeeping to pay off
-                // (and `<= entry` means a context can issue right now).
-                return BatchOutcome::NotApplicable;
+                // Too small for a window to pay off (and `<= entry`
+                // means a context can issue right now).
+                return Issuers::All;
             }
         }
-        let width = self.cfg.bundle_width;
-        let commit_width = self.cfg.bundles_per_cycle * width;
-        let ooo = self.cfg.pipeline == PipelineKind::OutOfOrder;
-        let spawned0 = self.result.threads_spawned;
-        let mut halted = false;
-
-        while self.cycle < horizon {
-            if !self.threads[0].active() {
-                break;
-            }
-            let now = self.cycle;
-
-            // Fetch-redirect span: the main thread is waiting on its
-            // front end, so (with every other context blocked) these are
-            // pure FetchWait cycles — bulk-account them exactly as the
-            // idle fast-forward would.
-            let fr = self.threads[0].fetch_ready;
-            if fr > now {
-                let to = fr.min(horizon);
-                if ooo {
-                    drain_thread(&mut self.threads[0], commit_width, now, to - 1);
-                }
-                self.rotate_rr(to - now);
-                if self.effective_roi() {
-                    self.result.cycles += to - now;
-                    self.result.account_stalled(None, to - now);
-                }
-                self.cycle = to;
-                continue;
-            }
-
-            self.fu_used = [0; 4];
-            self.advance_fu_ring();
-            let mut bundles_left = self.cfg.bundles_per_cycle;
-            let (g1, stall, h1) = self.issue_thread(0, width);
-            let mut main_issued = g1;
-            halted = h1;
-            if g1 > 0 {
-                bundles_left -= 1;
-            }
-            if !halted {
-                if g1 == 0 {
-                    let Some(stall) = stall else {
-                        // No issue and no stall classification: bail to
-                        // the full loop rather than guess.
-                        break;
-                    };
-                    self.zero_issue_skip(stall, horizon, commit_width, ooo);
-                    continue;
-                }
-                // The speculative round-robin pointer rotates once per
-                // cycle whether or not anything speculative issues.
-                self.rotate_rr(1);
-                // Leftover bundle back to the main thread ("2 bundles
-                // from 1") — unless its front end was redirected.
-                if bundles_left > 0
-                    && self.threads[0].active()
-                    && self.threads[0].fetch_ready <= now
-                {
-                    let (g2, _, h2) = self.issue_thread(0, bundles_left * width);
-                    main_issued += g2;
-                    halted = h2;
-                }
-            }
-            // Main-thread commit phase; blocked contexts' drains are
-            // deferred to window exit.
-            if ooo {
-                let t = &mut self.threads[0];
-                let mut committed = 0;
-                while committed < commit_width {
-                    match t.rob.front() {
-                        Some(e) if e.complete_at <= now => {
-                            t.rob.pop_front();
-                            committed += 1;
-                        }
-                        _ => break,
-                    }
-                }
-            }
-            if self.effective_roi() {
-                let has_miss = main_issued > 0 && self.main_has_miss();
-                self.result.cycles_account(main_issued, None, has_miss);
-                self.result.cycles += 1;
-            }
-            if halted {
-                break;
-            }
-            self.cycle += 1;
-            if self.result.threads_spawned != spawned0 {
-                // A spawn activated a new context; the horizon proof no
-                // longer covers it. Close the window.
-                break;
-            }
-        }
-
-        let simulated = self.cycle > entry || halted;
-        if !simulated {
-            return BatchOutcome::NotApplicable;
-        }
-        // Replay the deferred speculative commit drains over every cycle
-        // the window completed (the halt cycle, when there is one, runs
-        // its commit phase like any other).
-        let drain_to = if halted { self.cycle } else { self.cycle - 1 };
-        if ooo {
-            for tid in 1..self.threads.len() {
-                drain_thread(&mut self.threads[tid], commit_width, entry, drain_to);
-            }
-        }
-        // The window's contribution to `total_cycles` is `cycle - entry`:
-        // on halt the clock stays on the halt cycle, which
-        // `total_cycles` excludes, so it is not part of the window
-        // length either (a window that halts on its first cycle
-        // contributes nothing and is not recorded).
-        if let Some(w) = self.winstats.as_deref_mut() {
-            let len = self.cycle - entry;
-            if len > 0 {
-                w.record_busy(len);
-            }
-        }
-        if halted {
-            BatchOutcome::Halt
-        } else {
-            BatchOutcome::Ran
-        }
-    }
-
-    /// Handle a zero-issue main-thread cycle inside a busy window:
-    /// account the current cycle under `stall`, then bulk-skip to the
-    /// main thread's next event (clamped to the window horizon), just
-    /// like the idle fast-forward — every other context is blocked past
-    /// the horizon, so the whole machine repeats this cycle until then.
-    fn zero_issue_skip(
-        &mut self,
-        stall: StallReason,
-        horizon: u64,
-        commit_width: usize,
-        ooo: bool,
-    ) {
-        let now = self.cycle;
-        self.rotate_rr(1);
-        if ooo {
-            let t = &mut self.threads[0];
-            let mut committed = 0;
-            while committed < commit_width {
-                match t.rob.front() {
-                    Some(e) if e.complete_at <= now => {
-                        t.rob.pop_front();
-                        committed += 1;
-                    }
-                    _ => break,
-                }
-            }
-        }
-        if self.effective_roi() {
-            self.result.cycles_account(0, Some(stall), false);
-            self.result.cycles += 1;
-        }
-        self.cycle = now + 1;
-        let ev = self.thread_event_fast(0, now);
-        if self.crosscheck {
-            let brute = self.thread_event_brute(0, now);
-            assert_eq!(
-                ev, brute,
-                "event-queue divergence in busy window: thread 0, now {now}: \
-                 fast {ev} != brute {brute}"
-            );
-            assert!(ev > now, "thread 0: event {ev} not after now {now}");
-        }
-        let target = ev.min(horizon);
-        if target > self.cycle {
-            let skipped = target - self.cycle;
-            if ooo {
-                drain_thread(&mut self.threads[0], commit_width, self.cycle, target - 1);
-            }
-            self.rotate_rr(skipped);
-            if self.effective_roi() {
-                self.result.cycles += skipped;
-                self.result.account_stalled(stall_hit(Some(stall)), skipped);
-            }
-            self.cycle = target;
-        }
+        Issuers::MainUntil(horizon)
     }
 }

@@ -3,8 +3,12 @@
 //! adaptation exercising the whole `chk.c`/stub/slice/live-in-buffer path.
 
 use ssp_ir::reg::conv;
-use ssp_ir::{CmpKind, Operand, Program, ProgramBuilder, Reg};
-use ssp_sim::{simulate, simulate_reference, MachineConfig, MemoryMode, PipelineKind};
+use ssp_ir::{CmpKind, InstRef, Op, Operand, Program, ProgramBuilder, Reg};
+use ssp_sim::decode::fu_class;
+use ssp_sim::exec::MASK_WORDS;
+use ssp_sim::{
+    simulate, simulate_stepped, DecodedProgram, MachineConfig, MemoryMode, PipelineKind,
+};
 
 const ARCS: u64 = 0x0100_0000;
 const NODES: u64 = 0x0800_0000;
@@ -425,44 +429,69 @@ fn roi_markers_limit_cycle_accounting() {
     assert!(roi.total_cycles >= full.cycles / 2, "total still includes warm-up");
 }
 
-/// Differential check of the pre-decoded hot path: for every workload in
-/// the suite, on both machine models, the optimized engine must produce
-/// a `SimResult` equal in every field (cycles, instruction counts, cycle
-/// breakdown, per-load hit stats, spawn counters) to the reference
-/// engine that re-derives uses and FU classes from the `Op` at issue
-/// time. Cycle-capped because tier-1 runs this in a debug build.
+/// Assert that every entry of `prog`'s pre-decoded table equals what the
+/// retired reference engine re-derived from the `Op` at issue time: use
+/// list (in stall-reporting order), use mask, FU class, tag and the
+/// load/store/terminator flags. Returns the ops checked.
+fn assert_decoded_matches_ops(what: &str, prog: &Program) -> Vec<Op> {
+    let table = DecodedProgram::new(prog);
+    assert_eq!(table.len(), prog.inst_count(), "{what}: one entry per instruction");
+    let mut ops = Vec::with_capacity(table.len());
+    for (func, f) in prog.iter_funcs() {
+        for (block, b) in f.iter_blocks() {
+            for (idx, inst) in b.insts.iter().enumerate() {
+                let at = InstRef { func, block, idx };
+                let d = table.get(at);
+                let uses = inst.op.uses();
+                let mut mask = [0u64; MASK_WORDS];
+                for u in &uses {
+                    mask[u.index() / 64] |= 1 << (u.index() % 64);
+                }
+                assert_eq!(d.uses(), uses.as_slice(), "{what} at {at}: use list");
+                assert_eq!(d.use_mask, mask, "{what} at {at}: use mask");
+                assert_eq!(d.fu, fu_class(&inst.op), "{what} at {at}: FU class");
+                assert_eq!(d.tag, inst.tag, "{what} at {at}: tag");
+                assert_eq!(d.is_load, inst.op.is_load(), "{what} at {at}: is_load");
+                assert_eq!(d.is_store, inst.op.is_store(), "{what} at {at}: is_store");
+                assert_eq!(d.is_terminator, inst.op.is_terminator(), "{what} at {at}: terminator");
+                ops.push(inst.op.clone());
+            }
+        }
+    }
+    ops
+}
+
+/// The pre-decoded hot path against its reference: for every workload in
+/// the suite, each static instruction's decoded entry must equal the
+/// facts derived from its `Op`.
 #[test]
 fn predecoded_engine_matches_reference_on_all_workloads() {
-    let mut io = MachineConfig::in_order();
-    io.max_cycles = 150_000;
-    let mut ooo = MachineConfig::out_of_order();
-    ooo.max_cycles = 150_000;
     for w in ssp_workloads::suite(2002) {
-        for cfg in [&io, &ooo] {
-            let fast = simulate(&w.program, cfg);
-            let reference = simulate_reference(&w.program, cfg);
-            assert_eq!(
-                fast, reference,
-                "pre-decoded engine diverged from reference on {} ({:?})",
-                w.name, cfg.pipeline
-            );
-        }
+        assert_decoded_matches_ops(w.name, &w.program);
     }
 }
 
-/// Same differential check on the hand-adapted SSP binary, so the
-/// speculative side (spawns, LIB traffic, chaining threads) is covered
-/// too, not just main-thread execution.
+/// The same check on the hand-adapted SSP binary, so the speculative
+/// opcodes (`chk.c`, spawn, LIB traffic, kill) are covered too; and on
+/// both machine models its fast run, which spawns chaining threads, must
+/// equal in every field the run that steps every cycle.
 #[test]
 fn predecoded_engine_matches_reference_with_speculative_threads() {
     let prog = pointer_chase_ssp();
+    let ops = assert_decoded_matches_ops("pointer_chase_ssp", &prog);
+    let has = |p: fn(&Op) -> bool| ops.iter().any(p);
+    assert!(has(|op| matches!(op, Op::ChkC { .. })), "binary must carry chk.c");
+    assert!(has(|op| matches!(op, Op::Spawn { .. })), "binary must carry spawn");
+    assert!(has(|op| matches!(op, Op::LibSt { .. })), "binary must carry lib.st");
+    assert!(has(|op| matches!(op, Op::LibLd { .. })), "binary must carry lib.ld");
+    assert!(has(|op| matches!(op, Op::KillThread)), "binary must carry kill");
     for cfg in [MachineConfig::in_order(), MachineConfig::out_of_order()] {
         let fast = simulate(&prog, &cfg);
-        let reference = simulate_reference(&prog, &cfg);
+        let stepped = simulate_stepped(&prog, &cfg);
         assert!(fast.threads_spawned > 0, "test must exercise speculation");
         assert_eq!(
-            fast, reference,
-            "pre-decoded engine diverged from reference on the SSP binary ({:?})",
+            fast, stepped,
+            "fast engine diverged from the stepped run on the SSP binary ({:?})",
             cfg.pipeline
         );
     }
