@@ -64,9 +64,10 @@ fn warn_once(msg: &str) {
 ///
 /// `f(i, &items[i])` must be pure with respect to ordering (it may be
 /// called from any thread, in any order, but exactly once per item).
-/// With `workers <= 1` or fewer than two items everything runs on the
-/// calling thread — the same closure either way, so the serial and
-/// parallel paths cannot drift apart.
+/// The calling thread is one of the workers: it runs the same pull loop
+/// as the `workers - 1` threads it spawns, so with `workers <= 1` or
+/// fewer than two items everything runs on the calling thread alone,
+/// with no serial path to drift from the parallel one.
 ///
 /// # Panics
 ///
@@ -78,22 +79,23 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     let n = items.len();
-    if workers <= 1 || n <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(n) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f(i, &items[i]);
-                *slots[i].lock().expect("result slot poisoned") = Some(r);
-            });
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
+        let r = f(i, &items[i]);
+        *slots[i].lock().expect("result slot poisoned") = Some(r);
+    };
+    std::thread::scope(|s| {
+        for _ in 1..workers.min(n) {
+            s.spawn(work);
+        }
+        // A panic here unwinds through the scope, which still joins the
+        // spawned workers before it re-raises.
+        work();
     });
     slots
         .into_iter()
@@ -154,6 +156,40 @@ mod tests {
         if let Some(v) = original {
             std::env::set_var("SSP_THREADS", v);
         }
+    }
+
+    #[test]
+    fn the_calling_thread_is_one_of_the_workers() {
+        use std::collections::HashSet;
+        use std::sync::Condvar;
+        use std::time::Duration;
+        let entered = Mutex::new(HashSet::new());
+        let both_in = Condvar::new();
+        let caller = std::thread::current().id();
+        let threads = map_indexed(&[(); 8], 2, |_, ()| {
+            // Hold every item until two threads have entered, so neither
+            // worker can drain the list alone.
+            let me = std::thread::current().id();
+            let mut seen = entered.lock().expect("entered set poisoned");
+            seen.insert(me);
+            both_in.notify_all();
+            let (_seen, wait) = both_in
+                .wait_timeout_while(seen, Duration::from_secs(10), |s| s.len() < 2)
+                .expect("entered set poisoned");
+            assert!(!wait.timed_out(), "a second worker never entered");
+            me
+        });
+        let distinct: HashSet<_> = threads.into_iter().collect();
+        assert_eq!(distinct.len(), 2, "two workers, two threads");
+        assert!(distinct.contains(&caller), "the caller runs items too");
+    }
+
+    #[test]
+    #[should_panic(expected = "item panicked")]
+    fn a_panic_on_every_worker_still_propagates() {
+        // The caller panics on its own items here, not only a spawned
+        // worker; the scope must still join and re-raise.
+        let _: Vec<()> = map_indexed(&[(); 6], 3, |i, ()| panic!("item panicked: {i}"));
     }
 
     #[test]

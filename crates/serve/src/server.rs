@@ -136,10 +136,15 @@ impl Server {
     pub fn handle_batch(&self, input: &str) -> String {
         let requests: Vec<_> = input.lines().filter_map(parse_line).collect();
         self.requests.fetch_add(requests.len() as u64, Ordering::Relaxed);
+        // A tune request fans its candidates over the workers its batch
+        // leaves idle: a lone tune frame gets them all, a full batch
+        // one each, so the daemon never runs more than `workers`
+        // simulations at once. Tune answers do not depend on it.
+        let tune_workers = (self.config.workers / requests.len().max(1)).max(1);
         let responses = parallel::map_indexed(&requests, self.config.workers, |_, req| {
             let answer = catch_unwind(AssertUnwindSafe(|| match req {
                 Ok(Request::Workload(name)) => Ok(self.respond_workload(name)),
-                Ok(Request::Tune(name)) => Ok(self.respond_tune(name)),
+                Ok(Request::Tune(name)) => Ok(self.respond_tune(name, tune_workers)),
                 Ok(Request::Case(spec)) => Ok(self.respond_case(spec)),
                 Err(e) => Err(e.to_string()),
             }));
@@ -229,7 +234,7 @@ impl Server {
         })
     }
 
-    fn respond_tune(&self, name: &str) -> String {
+    fn respond_tune(&self, name: &str, workers: usize) -> String {
         self.tunes.fetch_add(1, Ordering::Relaxed);
         let key = format!(
             "tune name={name} seed={} rounds={} io={} ooo={} opts={}",
@@ -239,18 +244,16 @@ impl Server {
         self.memo.get(&self.io_fp, &key, decode, || {
             let w = ssp_workloads::by_name(name, self.config.seed)
                 .expect("parse_line admits only known workload names");
-            // Workers = 1: on a two-worker daemon, fanning a lone tune
-            // request's candidates across both workers cut its median
-            // latency from 890 to 557 ms but raised peak RSS from 6.1
-            // to 11.2 MB. Every concurrent simulation holds its own
-            // cache-model arrays; the L3's alone is 49,152 line records
-            // of 32 bytes, 1.5 MB.
+            // Fanning a tune over every worker costs little memory: a
+            // gated simulation's heap peaks under 0.9 MB, and perfbench's
+            // tune-cold daemon (two workers, two-core host) peaked at
+            // 5.74 MB of RSS, against 6.28 MB with the tune on one.
             let mut tuner = Tuner::new(TuneConfig {
                 seed: self.config.seed,
                 io: self.config.io.clone(),
                 ooo: self.config.ooo.clone(),
                 max_rounds: self.config.tune_rounds,
-                workers: 1,
+                workers,
             });
             if let Some(store) = self.memo.store() {
                 // The tuner's own evaluation cache shares the daemon's

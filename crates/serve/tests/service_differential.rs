@@ -118,6 +118,17 @@ fn worker_count_does_not_change_responses() {
 }
 
 #[test]
+fn a_lone_tune_frame_answers_the_same_at_any_worker_count() {
+    // The batch above gives its tune request one worker; alone in its
+    // batch, a tune request fans its candidates over every worker.
+    let frame = format!("tune {TUNED}\n");
+    let answers = [1, 2, 4].map(|w| Server::new(capped_config(w)).handle_batch(&frame));
+    assert!(answers[0].starts_with("{\"kind\": \"tune\""), "a tune answer: {}", answers[0]);
+    assert_eq!(answers[0], answers[1], "1 vs 2 workers");
+    assert_eq!(answers[0], answers[2], "1 vs 4 workers");
+}
+
+#[test]
 fn warm_restart_answers_from_disk_byte_for_byte() {
     let dir = tmpdir("warm-restart");
     let cold = Server::new(capped_config(2)).with_store(Store::open(&dir).expect("create store"));

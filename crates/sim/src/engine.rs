@@ -143,6 +143,42 @@ impl Thread {
         }
     }
 
+    /// Return the context to its [`Thread::new`] state, keeping the
+    /// capacity of its ROB, queues and call stack: a spawn reuses the
+    /// buffers its predecessor grew, so the cycle loop allocates nothing.
+    fn reset(&mut self) {
+        let Thread {
+            rf,
+            pc,
+            call_stack,
+            sb,
+            fetch_ready,
+            speculative,
+            insts,
+            owned_slot,
+            rob,
+            outstanding,
+            rs_waiting,
+            loads_q,
+            missload_q,
+            blocked_until,
+        } = self;
+        *rf = RegFile::new();
+        *pc = None;
+        call_stack.clear();
+        *sb = Scoreboard::new();
+        *fetch_ready = 0;
+        *speculative = false;
+        *insts = 0;
+        *owned_slot = None;
+        rob.clear();
+        outstanding.clear();
+        rs_waiting.clear();
+        loads_q.clear();
+        missload_q.clear();
+        *blocked_until = 0;
+    }
+
     pub(crate) fn active(&self) -> bool {
         self.pc.is_some()
     }
@@ -981,19 +1017,10 @@ impl<'a> Engine<'a> {
         if let Some(s) = self.snap.as_deref_mut() {
             s.spec_kills += 1;
         }
-        if let Some(slot) = self.threads[tid].owned_slot.take() {
+        if let Some(slot) = self.threads[tid].owned_slot {
             self.lib.free(slot);
         }
-        let t = &mut self.threads[tid];
-        t.pc = None;
-        t.call_stack.clear();
-        t.rob.clear();
-        t.outstanding.clear();
-        t.rs_waiting.clear();
-        t.loads_q.clear();
-        t.missload_q.clear();
-        t.blocked_until = 0;
-        t.insts = 0;
+        self.threads[tid].reset();
     }
 
     /// Timed load path honouring the perfect-memory modes.
@@ -1253,7 +1280,7 @@ impl<'a> Engine<'a> {
                         let ready = start + self.cfg.spawn_latency;
                         let child_pc = self.block_start(at.func, entry);
                         let t = &mut self.threads[child];
-                        *t = Thread::new();
+                        t.reset();
                         t.rf.write(conv::SLOT, slot_val);
                         // The spawn hand-off materialises the whole
                         // register file at once.

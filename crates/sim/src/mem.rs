@@ -74,7 +74,10 @@ impl Memory {
 /// available, the spawn request is ignored" for the communication buffer.
 #[derive(Clone, Debug)]
 pub struct LiveInBuffer {
-    slots: Vec<Option<Vec<u64>>>,
+    /// Every slot's words, slot `i` at `words[i * words_per_slot..]`.
+    words: Vec<u64>,
+    /// Whether each slot is allocated.
+    busy: Vec<bool>,
     words_per_slot: u8,
     /// Total successful allocations (statistics).
     pub allocs: u64,
@@ -88,14 +91,23 @@ pub const LIB_NO_SLOT: u64 = u64::MAX;
 impl LiveInBuffer {
     /// A buffer with `slots` slots of `words_per_slot` words each.
     pub fn new(slots: usize, words_per_slot: u8) -> Self {
-        LiveInBuffer { slots: vec![None; slots], words_per_slot, allocs: 0, alloc_failures: 0 }
+        LiveInBuffer {
+            words: vec![0; slots * words_per_slot as usize],
+            busy: vec![false; slots],
+            words_per_slot,
+            allocs: 0,
+            alloc_failures: 0,
+        }
     }
 
-    /// Allocate a slot; returns its id or [`LIB_NO_SLOT`].
+    /// Allocate a slot, zeroing its words; returns its id or
+    /// [`LIB_NO_SLOT`].
     pub fn alloc(&mut self) -> u64 {
-        match self.slots.iter().position(Option::is_none) {
+        match self.busy.iter().position(|b| !b) {
             Some(i) => {
-                self.slots[i] = Some(vec![0; self.words_per_slot as usize]);
+                self.busy[i] = true;
+                let w = self.words_per_slot as usize;
+                self.words[i * w..(i + 1) * w].fill(0);
                 self.allocs += 1;
                 i as u64
             }
@@ -106,39 +118,38 @@ impl LiveInBuffer {
         }
     }
 
-    /// Write word `idx` of `slot`. Out-of-range slots/indices and the
-    /// sentinel are ignored (the hardware simply drops the write).
+    /// Index into `words` of word `idx` of a busy `slot`; `None` for a
+    /// free, out-of-range or sentinel slot and an out-of-range index.
+    fn word(&self, slot: u64, idx: u8) -> Option<usize> {
+        let s = usize::try_from(slot).ok()?;
+        (self.busy.get(s) == Some(&true) && idx < self.words_per_slot)
+            .then(|| s * self.words_per_slot as usize + idx as usize)
+    }
+
+    /// Write word `idx` of `slot`. Free or out-of-range slots, indices
+    /// and the sentinel are ignored (the hardware simply drops the write).
     pub fn write(&mut self, slot: u64, idx: u8, val: u64) {
-        if idx >= self.words_per_slot {
-            return;
-        }
-        if let Some(Some(words)) = self.slots.get_mut(slot as usize) {
-            words[idx as usize] = val;
+        if let Some(i) = self.word(slot, idx) {
+            self.words[i] = val;
         }
     }
 
     /// Read word `idx` of `slot`; 0 for invalid slots (a speculative
     /// thread reading garbage is a performance problem, not a fault).
     pub fn read(&self, slot: u64, idx: u8) -> u64 {
-        if idx >= self.words_per_slot {
-            return 0;
-        }
-        match self.slots.get(slot as usize) {
-            Some(Some(words)) => words[idx as usize],
-            _ => 0,
-        }
+        self.word(slot, idx).map_or(0, |i| self.words[i])
     }
 
     /// Release `slot`. Releasing an invalid or free slot is a no-op.
     pub fn free(&mut self, slot: u64) {
-        if let Some(s) = self.slots.get_mut(slot as usize) {
-            *s = None;
+        if let Some(b) = usize::try_from(slot).ok().and_then(|s| self.busy.get_mut(s)) {
+            *b = false;
         }
     }
 
     /// Number of currently busy slots.
     pub fn busy(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.busy.iter().filter(|&&b| b).count()
     }
 }
 
@@ -203,6 +214,19 @@ mod tests {
         let c = lib.alloc();
         assert_eq!(c, a, "freed slot is reused");
         assert_eq!(lib.read(c, 0), 0, "slot contents cleared on realloc");
+    }
+
+    #[test]
+    fn lib_free_slot_reads_zero_and_drops_writes() {
+        let mut lib = LiveInBuffer::new(2, 2);
+        let a = lib.alloc();
+        lib.write(a, 1, 7);
+        lib.free(a);
+        assert_eq!(lib.read(a, 1), 0, "a free slot reads zero");
+        lib.write(a, 1, 9);
+        assert_eq!(lib.busy(), 0, "a write does not revive a free slot");
+        assert_eq!(lib.alloc(), a);
+        assert_eq!(lib.read(a, 1), 0, "neither the old nor the dropped value survives");
     }
 
     #[test]
