@@ -32,7 +32,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::persist::{decode_sim_result, encode_sim_result, fnv64, Store};
+use crate::persist::{decode, encode, fnv64, Store};
 use ssp_core::{simulate, MachineConfig, SimResult};
 use ssp_ir::Program;
 use ssp_workloads::Workload;
@@ -68,7 +68,9 @@ pub struct MemoStats {
 ///   so a stored answer is read and decoded once per instance.
 /// * **An undecodable entry is a miss.** An entry that is missing,
 ///   corrupt, or written for a colliding key is computed once and
-///   counted as a miss.
+///   counted as a miss. With the [`crate::persist`] codecs, corrupt
+///   includes an entry cut anywhere, even inside its last line: it is
+///   never answered as a shorter value.
 /// * **Write-back on compute.** A computed answer's persisted text is
 ///   saved to the store (replacing any corrupt entry) before the cell
 ///   is filled.
@@ -212,10 +214,10 @@ impl Memo<SimResult> {
         self.get(
             &config,
             &sim_key(kind, w, adaptation, &config),
-            |text| decode_sim_result(text).ok(),
+            |text| decode(text).ok(),
             || {
                 let r = simulate(prog, cfg);
-                let text = encode_sim_result(&r);
+                let text = encode(&r);
                 (r, text)
             },
         )
@@ -400,21 +402,23 @@ mod tests {
         let w = ssp_workloads::mcf::build(SEED);
         let mut cfg = MachineConfig::in_order();
         cfg.max_cycles = 23_011;
-        let cold = encode_sim_result(&stored_memo(&root).baseline(&w, &cfg));
+        let cold = encode(&stored_memo(&root).baseline(&w, &cfg));
 
-        // Keep the entry's key header, cut its payload in half.
+        // Keep the entry's key header; cut its payload in half, then by
+        // just its last two bytes (the last number loses a digit).
         let store = Store::open(&root).unwrap();
         let config = cfg.fingerprint();
         let (shard, key) = (Store::shard_of(&config), sim_key("baseline", &w, "", &config));
         let payload = store.load(&shard, &key).expect("the cold run wrote its entry");
-        store.save(&shard, &key, &payload[..payload.len() / 2]).unwrap();
-
-        let repaired = stored_memo(&root);
-        assert_eq!(encode_sim_result(&repaired.baseline(&w, &cfg)), cold);
-        assert_eq!(repaired.stats(), stats(0, 0, 1), "a corrupt entry is a miss");
-        let warm = stored_memo(&root);
-        assert_eq!(encode_sim_result(&warm.baseline(&w, &cfg)), cold);
-        assert_eq!(warm.stats(), stats(0, 1, 0), "the recompute rewrote the entry");
+        for cut in [payload.len() / 2, payload.len() - 2] {
+            store.save(&shard, &key, &payload[..cut]).unwrap();
+            let repaired = stored_memo(&root);
+            assert_eq!(encode(&repaired.baseline(&w, &cfg)), cold);
+            assert_eq!(repaired.stats(), stats(0, 0, 1), "a corrupt entry is a miss");
+            let warm = stored_memo(&root);
+            assert_eq!(encode(&warm.baseline(&w, &cfg)), cold);
+            assert_eq!(warm.stats(), stats(0, 1, 0), "the recompute rewrote the entry");
+        }
         let _ = std::fs::remove_dir_all(&root);
     }
 

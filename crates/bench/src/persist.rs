@@ -1,14 +1,29 @@
 //! Canonical serialization and the on-disk store shared by the
-//! `ssp-bench` baseline cache and the `ssp-serve` daemon.
+//! `ssp-bench` simulation memo, the `ssp-serve` daemon and the
+//! `ssp-tune` tuner.
 //!
 //! Two layers live here:
 //!
-//! * **Payload encoding** — [`encode_sim_result`]/[`decode_sim_result`]
-//!   turn a [`SimResult`] into a versioned, line-oriented text block
-//!   (`ssp-sim-result/1`) and back. The encoding is field-explicit (a
-//!   new `SimResult` field breaks the encoder at compile time) and
-//!   canonical (the per-load map is emitted sorted by tag), so equal
-//!   results always serialize identically.
+//! * **Records** — every persisted payload is one [`Record`], written
+//!   by [`encode`] and read back by [`decode`]. One line grammar serves
+//!   all of them:
+//!
+//!   ```text
+//!   <FORMAT>      version header, e.g. ssp-sim-result/1
+//!   key=value     fields, in the fixed order the format writes them
+//!   key=N         a counted row list: exactly N row lines follow
+//!   <FORMAT>      a nested record: its header, then its own lines
+//!   ```
+//!
+//!   Every line, the last included, ends in `\n`, and a payload holds
+//!   exactly one record. So a payload cut anywhere, even inside its
+//!   last line, or running on past its record fails to decode with a
+//!   [`PersistError`] instead of yielding a shorter value, and a row
+//!   count read from disk sizes no allocation. The `SimResult` record
+//!   (`ssp-sim-result/1`) is field-explicit (a new `SimResult` field
+//!   breaks its encoder at compile time) and canonical (the per-load
+//!   map is written sorted by tag), so equal results always serialize
+//!   identically.
 //! * **[`Store`]** — a sharded directory of versioned entries with
 //!   atomic writes. Entries are keyed by an arbitrary key string; the
 //!   file name is the key's 64-bit FNV-1a hash, and the full key is
@@ -31,13 +46,11 @@
 use ssp_core::SimResult;
 use ssp_ir::InstTag;
 use ssp_sim::{CycleBreakdown, LoadStats};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// Version header of one serialized [`SimResult`] block.
-pub const SIM_RESULT_FORMAT: &str = "ssp-sim-result/1";
+use std::str::FromStr;
 
 /// Version header of the on-disk store (the `FORMAT` file and the first
 /// line of every entry).
@@ -65,7 +78,8 @@ pub enum PersistError {
         /// The first line actually found.
         found: String,
     },
-    /// A line is missing, out of order, or fails to parse.
+    /// A line is missing, unterminated, out of order, or fails to
+    /// parse, or the payload runs on past its record.
     Malformed(String),
 }
 
@@ -82,136 +96,244 @@ impl fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-/// Serialize a [`SimResult`] as a versioned, canonical text block.
-///
-/// Line-oriented `key=value` pairs in fixed order; the load map is
-/// sorted by tag. [`decode_sim_result`] round-trips every field.
-pub fn encode_sim_result(r: &SimResult) -> String {
-    // Full destructuring: adding a field to `SimResult` breaks this at
-    // compile time, forcing the encoding (and, if the change is
-    // semantic, the version header) to be updated.
-    let SimResult {
-        cycles,
-        total_cycles,
-        main_insts,
-        spec_insts,
-        breakdown,
-        loads,
-        spawns_fired,
-        spawns_suppressed,
-        threads_spawned,
-        spawns_dropped,
-        runaway_kills,
-        branches,
-        mispredicts,
-        halted,
-    } = r;
-    let CycleBreakdown { l3_miss, l2_miss, l1_miss, cache_exec, exec, other } = breakdown;
-    let mut out = String::new();
-    out.push_str(SIM_RESULT_FORMAT);
-    out.push('\n');
-    out.push_str(&format!("cycles={cycles}\n"));
-    out.push_str(&format!("total_cycles={total_cycles}\n"));
-    out.push_str(&format!("main_insts={main_insts}\n"));
-    out.push_str(&format!("spec_insts={spec_insts}\n"));
-    out.push_str(&format!("breakdown={l3_miss}:{l2_miss}:{l1_miss}:{cache_exec}:{exec}:{other}\n"));
-    out.push_str(&format!("spawns_fired={spawns_fired}\n"));
-    out.push_str(&format!("spawns_suppressed={spawns_suppressed}\n"));
-    out.push_str(&format!("threads_spawned={threads_spawned}\n"));
-    out.push_str(&format!("spawns_dropped={spawns_dropped}\n"));
-    out.push_str(&format!("runaway_kills={runaway_kills}\n"));
-    out.push_str(&format!("branches={branches}\n"));
-    out.push_str(&format!("mispredicts={mispredicts}\n"));
-    out.push_str(&format!("halted={halted}\n"));
-    let mut tags: Vec<&InstTag> = loads.keys().collect();
-    tags.sort_unstable();
-    out.push_str(&format!("loads={}\n", tags.len()));
-    for tag in tags {
-        let LoadStats { accesses, l1, l2, l2_partial, l3, l3_partial, mem, mem_partial } =
-            &loads[tag];
-        out.push_str(&format!(
-            "{}:{accesses}:{l1}:{l2}:{l2_partial}:{l3}:{l3_partial}:{mem}:{mem_partial}\n",
-            tag.0
-        ));
-    }
-    out
+/// One persisted payload format: a version header line, then the lines
+/// [`Record::write`] appends, which [`Record::read`] takes back in the
+/// same order (see the module docs for the grammar).
+pub trait Record: Sized {
+    /// The version header, the record's first line. A change to what
+    /// the lines mean needs a new one.
+    const FORMAT: &'static str;
+
+    /// Append this value's lines, header excluded.
+    fn write(&self, w: &mut RecordWriter);
+
+    /// Read the lines [`Record::write`] appended, header excluded. A
+    /// struct expression evaluates its fields in the order written, so
+    /// a reader can be one struct literal listing them in line order.
+    fn read(r: &mut RecordReader<'_>) -> Result<Self, PersistError>;
 }
 
-/// Split `line` as `key=value`, requiring `key` to match.
-fn field<'a>(line: Option<&'a str>, key: &str) -> Result<&'a str, PersistError> {
-    let line = line.ok_or_else(|| PersistError::Malformed(format!("missing field {key}")))?;
-    match line.split_once('=') {
-        Some((k, v)) if k == key => Ok(v),
-        _ => Err(PersistError::Malformed(format!("expected field {key}, found {line:?}"))),
-    }
+/// Serialize `value` as a whole payload: one record, header first.
+pub fn encode<R: Record>(value: &R) -> String {
+    let mut w = RecordWriter { out: String::new() };
+    w.record(value);
+    w.out
 }
 
-fn num<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, PersistError> {
-    v.parse().map_err(|_| PersistError::Malformed(format!("field {key}: bad value {v:?}")))
+/// Parse a payload produced by [`encode`]: exactly one `R` record.
+pub fn decode<R: Record>(text: &str) -> Result<R, PersistError> {
+    let mut r = RecordReader { rest: text };
+    let value = r.record()?;
+    if !r.rest.is_empty() {
+        return Err(PersistError::Malformed(format!("data after the {} record", R::FORMAT)));
+    }
+    Ok(value)
 }
 
-/// Parse a text block produced by [`encode_sim_result`].
-pub fn decode_sim_result(text: &str) -> Result<SimResult, PersistError> {
-    let mut lines = text.lines();
-    let header = lines.next().unwrap_or("");
-    if header != SIM_RESULT_FORMAT {
-        return Err(PersistError::Header { expected: SIM_RESULT_FORMAT, found: header.to_owned() });
+/// Appends one payload's lines; see [`Record`].
+pub struct RecordWriter {
+    out: String,
+}
+
+impl RecordWriter {
+    fn line(&mut self, line: fmt::Arguments<'_>) {
+        self.out.write_fmt(line).expect("writing to a String cannot fail");
+        self.out.push('\n');
     }
-    let mut r = SimResult {
-        cycles: num("cycles", field(lines.next(), "cycles")?)?,
-        total_cycles: num("total_cycles", field(lines.next(), "total_cycles")?)?,
-        main_insts: num("main_insts", field(lines.next(), "main_insts")?)?,
-        spec_insts: num("spec_insts", field(lines.next(), "spec_insts")?)?,
-        ..SimResult::default()
-    };
-    let bd = field(lines.next(), "breakdown")?;
-    let parts: Vec<&str> = bd.split(':').collect();
-    if parts.len() != 6 {
-        return Err(PersistError::Malformed(format!("breakdown needs 6 fields, found {bd:?}")));
+
+    /// A `key=value` field.
+    pub fn field(&mut self, key: &str, value: impl fmt::Display) {
+        self.line(format_args!("{key}={value}"));
     }
-    r.breakdown = CycleBreakdown {
-        l3_miss: num("breakdown", parts[0])?,
-        l2_miss: num("breakdown", parts[1])?,
-        l1_miss: num("breakdown", parts[2])?,
-        cache_exec: num("breakdown", parts[3])?,
-        exec: num("breakdown", parts[4])?,
-        other: num("breakdown", parts[5])?,
-    };
-    r.spawns_fired = num("spawns_fired", field(lines.next(), "spawns_fired")?)?;
-    r.spawns_suppressed = num("spawns_suppressed", field(lines.next(), "spawns_suppressed")?)?;
-    r.threads_spawned = num("threads_spawned", field(lines.next(), "threads_spawned")?)?;
-    r.spawns_dropped = num("spawns_dropped", field(lines.next(), "spawns_dropped")?)?;
-    r.runaway_kills = num("runaway_kills", field(lines.next(), "runaway_kills")?)?;
-    r.branches = num("branches", field(lines.next(), "branches")?)?;
-    r.mispredicts = num("mispredicts", field(lines.next(), "mispredicts")?)?;
-    r.halted = match field(lines.next(), "halted")? {
-        "true" => true,
-        "false" => false,
-        v => return Err(PersistError::Malformed(format!("field halted: bad value {v:?}"))),
-    };
-    let n: usize = num("loads", field(lines.next(), "loads")?)?;
-    for _ in 0..n {
-        let line = lines
-            .next()
-            .ok_or_else(|| PersistError::Malformed("truncated load list".to_owned()))?;
-        let parts: Vec<&str> = line.split(':').collect();
-        if parts.len() != 9 {
-            return Err(PersistError::Malformed(format!("load row needs 9 fields: {line:?}")));
+
+    /// A counted row list: `key=N`, then one line per row.
+    pub fn rows<I>(&mut self, key: &str, rows: I)
+    where
+        I: ExactSizeIterator,
+        I::Item: fmt::Display,
+    {
+        self.field(key, rows.len());
+        for row in rows {
+            self.line(format_args!("{row}"));
         }
-        let tag = InstTag(num("load tag", parts[0])?);
-        let stats = LoadStats {
-            accesses: num("load", parts[1])?,
-            l1: num("load", parts[2])?,
-            l2: num("load", parts[3])?,
-            l2_partial: num("load", parts[4])?,
-            l3: num("load", parts[5])?,
-            l3_partial: num("load", parts[6])?,
-            mem: num("load", parts[7])?,
-            mem_partial: num("load", parts[8])?,
-        };
-        r.loads.insert(tag, stats);
     }
-    Ok(r)
+
+    /// A nested record: its header, then its lines.
+    pub fn record<R: Record>(&mut self, value: &R) {
+        self.line(format_args!("{}", R::FORMAT));
+        value.write(self);
+    }
+}
+
+/// Takes one payload's lines back in order; see [`Record`].
+pub struct RecordReader<'a> {
+    rest: &'a str,
+}
+
+impl<'a> RecordReader<'a> {
+    /// The next line, which must end in `\n`: a payload cut inside its
+    /// last line is malformed, not a shorter value.
+    fn line(&mut self) -> Result<&'a str, PersistError> {
+        let (line, rest) = self.rest.split_once('\n').ok_or_else(|| {
+            PersistError::Malformed(format!("payload ends early at {:?}", self.rest))
+        })?;
+        self.rest = rest;
+        Ok(line)
+    }
+
+    /// The value of the next line, which must be the field `key`.
+    pub fn str(&mut self, key: &str) -> Result<&'a str, PersistError> {
+        let line = self.line()?;
+        match line.split_once('=') {
+            Some((k, v)) if k == key => Ok(v),
+            _ => Err(PersistError::Malformed(format!("expected field {key}, found {line:?}"))),
+        }
+    }
+
+    /// The next line's field `key`, parsed.
+    pub fn parse<T: FromStr>(&mut self, key: &str) -> Result<T, PersistError> {
+        parse(key, self.str(key)?)
+    }
+
+    /// A counted row list written by [`RecordWriter::rows`], each row
+    /// decoded by `row`. The count comes from disk, so it sizes
+    /// nothing: rows are taken only while lines remain.
+    pub fn rows<T>(
+        &mut self,
+        key: &str,
+        mut row: impl FnMut(&'a str) -> Result<T, PersistError>,
+    ) -> Result<Vec<T>, PersistError> {
+        let count: usize = self.parse(key)?;
+        let mut out = Vec::new();
+        for _ in 0..count {
+            out.push(row(self.line()?)?);
+        }
+        Ok(out)
+    }
+
+    /// A nested record written by [`RecordWriter::record`].
+    pub fn record<R: Record>(&mut self) -> Result<R, PersistError> {
+        let found = self.rest.split('\n').next().unwrap_or_default();
+        if found != R::FORMAT {
+            return Err(PersistError::Header { expected: R::FORMAT, found: found.to_owned() });
+        }
+        self.line()?;
+        R::read(self)
+    }
+}
+
+/// Parse one value; `what` names it in the error.
+pub fn parse<T: FromStr>(what: &str, v: &str) -> Result<T, PersistError> {
+    v.parse().map_err(|_| PersistError::Malformed(format!("{what}: bad value {v:?}")))
+}
+
+/// Parse exactly `N` values separated by `sep`: the `a:b:c` and
+/// `a,b,c,d` fields and rows.
+pub fn split_parse<T: FromStr + Copy + Default, const N: usize>(
+    what: &str,
+    v: &str,
+    sep: char,
+) -> Result<[T; N], PersistError> {
+    let count =
+        || PersistError::Malformed(format!("{what}: expected {N} values split by {sep:?}: {v:?}"));
+    let mut parts = v.split(sep);
+    let mut out = [T::default(); N];
+    for slot in &mut out {
+        *slot = parse(what, parts.next().ok_or_else(count)?)?;
+    }
+    match parts.next() {
+        None => Ok(out),
+        Some(_) => Err(count()),
+    }
+}
+
+/// One `tag:accesses:l1:l2:l2_partial:l3:l3_partial:mem:mem_partial`
+/// row of a `SimResult`'s load map.
+fn load_row(row: &str) -> Result<(InstTag, LoadStats), PersistError> {
+    let [tag, accesses, l1, l2, l2_partial, l3, l3_partial, mem, mem_partial] =
+        split_parse("load row", row, ':')?;
+    let tag = u32::try_from(tag)
+        .map_err(|_| PersistError::Malformed(format!("load tag {tag} too large")))?;
+    Ok((InstTag(tag), LoadStats { accesses, l1, l2, l2_partial, l3, l3_partial, mem, mem_partial }))
+}
+
+impl Record for SimResult {
+    const FORMAT: &'static str = "ssp-sim-result/1";
+
+    fn write(&self, w: &mut RecordWriter) {
+        // Full destructuring: adding a field to `SimResult` breaks this at
+        // compile time, forcing the encoding (and, if the change is
+        // semantic, the version header) to be updated.
+        let SimResult {
+            cycles,
+            total_cycles,
+            main_insts,
+            spec_insts,
+            breakdown,
+            loads,
+            spawns_fired,
+            spawns_suppressed,
+            threads_spawned,
+            spawns_dropped,
+            runaway_kills,
+            branches,
+            mispredicts,
+            halted,
+        } = self;
+        let CycleBreakdown { l3_miss, l2_miss, l1_miss, cache_exec, exec, other } = breakdown;
+        w.field("cycles", cycles);
+        w.field("total_cycles", total_cycles);
+        w.field("main_insts", main_insts);
+        w.field("spec_insts", spec_insts);
+        w.field(
+            "breakdown",
+            format_args!("{l3_miss}:{l2_miss}:{l1_miss}:{cache_exec}:{exec}:{other}"),
+        );
+        w.field("spawns_fired", spawns_fired);
+        w.field("spawns_suppressed", spawns_suppressed);
+        w.field("threads_spawned", threads_spawned);
+        w.field("spawns_dropped", spawns_dropped);
+        w.field("runaway_kills", runaway_kills);
+        w.field("branches", branches);
+        w.field("mispredicts", mispredicts);
+        w.field("halted", halted);
+        let mut tags: Vec<&InstTag> = loads.keys().collect();
+        tags.sort_unstable();
+        w.rows(
+            "loads",
+            tags.into_iter().map(|tag| {
+                let LoadStats { accesses, l1, l2, l2_partial, l3, l3_partial, mem, mem_partial } =
+                    &loads[tag];
+                format!(
+                    "{}:{accesses}:{l1}:{l2}:{l2_partial}:{l3}:{l3_partial}:{mem}:{mem_partial}",
+                    tag.0
+                )
+            }),
+        );
+    }
+
+    fn read(r: &mut RecordReader<'_>) -> Result<Self, PersistError> {
+        Ok(SimResult {
+            cycles: r.parse("cycles")?,
+            total_cycles: r.parse("total_cycles")?,
+            main_insts: r.parse("main_insts")?,
+            spec_insts: r.parse("spec_insts")?,
+            breakdown: {
+                let [l3_miss, l2_miss, l1_miss, cache_exec, exec, other] =
+                    split_parse("breakdown", r.str("breakdown")?, ':')?;
+                CycleBreakdown { l3_miss, l2_miss, l1_miss, cache_exec, exec, other }
+            },
+            spawns_fired: r.parse("spawns_fired")?,
+            spawns_suppressed: r.parse("spawns_suppressed")?,
+            threads_spawned: r.parse("threads_spawned")?,
+            spawns_dropped: r.parse("spawns_dropped")?,
+            runaway_kills: r.parse("runaway_kills")?,
+            branches: r.parse("branches")?,
+            mispredicts: r.parse("mispredicts")?,
+            halted: r.parse("halted")?,
+            loads: r.rows("loads", load_row)?.into_iter().collect(),
+        })
+    }
 }
 
 /// A sharded on-disk store of versioned entries with atomic writes.
@@ -341,21 +463,67 @@ mod tests {
         cfg.max_cycles = 40_000;
         let r = ssp_core::simulate(&w.program, &cfg);
         assert!(!r.loads.is_empty(), "the round trip must cover the load map");
-        let text = encode_sim_result(&r);
-        assert_eq!(decode_sim_result(&text).unwrap(), r);
+        let text = encode(&r);
+        assert_eq!(decode::<SimResult>(&text).unwrap(), r);
         // Canonical: encoding the decoded result reproduces the text.
-        assert_eq!(encode_sim_result(&decode_sim_result(&text).unwrap()), text);
+        assert_eq!(encode(&decode::<SimResult>(&text).unwrap()), text);
+
+        // The exact bytes, loads sorted by tag.
+        let mut small = SimResult {
+            cycles: 1000,
+            total_cycles: 1200,
+            main_insts: 800,
+            spec_insts: 150,
+            breakdown: CycleBreakdown {
+                l3_miss: 1,
+                l2_miss: 2,
+                l1_miss: 3,
+                cache_exec: 4,
+                exec: 5,
+                other: 6,
+            },
+            spawns_fired: 7,
+            spawns_suppressed: 8,
+            threads_spawned: 9,
+            spawns_dropped: 10,
+            runaway_kills: 11,
+            branches: 12,
+            mispredicts: 13,
+            halted: true,
+            ..SimResult::default()
+        };
+        let far = LoadStats {
+            accesses: 10,
+            l1: 4,
+            l2: 1,
+            l2_partial: 1,
+            l3: 1,
+            l3_partial: 0,
+            mem: 2,
+            mem_partial: 1,
+        };
+        small.loads.insert(InstTag(9), far);
+        small.loads.insert(InstTag(3), LoadStats { accesses: 2, l1: 2, ..LoadStats::default() });
+        assert_eq!(
+            encode(&small),
+            "ssp-sim-result/1\ncycles=1000\ntotal_cycles=1200\nmain_insts=800\nspec_insts=150\n\
+             breakdown=1:2:3:4:5:6\nspawns_fired=7\nspawns_suppressed=8\nthreads_spawned=9\n\
+             spawns_dropped=10\nrunaway_kills=11\nbranches=12\nmispredicts=13\nhalted=true\n\
+             loads=2\n3:2:2:0:0:0:0:0:0\n9:10:4:1:1:1:0:2:1\n"
+        );
+        assert_eq!(decode::<SimResult>(&encode(&small)).unwrap(), small);
     }
 
     #[test]
     fn decode_rejects_bad_payloads() {
         assert!(matches!(
-            decode_sim_result("nonsense"),
-            Err(PersistError::Header { expected: SIM_RESULT_FORMAT, .. })
+            decode::<SimResult>("nonsense"),
+            Err(PersistError::Header { expected: SimResult::FORMAT, .. })
         ));
-        let good = encode_sim_result(&ssp_core::SimResult::default());
+        let good = encode(&ssp_core::SimResult::default());
         let truncated: String = good.lines().take(3).map(|l| format!("{l}\n")).collect();
-        assert!(decode_sim_result(&truncated).is_err());
+        assert!(decode::<SimResult>(&truncated).is_err());
+        assert!(decode::<SimResult>(&format!("{good}{good}")).is_err(), "one record a payload");
     }
 
     #[test]

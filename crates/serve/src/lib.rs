@@ -36,7 +36,4 @@ pub mod store;
 
 pub use protocol::{parse_line, read_frame, write_frame, Request, RequestError, MAX_FRAME};
 pub use server::{Server, ServerConfig};
-pub use store::{
-    CaseEntry, TuneEntry, WorkloadEntry, CASE_ENTRY_FORMAT, TUNE_ENTRY_FORMAT,
-    WORKLOAD_ENTRY_FORMAT,
-};
+pub use store::{CaseEntry, TuneEntry, WorkloadEntry};

@@ -389,14 +389,12 @@ mod tests {
         assert!(report.contains("\"store_shards\": null"), "report: {report}");
     }
 
-    /// Cut the payload of every entry under `root` short, keeping its
-    /// format and key lines.
-    fn truncate_entries(root: &Path) {
+    /// Replace every entry under `root` with `cut` of its text.
+    fn cut_entries(root: &Path, cut: fn(&str) -> String) {
         for shard in fs::read_dir(root).unwrap().flatten().filter(|d| d.path().is_dir()) {
             for entry in fs::read_dir(shard.path()).unwrap().flatten() {
                 let text = fs::read_to_string(entry.path()).unwrap();
-                let kept: String = text.lines().take(4).map(|l| format!("{l}\n")).collect();
-                fs::write(entry.path(), kept).unwrap();
+                fs::write(entry.path(), cut(&text)).unwrap();
             }
         }
     }
@@ -408,22 +406,29 @@ mod tests {
         let batch = "mcf\nseed=1 chase=48 loads=2\n";
         let server = || Server::new(capped_config()).with_store(Store::open(&root).unwrap());
         let cold = server().handle_batch(batch);
-        truncate_entries(&root);
-
-        let repaired = server();
-        assert_eq!(repaired.handle_batch(batch), cold);
-        let report = repaired.report_json();
-        assert!(
-            report.contains("\"cache\": {\"hits\": 0, \"disk_hits\": 0, \"misses\": 2}"),
-            "corrupt entries are misses: {report}"
-        );
-        let warm = server();
-        assert_eq!(warm.handle_batch(batch), cold);
-        let report = warm.report_json();
-        assert!(
-            report.contains("\"cache\": {\"hits\": 0, \"disk_hits\": 2, \"misses\": 0}"),
-            "the recompute rewrote both entries: {report}"
-        );
+        let cuts: [fn(&str) -> String; 2] = [
+            // The format and key lines, the payload's header and first field.
+            |text| text.lines().take(4).map(|l| format!("{l}\n")).collect(),
+            // All but the last two bytes: the last number loses a digit.
+            |text| text[..text.len() - 2].to_owned(),
+        ];
+        for cut in cuts {
+            cut_entries(&root, cut);
+            let repaired = server();
+            assert_eq!(repaired.handle_batch(batch), cold);
+            let report = repaired.report_json();
+            assert!(
+                report.contains("\"cache\": {\"hits\": 0, \"disk_hits\": 0, \"misses\": 2}"),
+                "corrupt entries are misses: {report}"
+            );
+            let warm = server();
+            assert_eq!(warm.handle_batch(batch), cold);
+            let report = warm.report_json();
+            assert!(
+                report.contains("\"cache\": {\"hits\": 0, \"disk_hits\": 2, \"misses\": 0}"),
+                "the recompute rewrote both entries: {report}"
+            );
+        }
         let _ = fs::remove_dir_all(&root);
     }
 

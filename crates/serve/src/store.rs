@@ -1,38 +1,31 @@
 //! Serve-level store entries: the versioned payloads `ssp-serve`
 //! persists per answered request, layered on the generic
-//! [`ssp_bench::persist::Store`].
+//! [`ssp_bench::persist::Store`] and written in its record grammar
+//! ([`ssp_bench::persist::Record`]).
 //!
 //! Three entry kinds exist, one per request kind:
 //!
-//! * [`WorkloadEntry`] (`ssp-serve-workload/1`) — the four serialized
-//!   [`SimResult`]s of a Figure-8 run plus the adaptation's structural
-//!   plan digest and slice/skip counts. The suite row the daemon
-//!   answers with is *reconstructed* from these results, never cached
-//!   as rendered text, so a warm answer is byte-identical to a cold one
-//!   by construction and the differential suite can compare decoded
-//!   results structurally.
+//! * [`WorkloadEntry`] (`ssp-serve-workload/1`) — the four nested
+//!   `ssp-sim-result/1` records of a Figure-8 run plus the adaptation's
+//!   structural plan digest and slice/skip counts. The suite row the
+//!   daemon answers with is *reconstructed* from these results, never
+//!   cached as rendered text, so a warm answer is byte-identical to a
+//!   cold one by construction and the differential suite can compare
+//!   decoded results structurally.
 //! * [`CaseEntry`] (`ssp-serve-case/1`) — the oracle verdict of one
 //!   fuzz case: outcome, deduplicated violation kinds, and counters.
 //! * [`TuneEntry`] (`ssp-serve-tune/1`) — the auto-tuner's outcome for
-//!   one workload: the two `ssp-tune-row/1` rows (in-order and
-//!   out-of-order), re-rendered from the decoded rows on warm answers.
+//!   one workload: the two nested `ssp-tune-row/1` records (in-order
+//!   and out-of-order), re-rendered from the decoded rows on warm
+//!   answers.
 //!
 //! Entries are keyed (and sharded) by the full request identity
 //! including the machine-config fingerprints — see
 //! [`crate::server`] for the key layout.
 
-use ssp_bench::persist::{decode_sim_result, encode_sim_result, PersistError};
+use ssp_bench::persist::{self, PersistError, Record, RecordReader, RecordWriter};
 use ssp_bench::SuiteRow;
 use ssp_core::SimResult;
-
-/// Version header of one persisted workload entry.
-pub const WORKLOAD_ENTRY_FORMAT: &str = "ssp-serve-workload/1";
-
-/// Version header of one persisted case entry.
-pub const CASE_ENTRY_FORMAT: &str = "ssp-serve-case/1";
-
-/// Version header of one persisted tune entry.
-pub const TUNE_ENTRY_FORMAT: &str = "ssp-serve-tune/1";
 
 /// A persisted workload answer: everything needed to reproduce the
 /// response (and its diagnostic flags) without re-simulating.
@@ -59,53 +52,47 @@ pub struct WorkloadEntry {
     pub ssp_ooo: SimResult,
 }
 
-impl WorkloadEntry {
-    /// Serialize as a versioned text payload.
-    pub fn encode(&self) -> String {
-        let mut out = String::new();
-        out.push_str(WORKLOAD_ENTRY_FORMAT);
-        out.push('\n');
-        out.push_str(&format!("name={}\n", self.name));
-        out.push_str(&format!("seed={}\n", self.seed));
-        out.push_str(&format!("plan_digest={}\n", self.plan_digest));
-        out.push_str(&format!("slices={}\n", self.slices));
-        out.push_str(&format!("skipped={}\n", self.skipped));
+impl Record for WorkloadEntry {
+    const FORMAT: &'static str = "ssp-serve-workload/1";
+
+    fn write(&self, w: &mut RecordWriter) {
+        w.field("name", &self.name);
+        w.field("seed", self.seed);
+        w.field("plan_digest", &self.plan_digest);
+        w.field("slices", self.slices);
+        w.field("skipped", self.skipped);
         for r in [&self.base_io, &self.ssp_io, &self.base_ooo, &self.ssp_ooo] {
-            out.push_str(&encode_sim_result(r));
+            w.record(r);
         }
-        out
+    }
+
+    fn read(r: &mut RecordReader<'_>) -> Result<Self, PersistError> {
+        Ok(WorkloadEntry {
+            name: r.str("name")?.to_owned(),
+            seed: r.parse("seed")?,
+            plan_digest: r.str("plan_digest")?.to_owned(),
+            slices: r.parse("slices")?,
+            skipped: r.parse("skipped")?,
+            base_io: r.record()?,
+            ssp_io: r.record()?,
+            base_ooo: r.record()?,
+            ssp_ooo: r.record()?,
+        })
+    }
+}
+
+// The three entries keep inherent `encode`/`decode` one-liners because
+// the benchmark's replayer (`perfbench/tracer`) takes them as plain
+// `fn` values.
+impl WorkloadEntry {
+    /// Serialize as a versioned text payload ([`persist::encode`]).
+    pub fn encode(&self) -> String {
+        persist::encode(self)
     }
 
     /// Parse a payload produced by [`WorkloadEntry::encode`].
     pub fn decode(text: &str) -> Result<WorkloadEntry, PersistError> {
-        let mut lines = text.lines();
-        let header = lines.next().unwrap_or("");
-        if header != WORKLOAD_ENTRY_FORMAT {
-            return Err(PersistError::Header {
-                expected: WORKLOAD_ENTRY_FORMAT,
-                found: header.to_owned(),
-            });
-        }
-        let name = field(lines.next(), "name")?.to_owned();
-        let seed = num(field(lines.next(), "seed")?, "seed")?;
-        let plan_digest = field(lines.next(), "plan_digest")?.to_owned();
-        let slices = num(field(lines.next(), "slices")?, "slices")?;
-        let skipped = num(field(lines.next(), "skipped")?, "skipped")?;
-        let base_io = take_sim_block(&mut lines)?;
-        let ssp_io = take_sim_block(&mut lines)?;
-        let base_ooo = take_sim_block(&mut lines)?;
-        let ssp_ooo = take_sim_block(&mut lines)?;
-        Ok(WorkloadEntry {
-            name,
-            seed,
-            plan_digest,
-            slices,
-            skipped,
-            base_io,
-            ssp_io,
-            base_ooo,
-            ssp_ooo,
-        })
+        persist::decode(text)
     }
 
     /// The suite row this entry answers with — same shape (and hence
@@ -140,40 +127,40 @@ pub struct CaseEntry {
     pub threads_spawned: u64,
 }
 
+impl Record for CaseEntry {
+    const FORMAT: &'static str = "ssp-serve-case/1";
+
+    fn write(&self, w: &mut RecordWriter) {
+        w.field("spec", &self.spec);
+        w.field("outcome", &self.outcome);
+        w.field("kinds", self.kinds.join(","));
+        w.field("slices", self.slices);
+        w.field("threads_spawned", self.threads_spawned);
+    }
+
+    fn read(r: &mut RecordReader<'_>) -> Result<Self, PersistError> {
+        Ok(CaseEntry {
+            spec: r.str("spec")?.to_owned(),
+            outcome: r.str("outcome")?.to_owned(),
+            kinds: match r.str("kinds")? {
+                "" => Vec::new(),
+                kinds => kinds.split(',').map(str::to_owned).collect(),
+            },
+            slices: r.parse("slices")?,
+            threads_spawned: r.parse("threads_spawned")?,
+        })
+    }
+}
+
 impl CaseEntry {
-    /// Serialize as a versioned text payload.
+    /// Serialize as a versioned text payload ([`persist::encode`]).
     pub fn encode(&self) -> String {
-        format!(
-            "{CASE_ENTRY_FORMAT}\nspec={}\noutcome={}\nkinds={}\nslices={}\nthreads_spawned={}\n",
-            self.spec,
-            self.outcome,
-            self.kinds.join(","),
-            self.slices,
-            self.threads_spawned,
-        )
+        persist::encode(self)
     }
 
     /// Parse a payload produced by [`CaseEntry::encode`].
     pub fn decode(text: &str) -> Result<CaseEntry, PersistError> {
-        let mut lines = text.lines();
-        let header = lines.next().unwrap_or("");
-        if header != CASE_ENTRY_FORMAT {
-            return Err(PersistError::Header {
-                expected: CASE_ENTRY_FORMAT,
-                found: header.to_owned(),
-            });
-        }
-        let spec = field(lines.next(), "spec")?.to_owned();
-        let outcome = field(lines.next(), "outcome")?.to_owned();
-        let kinds = field(lines.next(), "kinds")?;
-        let kinds: Vec<String> = if kinds.is_empty() {
-            Vec::new()
-        } else {
-            kinds.split(',').map(str::to_owned).collect()
-        };
-        let slices = num(field(lines.next(), "slices")?, "slices")?;
-        let threads_spawned = num(field(lines.next(), "threads_spawned")?, "threads_spawned")?;
-        Ok(CaseEntry { spec, outcome, kinds, slices, threads_spawned })
+        persist::decode(text)
     }
 
     /// Render via the canonical [`ssp_fuzz::oracle::case_json`] — the
@@ -205,78 +192,38 @@ pub struct TuneEntry {
     pub ooo_row: ssp_tune::TuneRow,
 }
 
+impl Record for TuneEntry {
+    const FORMAT: &'static str = "ssp-serve-tune/1";
+
+    fn write(&self, w: &mut RecordWriter) {
+        w.field("name", &self.name);
+        w.field("seed", self.seed);
+        w.field("rounds", self.rounds);
+        w.record(&self.io_row);
+        w.record(&self.ooo_row);
+    }
+
+    fn read(r: &mut RecordReader<'_>) -> Result<Self, PersistError> {
+        Ok(TuneEntry {
+            name: r.str("name")?.to_owned(),
+            seed: r.parse("seed")?,
+            rounds: r.parse("rounds")?,
+            io_row: r.record()?,
+            ooo_row: r.record()?,
+        })
+    }
+}
+
 impl TuneEntry {
-    /// Serialize as a versioned text payload: the header fields
-    /// followed by two concatenated `ssp-tune-row/1` blocks.
+    /// Serialize as a versioned text payload ([`persist::encode`]).
     pub fn encode(&self) -> String {
-        format!(
-            "{TUNE_ENTRY_FORMAT}\nname={}\nseed={}\nrounds={}\n{}{}",
-            self.name,
-            self.seed,
-            self.rounds,
-            ssp_tune::report::encode_row(&self.io_row),
-            ssp_tune::report::encode_row(&self.ooo_row),
-        )
+        persist::encode(self)
     }
 
     /// Parse a payload produced by [`TuneEntry::encode`].
     pub fn decode(text: &str) -> Result<TuneEntry, PersistError> {
-        let mut lines = text.lines();
-        let header = lines.next().unwrap_or("");
-        if header != TUNE_ENTRY_FORMAT {
-            return Err(PersistError::Header {
-                expected: TUNE_ENTRY_FORMAT,
-                found: header.to_owned(),
-            });
-        }
-        let name = field(lines.next(), "name")?.to_owned();
-        let seed = num(field(lines.next(), "seed")?, "seed")?;
-        let rounds = num(field(lines.next(), "rounds")?, "rounds")?;
-        let io_row = ssp_tune::report::decode_row_stream(&mut lines)
-            .ok_or_else(|| PersistError::Malformed("bad in-order tune row".to_owned()))?;
-        let ooo_row = ssp_tune::report::decode_row_stream(&mut lines)
-            .ok_or_else(|| PersistError::Malformed("bad out-of-order tune row".to_owned()))?;
-        Ok(TuneEntry { name, seed, rounds, io_row, ooo_row })
+        persist::decode(text)
     }
-}
-
-fn field<'a>(line: Option<&'a str>, key: &str) -> Result<&'a str, PersistError> {
-    let line = line.ok_or_else(|| PersistError::Malformed(format!("missing field {key}")))?;
-    match line.split_once('=') {
-        Some((k, v)) if k == key => Ok(v),
-        _ => Err(PersistError::Malformed(format!("expected field {key}, found {line:?}"))),
-    }
-}
-
-fn num<T: std::str::FromStr>(v: &str, key: &str) -> Result<T, PersistError> {
-    v.parse().map_err(|_| PersistError::Malformed(format!("field {key}: bad value {v:?}")))
-}
-
-/// Consume one `ssp-sim-result/1` block from a shared line cursor: the
-/// 15 fixed lines (header, 13 scalar fields, `loads=N`) followed by the
-/// `N` per-load rows, re-joined and handed to
-/// [`ssp_bench::persist::decode_sim_result`].
-fn take_sim_block(lines: &mut std::str::Lines<'_>) -> Result<SimResult, PersistError> {
-    let mut block = String::new();
-    let mut n_loads = 0usize;
-    for i in 0..15 {
-        let line = lines
-            .next()
-            .ok_or_else(|| PersistError::Malformed("truncated sim-result block".to_owned()))?;
-        if i == 14 {
-            n_loads = num(field(Some(line), "loads")?, "loads")?;
-        }
-        block.push_str(line);
-        block.push('\n');
-    }
-    for _ in 0..n_loads {
-        let line = lines
-            .next()
-            .ok_or_else(|| PersistError::Malformed("truncated load list".to_owned()))?;
-        block.push_str(line);
-        block.push('\n');
-    }
-    decode_sim_result(&block)
 }
 
 #[cfg(test)]
@@ -284,13 +231,13 @@ mod tests {
     use super::*;
     use ssp_sim::MachineConfig;
 
-    #[test]
-    fn workload_entry_round_trips() {
+    /// A workload entry of real (cycle-capped) mcf simulations.
+    fn mcf_entry() -> WorkloadEntry {
         let w = ssp_workloads::mcf::build(11);
         let mut cfg = MachineConfig::in_order();
         cfg.max_cycles = 30_000;
         let r = ssp_core::simulate(&w.program, &cfg);
-        let entry = WorkloadEntry {
+        WorkloadEntry {
             name: "mcf".to_owned(),
             seed: 11,
             plan_digest: "0123456789abcdef".to_owned(),
@@ -299,18 +246,12 @@ mod tests {
             base_io: r.clone(),
             ssp_io: SimResult { cycles: r.cycles / 2, ..r.clone() },
             base_ooo: r.clone(),
-            ssp_ooo: r.clone(),
-        };
-        let decoded = WorkloadEntry::decode(&entry.encode()).unwrap();
-        assert_eq!(decoded, entry);
-        let row = decoded.suite_row();
-        assert!(!row.noop);
-        assert!(!row.regression_io, "ssp_io is faster");
+            ssp_ooo: r,
+        }
     }
 
-    #[test]
-    fn case_entry_round_trips() {
-        for entry in [
+    fn case_entries() -> [CaseEntry; 2] {
+        [
             CaseEntry {
                 spec: "seed=1 chase=48 loads=2".to_owned(),
                 outcome: "pass".to_owned(),
@@ -325,13 +266,10 @@ mod tests {
                 slices: 0,
                 threads_spawned: 0,
             },
-        ] {
-            assert_eq!(CaseEntry::decode(&entry.encode()).unwrap(), entry);
-        }
+        ]
     }
 
-    #[test]
-    fn tune_entry_round_trips() {
+    fn tune_entry() -> TuneEntry {
         let row = |model: &str, moves: Vec<(String, u64)>| ssp_tune::TuneRow {
             name: "em3d".to_owned(),
             model: model.to_owned(),
@@ -350,14 +288,70 @@ mod tests {
             timeliness: ssp_sim::TimelinessCounts { early: 1, timely: 2, late: 3, useless: 4 },
             moves,
         };
-        let entry = TuneEntry {
+        TuneEntry {
             name: "em3d".to_owned(),
             seed: 11,
             rounds: 8,
             io_row: row("in-order", vec![]),
             ooo_row: row("out-of-order", vec![("force_model=basic".to_owned(), 99537)]),
+        }
+    }
+
+    #[test]
+    fn workload_entry_round_trips() {
+        let entry = mcf_entry();
+        let decoded = WorkloadEntry::decode(&entry.encode()).unwrap();
+        assert_eq!(decoded, entry);
+        let row = decoded.suite_row();
+        assert!(!row.noop);
+        assert!(!row.regression_io, "ssp_io is faster");
+
+        // The exact bytes: the entry's fields, then its four results as
+        // nested `ssp-sim-result/1` records, each pinned in `ssp-bench`.
+        let small = WorkloadEntry {
+            base_io: SimResult { cycles: 900, halted: true, ..SimResult::default() },
+            ssp_io: SimResult { cycles: 450, halted: true, ..SimResult::default() },
+            base_ooo: SimResult { cycles: 700, ..SimResult::default() },
+            ssp_ooo: SimResult::default(),
+            ..entry
         };
+        let results: String = [&small.base_io, &small.ssp_io, &small.base_ooo, &small.ssp_ooo]
+            .map(persist::encode)
+            .concat();
+        assert_eq!(
+            small.encode(),
+            format!(
+                "ssp-serve-workload/1\nname=mcf\nseed=11\nplan_digest=0123456789abcdef\n\
+                 slices=2\nskipped=1\n{results}"
+            )
+        );
+    }
+
+    #[test]
+    fn case_entry_round_trips() {
+        let texts = [
+            "ssp-serve-case/1\nspec=seed=1 chase=48 loads=2\noutcome=pass\nkinds=\nslices=3\n\
+             threads_spawned=40\n",
+            "ssp-serve-case/1\nspec=seed=9 chase=8 loads=1\noutcome=violations\n\
+             kinds=reg-mismatch,mem-mismatch\nslices=0\nthreads_spawned=0\n",
+        ];
+        for (entry, text) in case_entries().into_iter().zip(texts) {
+            assert_eq!(CaseEntry::decode(&entry.encode()).unwrap(), entry);
+            assert_eq!(entry.encode(), text);
+        }
+    }
+
+    #[test]
+    fn tune_entry_round_trips() {
+        let entry = tune_entry();
         assert_eq!(TuneEntry::decode(&entry.encode()).unwrap(), entry);
+        // The exact bytes: the entry's fields, then both rows as nested
+        // `ssp-tune-row/1` records, each pinned in `ssp-tune`.
+        let rows = persist::encode(&entry.io_row) + &persist::encode(&entry.ooo_row);
+        assert_eq!(
+            entry.encode(),
+            format!("ssp-serve-tune/1\nname=em3d\nseed=11\nrounds=8\n{rows}")
+        );
     }
 
     #[test]
@@ -370,5 +364,50 @@ mod tests {
             CaseEntry::decode("ssp-serve-workload/1\n"),
             Err(PersistError::Header { .. })
         ));
+    }
+
+    /// Every strict prefix of a payload of each of the seven formats
+    /// fails to decode: a cut entry is a miss, never a shorter value.
+    #[test]
+    fn every_strict_prefix_of_a_payload_is_rejected() {
+        fn check<R: Record>(value: &R) {
+            let text = persist::encode(value);
+            for cut in (0..text.len()).filter(|&n| text.is_char_boundary(n)) {
+                let prefix = &text[..cut];
+                assert!(
+                    persist::decode::<R>(prefix).is_err(),
+                    "{prefix:?} decoded as {}",
+                    R::FORMAT
+                );
+            }
+            assert!(persist::decode::<R>(&text).is_ok());
+        }
+        let workload = mcf_entry();
+        check(&workload.base_io);
+        check(&workload);
+        for case in case_entries() {
+            check(&case);
+        }
+        let tune = tune_entry();
+        check(&tune.ooo_row);
+        check(&tune);
+        check(&ssp_tune::Eval {
+            adapt_error: None,
+            slices: 2,
+            skipped: 1,
+            plan_digest: "ab12".to_owned(),
+            violations: vec!["reg-mismatch".to_owned()],
+            io_cycles: 98580,
+            ooo_cycles: 193960,
+        });
+        check(&ssp_tune::TelemetrySummary {
+            triggers_fired: 9,
+            slices_spawned: 7,
+            prefetches_issued: 40,
+            per_load: vec![(
+                3,
+                ssp_sim::TimelinessCounts { early: 1, timely: 2, late: 3, useless: 40 },
+            )],
+        });
     }
 }

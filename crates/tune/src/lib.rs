@@ -63,7 +63,7 @@ pub mod report;
 
 use ssp_bench::cache::{Memo, MemoStats};
 use ssp_bench::parallel;
-use ssp_bench::persist::Store;
+use ssp_bench::persist::{self, PersistError, Record, RecordReader, RecordWriter, Store};
 use ssp_core::{
     prefetch_targets, AdaptError, AdaptOptions, AdaptedBinary, MachineConfig, PostPassTool,
     Profile, SimTrace, SpModel,
@@ -79,10 +79,6 @@ pub use report::{render_report, TuneRow};
 pub const SEED: u64 = ssp_bench::SEED;
 /// Default cap on greedy rounds per (workload, model) pair.
 pub const DEFAULT_MAX_ROUNDS: usize = 8;
-/// Versioned encoding of one candidate evaluation.
-pub const EVAL_FORMAT: &str = "ssp-tune-eval/1";
-/// Versioned encoding of one telemetry read.
-pub const TELEMETRY_FORMAT: &str = "ssp-tune-telemetry/1";
 
 /// Everything a [`Tuner`] is parameterized over. The default mirrors
 /// the one-shot experiment pipeline: paper machine models, [`SEED`],
@@ -338,45 +334,38 @@ impl Eval {
     }
 }
 
-fn encode_eval(e: &Eval) -> String {
-    let viol = if e.violations.is_empty() { "-".to_owned() } else { e.violations.join(",") };
-    format!(
-        "{EVAL_FORMAT}\nadapt_error={}\nslices={}\nskipped={}\nplan_digest={}\nviolations={}\nio_cycles={}\nooo_cycles={}\n",
-        e.adapt_error.as_deref().unwrap_or("-"),
-        e.slices,
-        e.skipped,
-        e.plan_digest,
-        viol,
-        e.io_cycles,
-        e.ooo_cycles,
-    )
-}
+impl Record for Eval {
+    const FORMAT: &'static str = "ssp-tune-eval/1";
 
-fn field<'a>(lines: &mut impl Iterator<Item = &'a str>, name: &str) -> Option<&'a str> {
-    let line = lines.next()?;
-    let (k, v) = line.split_once('=')?;
-    (k == name).then_some(v)
-}
-
-fn decode_eval(text: &str) -> Option<Eval> {
-    let mut lines = text.lines();
-    if lines.next()? != EVAL_FORMAT {
-        return None;
+    fn write(&self, w: &mut RecordWriter) {
+        w.field("adapt_error", self.adapt_error.as_deref().unwrap_or("-"));
+        w.field("slices", self.slices);
+        w.field("skipped", self.skipped);
+        w.field("plan_digest", &self.plan_digest);
+        let violations =
+            if self.violations.is_empty() { "-".to_owned() } else { self.violations.join(",") };
+        w.field("violations", violations);
+        w.field("io_cycles", self.io_cycles);
+        w.field("ooo_cycles", self.ooo_cycles);
     }
-    let adapt_error = match field(&mut lines, "adapt_error")? {
-        "-" => None,
-        e => Some(e.to_owned()),
-    };
-    let slices = field(&mut lines, "slices")?.parse().ok()?;
-    let skipped = field(&mut lines, "skipped")?.parse().ok()?;
-    let plan_digest = field(&mut lines, "plan_digest")?.to_owned();
-    let violations = match field(&mut lines, "violations")? {
-        "-" => Vec::new(),
-        v => v.split(',').map(str::to_owned).collect(),
-    };
-    let io_cycles = field(&mut lines, "io_cycles")?.parse().ok()?;
-    let ooo_cycles = field(&mut lines, "ooo_cycles")?.parse().ok()?;
-    Some(Eval { adapt_error, slices, skipped, plan_digest, violations, io_cycles, ooo_cycles })
+
+    fn read(r: &mut RecordReader<'_>) -> Result<Self, PersistError> {
+        Ok(Eval {
+            adapt_error: match r.str("adapt_error")? {
+                "-" => None,
+                e => Some(e.to_owned()),
+            },
+            slices: r.parse("slices")?,
+            skipped: r.parse("skipped")?,
+            plan_digest: r.str("plan_digest")?.to_owned(),
+            violations: match r.str("violations")? {
+                "-" => Vec::new(),
+                v => v.split(',').map(str::to_owned).collect(),
+            },
+            io_cycles: r.parse("io_cycles")?,
+            ooo_cycles: r.parse("ooo_cycles")?,
+        })
+    }
 }
 
 /// Traced-simulation summary of one plan on one machine model: the
@@ -413,38 +402,33 @@ impl TelemetrySummary {
     }
 }
 
-fn encode_telemetry(t: &TelemetrySummary) -> String {
-    let mut out = format!(
-        "{TELEMETRY_FORMAT}\ntriggers_fired={}\nslices_spawned={}\nprefetches_issued={}\nloads={}\n",
-        t.triggers_fired,
-        t.slices_spawned,
-        t.prefetches_issued,
-        t.per_load.len(),
-    );
-    for (tag, h) in &t.per_load {
-        out.push_str(&format!("{tag} {} {} {} {}\n", h.early, h.timely, h.late, h.useless));
-    }
-    out
-}
+impl Record for TelemetrySummary {
+    const FORMAT: &'static str = "ssp-tune-telemetry/1";
 
-fn decode_telemetry(text: &str) -> Option<TelemetrySummary> {
-    let mut lines = text.lines();
-    if lines.next()? != TELEMETRY_FORMAT {
-        return None;
+    fn write(&self, w: &mut RecordWriter) {
+        w.field("triggers_fired", self.triggers_fired);
+        w.field("slices_spawned", self.slices_spawned);
+        w.field("prefetches_issued", self.prefetches_issued);
+        let row = |(tag, h): &(u32, TimelinessCounts)| {
+            format!("{tag} {} {} {} {}", h.early, h.timely, h.late, h.useless)
+        };
+        w.rows("loads", self.per_load.iter().map(row));
     }
-    let triggers_fired = field(&mut lines, "triggers_fired")?.parse().ok()?;
-    let slices_spawned = field(&mut lines, "slices_spawned")?.parse().ok()?;
-    let prefetches_issued = field(&mut lines, "prefetches_issued")?.parse().ok()?;
-    let loads: usize = field(&mut lines, "loads")?.parse().ok()?;
-    let mut per_load = Vec::with_capacity(loads);
-    for _ in 0..loads {
-        let mut it = lines.next()?.split(' ');
-        let tag = it.next()?.parse().ok()?;
-        let mut n = || it.next().and_then(|v| v.parse().ok());
-        let h = TimelinessCounts { early: n()?, timely: n()?, late: n()?, useless: n()? };
-        per_load.push((tag, h));
+
+    fn read(r: &mut RecordReader<'_>) -> Result<Self, PersistError> {
+        Ok(TelemetrySummary {
+            triggers_fired: r.parse("triggers_fired")?,
+            slices_spawned: r.parse("slices_spawned")?,
+            prefetches_issued: r.parse("prefetches_issued")?,
+            per_load: r.rows("loads", |row| {
+                let [tag, early, timely, late, useless] =
+                    persist::split_parse("telemetry row", row, ' ')?;
+                let tag = u32::try_from(tag)
+                    .map_err(|_| PersistError::Malformed(format!("load tag {tag} too large")))?;
+                Ok((tag, TimelinessCounts { early, timely, late, useless }))
+            })?,
+        })
     }
-    Some(TelemetrySummary { triggers_fired, slices_spawned, prefetches_issued, per_load })
 }
 
 /// One memoized answer: evaluations and telemetry reads share the
@@ -618,10 +602,10 @@ impl Tuner {
         let answer = self.memo.get(
             &key,
             &key,
-            |text| decode_eval(text).map(Answer::Eval),
+            |text| persist::decode(text).ok().map(Answer::Eval),
             || {
                 let e = self.compute_eval(w, profile, base, opts);
-                let text = encode_eval(&e);
+                let text = persist::encode(&e);
                 (Answer::Eval(e), text)
             },
         );
@@ -703,10 +687,10 @@ impl Tuner {
         let answer = self.memo.get(
             &key,
             &key,
-            |text| decode_telemetry(text).map(Answer::Telemetry),
+            |text| persist::decode(text).ok().map(Answer::Telemetry),
             || {
                 let t = self.compute_telemetry(w, profile, opts, target);
-                let text = encode_telemetry(&t);
+                let text = persist::encode(&t);
                 (Answer::Telemetry(t), text)
             },
         );
@@ -879,6 +863,7 @@ impl Tuner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssp_bench::persist::{decode, encode};
 
     #[test]
     fn classify_maps_dominant_counts_to_signals() {
@@ -928,10 +913,20 @@ mod tests {
             io_cycles: 1234,
             ooo_cycles: 987,
         };
-        assert_eq!(decode_eval(&encode_eval(&e)), Some(e.clone()));
+        assert_eq!(decode(&encode(&e)), Ok(e.clone()));
+        assert_eq!(
+            encode(&e),
+            "ssp-tune-eval/1\nadapt_error=-\nslices=3\nskipped=2\nplan_digest=ab12\n\
+             violations=reg-mismatch,spec-store\nio_cycles=1234\nooo_cycles=987\n"
+        );
         let err = Eval { adapt_error: Some("lint".to_owned()), violations: Vec::new(), ..e };
-        assert_eq!(decode_eval(&encode_eval(&err)), Some(err));
-        assert_eq!(decode_eval("garbage"), None);
+        assert_eq!(decode(&encode(&err)), Ok(err.clone()));
+        assert_eq!(
+            encode(&err),
+            "ssp-tune-eval/1\nadapt_error=lint\nslices=3\nskipped=2\nplan_digest=ab12\n\
+             violations=-\nio_cycles=1234\nooo_cycles=987\n"
+        );
+        assert!(decode::<Eval>("garbage").is_err());
     }
 
     #[test]
@@ -945,10 +940,15 @@ mod tests {
                 (9, TimelinessCounts { early: 0, timely: 5, late: 0, useless: 1 }),
             ],
         };
-        let decoded = decode_telemetry(&encode_telemetry(&t)).expect("roundtrip");
+        let decoded = decode::<TelemetrySummary>(&encode(&t)).expect("roundtrip");
         assert_eq!(decoded, t);
         assert_eq!(decoded.totals().total(), 16);
-        assert_eq!(decode_telemetry(""), None);
+        assert_eq!(
+            encode(&t),
+            "ssp-tune-telemetry/1\ntriggers_fired=9\nslices_spawned=7\nprefetches_issued=40\n\
+             loads=2\n3 1 2 3 4\n9 0 5 0 1\n"
+        );
+        assert!(decode::<TelemetrySummary>("").is_err());
     }
 
     /// A cycle-capped tuner (tier-1 runs these in a debug build) and
@@ -1054,20 +1054,51 @@ mod tests {
         let base = oracle::baseline_snapshots(&w.program, &config.io, &config.ooo);
         let opts = AdaptOptions::default();
         let first = tuner();
-        let cold = encode_eval(&first.evaluate(&w, &profile, &base, &opts));
+        let cold = encode(&first.evaluate(&w, &profile, &base, &opts));
 
-        // Keep the entry's key header, cut its payload in half.
+        // Keep the entry's key header; cut its payload in half, then by
+        // just its last two bytes (`ooo_cycles` loses a digit).
         let key = format!("tune-eval {} {}", first.identity(&w), opts.fingerprint());
         let (store, shard) = (first.memo.store().unwrap(), Store::shard_of(&key));
         let payload = store.load(&shard, &key).expect("the cold run wrote its entry");
-        store.save(&shard, &key, &payload[..payload.len() / 2]).unwrap();
+        for cut in [payload.len() / 2, payload.len() - 2] {
+            store.save(&shard, &key, &payload[..cut]).unwrap();
+            let repaired = tuner();
+            assert_eq!(encode(&repaired.evaluate(&w, &profile, &base, &opts)), cold);
+            assert_eq!(repaired.stats(), MemoStats { hits: 0, disk_hits: 0, misses: 1 });
+            let warm = tuner();
+            assert_eq!(encode(&warm.evaluate(&w, &profile, &base, &opts)), cold);
+            assert_eq!(warm.stats(), MemoStats { hits: 0, disk_hits: 1, misses: 0 });
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn an_oversized_row_count_in_a_telemetry_entry_is_a_miss() {
+        let root = std::env::temp_dir().join(format!("ssp-tune-oversized-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let tuner = || capped_mcf().0.with_store(Store::open(&root).unwrap());
+        let w = ssp_workloads::mcf::build(SEED);
+        let opts = AdaptOptions::default();
+        let read =
+            |t: &Tuner| encode(&t.telemetry(&w, &t.inputs(&w).0, &opts, TargetModel::InOrder));
+        let first = tuner();
+        let cold = read(&first);
+
+        // An 11-digit row count must not size an allocation: the entry
+        // is one counted miss, and the recompute answers the cold bytes.
+        let key =
+            format!("tune-telemetry {} target=in-order {}", first.identity(&w), opts.fingerprint());
+        let (store, shard) = (first.memo.store().unwrap(), Store::shard_of(&key));
+        let payload = store.load(&shard, &key).expect("the cold run wrote its entry");
+        let loads = decode::<TelemetrySummary>(&payload).unwrap().per_load.len();
+        let forged = payload.replacen(&format!("\nloads={loads}\n"), "\nloads=99999999999\n", 1);
+        assert_ne!(forged, payload);
+        store.save(&shard, &key, &forged).unwrap();
 
         let repaired = tuner();
-        assert_eq!(encode_eval(&repaired.evaluate(&w, &profile, &base, &opts)), cold);
+        assert_eq!(read(&repaired), cold);
         assert_eq!(repaired.stats(), MemoStats { hits: 0, disk_hits: 0, misses: 1 });
-        let warm = tuner();
-        assert_eq!(encode_eval(&warm.evaluate(&w, &profile, &base, &opts)), cold);
-        assert_eq!(warm.stats(), MemoStats { hits: 0, disk_hits: 1, misses: 0 });
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -1,5 +1,5 @@
 //! The `ssp-tune-report/1` document and the per-row `ssp-tune-row/1`
-//! line encoding (what `ssp-serve` persists for `tune` requests).
+//! record (what `ssp-serve` persists for `tune` requests).
 //!
 //! Rendering is fully deterministic: fields in fixed order, integers
 //! only (speedup is rendered with four fixed decimals), moves in
@@ -7,12 +7,11 @@
 //! byte-identical documents regardless of worker count or cache
 //! temperature.
 
+use ssp_bench::persist::{parse, split_parse, PersistError, Record, RecordReader, RecordWriter};
 use ssp_trace::TimelinessCounts;
 
 /// Versioned schema name of the report document.
 pub const REPORT_FORMAT: &str = "ssp-tune-report/1";
-/// Versioned line encoding of one row.
-pub const ROW_FORMAT: &str = "ssp-tune-row/1";
 
 /// The outcome of tuning one workload on one machine model.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -132,107 +131,64 @@ pub fn render_report(
     out
 }
 
-/// Encode one row in the key=value line format the serve store uses.
-pub fn encode_row(r: &TuneRow) -> String {
-    let mut out = format!(
-        concat!(
-            "{}\nname={}\nmodel={}\nbase_cycles={}\ndefault_cycles={}\n",
-            "default_noop={}\ntuned_cycles={}\ntuned_slices={}\nplan_digest={}\n",
-            "verdict={}\nrounds={}\ncandidates={}\nemitting_candidates={}\n",
-            "best_candidate_cycles={}\ntimeliness={},{},{},{}\nopts={}\nmoves={}\n"
-        ),
-        ROW_FORMAT,
-        r.name,
-        r.model,
-        r.base_cycles,
-        r.default_cycles,
-        r.default_noop,
-        r.tuned_cycles,
-        r.tuned_slices,
-        r.tuned_plan_digest,
-        r.verdict,
-        r.rounds,
-        r.candidates,
-        r.emitting_candidates,
-        r.best_candidate_cycles,
-        r.timeliness.early,
-        r.timeliness.timely,
-        r.timeliness.late,
-        r.timeliness.useless,
-        r.tuned_opts,
-        r.moves.len(),
-    );
-    for (label, cycles) in &r.moves {
-        out.push_str(&format!("{cycles} {label}\n"));
-    }
-    out
-}
+impl Record for TuneRow {
+    const FORMAT: &'static str = "ssp-tune-row/1";
 
-fn field<'a>(lines: &mut impl Iterator<Item = &'a str>, name: &str) -> Option<&'a str> {
-    let line = lines.next()?;
-    let (k, v) = line.split_once('=')?;
-    (k == name).then_some(v)
-}
-
-/// Decode [`encode_row`] output. `None` on any structural mismatch
-/// (treat as a cache miss and recompute).
-pub fn decode_row(text: &str) -> Option<TuneRow> {
-    decode_row_stream(&mut text.lines())
-}
-
-/// Decode one row from a shared line cursor, consuming exactly the
-/// lines [`encode_row`] produced — callers holding several
-/// concatenated rows (the serve store's tune entry) call this per row.
-pub fn decode_row_stream(lines: &mut std::str::Lines<'_>) -> Option<TuneRow> {
-    if lines.next()? != ROW_FORMAT {
-        return None;
+    fn write(&self, w: &mut RecordWriter) {
+        w.field("name", &self.name);
+        w.field("model", &self.model);
+        w.field("base_cycles", self.base_cycles);
+        w.field("default_cycles", self.default_cycles);
+        w.field("default_noop", self.default_noop);
+        w.field("tuned_cycles", self.tuned_cycles);
+        w.field("tuned_slices", self.tuned_slices);
+        w.field("plan_digest", &self.tuned_plan_digest);
+        w.field("verdict", &self.verdict);
+        w.field("rounds", self.rounds);
+        w.field("candidates", self.candidates);
+        w.field("emitting_candidates", self.emitting_candidates);
+        w.field("best_candidate_cycles", self.best_candidate_cycles);
+        let TimelinessCounts { early, timely, late, useless } = self.timeliness;
+        w.field("timeliness", format_args!("{early},{timely},{late},{useless}"));
+        w.field("opts", &self.tuned_opts);
+        w.rows("moves", self.moves.iter().map(|(label, cycles)| format!("{cycles} {label}")));
     }
-    let name = field(&mut *lines, "name")?.to_owned();
-    let model = field(&mut *lines, "model")?.to_owned();
-    let base_cycles = field(&mut *lines, "base_cycles")?.parse().ok()?;
-    let default_cycles = field(&mut *lines, "default_cycles")?.parse().ok()?;
-    let default_noop = field(&mut *lines, "default_noop")?.parse().ok()?;
-    let tuned_cycles = field(&mut *lines, "tuned_cycles")?.parse().ok()?;
-    let tuned_slices = field(&mut *lines, "tuned_slices")?.parse().ok()?;
-    let tuned_plan_digest = field(&mut *lines, "plan_digest")?.to_owned();
-    let verdict = field(&mut *lines, "verdict")?.to_owned();
-    let rounds = field(&mut *lines, "rounds")?.parse().ok()?;
-    let candidates = field(&mut *lines, "candidates")?.parse().ok()?;
-    let emitting_candidates = field(&mut *lines, "emitting_candidates")?.parse().ok()?;
-    let best_candidate_cycles = field(&mut *lines, "best_candidate_cycles")?.parse().ok()?;
-    let mut counts = field(&mut *lines, "timeliness")?.split(',');
-    let mut n = || counts.next().and_then(|v| v.parse().ok());
-    let timeliness = TimelinessCounts { early: n()?, timely: n()?, late: n()?, useless: n()? };
-    let tuned_opts = field(&mut *lines, "opts")?.to_owned();
-    let count: usize = field(&mut *lines, "moves")?.parse().ok()?;
-    let mut moves = Vec::with_capacity(count);
-    for _ in 0..count {
-        let (cycles, label) = lines.next()?.split_once(' ')?;
-        moves.push((label.to_owned(), cycles.parse().ok()?));
+
+    fn read(r: &mut RecordReader<'_>) -> Result<Self, PersistError> {
+        Ok(TuneRow {
+            name: r.str("name")?.to_owned(),
+            model: r.str("model")?.to_owned(),
+            base_cycles: r.parse("base_cycles")?,
+            default_cycles: r.parse("default_cycles")?,
+            default_noop: r.parse("default_noop")?,
+            tuned_cycles: r.parse("tuned_cycles")?,
+            tuned_slices: r.parse("tuned_slices")?,
+            tuned_plan_digest: r.str("plan_digest")?.to_owned(),
+            verdict: r.str("verdict")?.to_owned(),
+            rounds: r.parse("rounds")?,
+            candidates: r.parse("candidates")?,
+            emitting_candidates: r.parse("emitting_candidates")?,
+            best_candidate_cycles: r.parse("best_candidate_cycles")?,
+            timeliness: {
+                let [early, timely, late, useless] =
+                    split_parse("timeliness", r.str("timeliness")?, ',')?;
+                TimelinessCounts { early, timely, late, useless }
+            },
+            tuned_opts: r.str("opts")?.to_owned(),
+            moves: r.rows("moves", |row| {
+                let (cycles, label) = row
+                    .split_once(' ')
+                    .ok_or_else(|| PersistError::Malformed(format!("bad move row {row:?}")))?;
+                Ok((label.to_owned(), parse("move cycles", cycles)?))
+            })?,
+        })
     }
-    Some(TuneRow {
-        name,
-        model,
-        base_cycles,
-        default_cycles,
-        default_noop,
-        tuned_cycles,
-        tuned_slices,
-        tuned_plan_digest,
-        tuned_opts,
-        verdict,
-        rounds,
-        candidates,
-        emitting_candidates,
-        best_candidate_cycles,
-        timeliness,
-        moves,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssp_bench::persist::{decode, encode};
 
     fn sample() -> TuneRow {
         TuneRow {
@@ -261,10 +217,19 @@ mod tests {
     #[test]
     fn row_roundtrips_through_the_codec() {
         let r = sample();
-        assert_eq!(decode_row(&encode_row(&r)), Some(r.clone()));
+        assert_eq!(decode(&encode(&r)), Ok(r.clone()));
+        assert_eq!(
+            encode(&r),
+            "ssp-tune-row/1\nname=em3d\nmodel=out-of-order\nbase_cycles=98634\n\
+             default_cycles=139867\ndefault_noop=false\ntuned_cycles=98509\ntuned_slices=2\n\
+             plan_digest=ab12cd34\nverdict=win\nrounds=4\ncandidates=41\n\
+             emitting_candidates=30\nbest_candidate_cycles=98509\ntimeliness=1,22,3,4\n\
+             opts=ssp-adapt-options/1 coverage=0.99\nmoves=2\n99537 force_model=basic\n\
+             98738 coverage=0.99\n"
+        );
         let bare = TuneRow { moves: Vec::new(), ..r };
-        assert_eq!(decode_row(&encode_row(&bare)), Some(bare));
-        assert_eq!(decode_row("not a row"), None);
+        assert_eq!(decode(&encode(&bare)), Ok(bare));
+        assert!(decode::<TuneRow>("not a row").is_err());
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //! debug build; capped configs fingerprint differently from the paper
 //! configs, so these cache entries can never pollute a real store.
 
-use ssp_bench::persist::Store;
+use ssp_bench::persist::{decode, encode, Store};
 use ssp_core::MachineConfig;
-use ssp_tune::report::{decode_row, encode_row};
-use ssp_tune::{render_report, TuneConfig, Tuner, SEED};
+use ssp_tune::{render_report, TuneConfig, TuneRow, Tuner, SEED};
 use std::path::PathBuf;
 
 const MAX_CYCLES: u64 = 120_000;
@@ -92,7 +91,7 @@ fn produced_rows_roundtrip_through_the_row_codec() {
     let w = ssp_workloads::by_name("em3d", cfg.seed).expect("suite name");
     for target in ssp_tune::TargetModel::BOTH {
         let row = tuner.tune_workload(&w, target);
-        let decoded = decode_row(&encode_row(&row));
-        assert_eq!(decoded.as_ref(), Some(&row), "row codec drift for {} {}", row.name, row.model);
+        let decoded = decode::<TuneRow>(&encode(&row));
+        assert_eq!(decoded.as_ref(), Ok(&row), "row codec drift for {} {}", row.name, row.model);
     }
 }
