@@ -54,7 +54,7 @@ pub struct MemoStats {
 /// A sharded memo of pure answers, optionally backed by a [`Store`].
 ///
 /// The contract, shared by the simulation memo here, `ssp-serve`'s
-/// response memo and `ssp-tune`'s evaluation memo:
+/// response memo and `ssp-tune`'s candidate memo:
 ///
 /// * **Per-key `OnceLock`.** Each key maps to its own cell, so when
 ///   several threads look up one key, the first computes and the rest
@@ -243,9 +243,9 @@ fn process_memo() -> &'static Memo<SimResult> {
     MEMO.get_or_init(Memo::default)
 }
 
-/// Attach an on-disk store to the process-default memo. The daemon
-/// attaches its `--store` directory at start-up, so workload
-/// simulations survive restarts along with the serve-level entries.
+/// Attach an on-disk store to the process-default memo. Nothing in this
+/// workspace calls it: it exists for the benchmark's replayer
+/// (`perfbench/tracer`), which attaches its scratch store to this memo.
 pub fn attach_store(store: Store) {
     process_memo().attach_store(store);
 }

@@ -11,9 +11,10 @@
 //! so row order and every number are identical to a serial run — the
 //! `fig8`, `fig2`, `table2`, `fig9`, `fig10`, and `perf_report` binaries
 //! all fan out this way (worker count from `SSP_THREADS`, default: all
-//! cores), while the remaining binaries are serial. The single-benchmark
-//! entry points ([`run_benchmark`], [`fig2_row`]) stay serial and are
-//! the reference the parallel paths are tested against.
+//! cores), while the remaining binaries are serial. The determinism
+//! tests compare each fan-out at one worker against several. The
+//! single-benchmark entry points ([`run_benchmark_configured`],
+//! [`fig2_row`]) run serially on the calling thread.
 //!
 //! Absolute numbers differ from the paper (our substrate is a synthetic
 //! simulator and synthetic workloads; see DESIGN.md), but the *shape* —
@@ -178,36 +179,16 @@ pub fn suite_row_json(r: &SuiteRow) -> String {
 
 /// Run the full tool + simulation pipeline for one benchmark: profile,
 /// adapt, then simulate all four configurations (the paper evaluates the
-/// same enhanced binary on both machine models). Serial.
-pub fn run_benchmark(w: &Workload) -> BenchmarkRun {
-    run_benchmark_with(w, &AdaptOptions::default())
-}
-
-/// [`run_benchmark`] with explicit adaptation options (for ablations).
-pub fn run_benchmark_with(w: &Workload, opts: &AdaptOptions) -> BenchmarkRun {
-    run_benchmark_configured(w, opts, &MachineConfig::in_order(), &MachineConfig::out_of_order())
-}
-
-/// [`run_benchmark_with`] against explicit machine models (tests use
-/// cycle-capped configs so debug-build runs stay fast).
+/// same enhanced binary on both machine models), serially on the calling
+/// thread. Tests pass cycle-capped machine models so debug-build runs
+/// stay fast.
 pub fn run_benchmark_configured(
     w: &Workload,
     opts: &AdaptOptions,
     io: &MachineConfig,
     ooo: &MachineConfig,
 ) -> BenchmarkRun {
-    let tool = PostPassTool::new(io.clone()).with_options(opts.clone());
-    let adapted = tool.run(&w.program).expect("adaptation succeeds");
-    let opts_fp = opts.fingerprint();
-    let tool_fp = io.fingerprint();
-    BenchmarkRun {
-        name: w.name,
-        base_io: cache::baseline(w, io),
-        ssp_io: cache::adapted(w, &opts_fp, &tool_fp, &adapted.program, io),
-        base_ooo: cache::baseline(w, ooo),
-        ssp_ooo: cache::adapted(w, &opts_fp, &tool_fp, &adapted.program, ooo),
-        report: adapted.report,
-    }
+    run_suite_configured(std::slice::from_ref(w), opts, io, ooo, 1).remove(0)
 }
 
 /// Run the whole suite with the experiments' default configuration,
@@ -222,13 +203,13 @@ pub fn run_suite(ws: &[Workload]) -> Vec<BenchmarkRun> {
     )
 }
 
-/// Run [`run_benchmark_configured`] over a suite on `workers` threads.
+/// Run the tool + simulation pipeline over a suite on `workers` threads.
 ///
 /// Two phases, each an indexed fan-out: first every workload is adapted
 /// (profile + slice + codegen are independent per binary), then all
 /// `4 × N` simulations run as one task list. Results are reassembled by
-/// workload index, so output order and every statistic match the serial
-/// path exactly; with `workers == 1` this *is* the serial path.
+/// workload index, so output order and every statistic match a serial
+/// run exactly; with `workers == 1` this *is* the serial run.
 pub fn run_suite_configured(
     ws: &[Workload],
     opts: &AdaptOptions,

@@ -39,9 +39,10 @@
 //! <root>/<shard>/<fnv64(key):016x>.entry
 //! ```
 //!
-//! where `<shard>` is any caller-chosen shard name — `ssp-serve` and
-//! the baseline cache both use [`Store::shard_of`] over the machine
-//! config fingerprint, so one machine model's entries live together.
+//! where `<shard>` is any caller-chosen shard name — every caller uses
+//! [`Store::shard_of`] over its memo group (a configuration fingerprint
+//! for `ssp-serve` and the simulation memo, the workload identity for
+//! the tuner), so one group's entries live together.
 
 use ssp_core::SimResult;
 use ssp_ir::InstTag;
@@ -339,9 +340,10 @@ impl Record for SimResult {
 /// A sharded on-disk store of versioned entries with atomic writes.
 ///
 /// See the module docs for the layout. A `Store` is cheap to open and
-/// safe to share across threads (all methods take `&self`; the
-/// filesystem provides the synchronization via atomic renames).
-#[derive(Debug)]
+/// to clone, and safe to share across threads (all methods take
+/// `&self`; the filesystem provides the synchronization via atomic
+/// renames).
+#[derive(Clone, Debug)]
 pub struct Store {
     root: PathBuf,
 }

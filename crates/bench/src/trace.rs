@@ -91,35 +91,6 @@ pub struct TraceRow {
     pub models: Vec<ModelTrace>,
 }
 
-/// Compute one workload's [`TraceRow`] serially: traced adaptation with
-/// the in-order tool (the paper shares one enhanced binary across both
-/// models), then baseline and traced-SSP simulation per model.
-pub fn trace_row(
-    w: &Workload,
-    opts: &AdaptOptions,
-    io: &MachineConfig,
-    ooo: &MachineConfig,
-) -> TraceRow {
-    let tool = PostPassTool::new(io.clone()).with_options(opts.clone());
-    let (adapted, tool_trace) = tool.run_traced(&w.program).expect("adaptation succeeds");
-    let targets = prefetch_targets(&adapted);
-    let models = [("in_order", io), ("out_of_order", ooo)]
-        .into_iter()
-        .map(|(model, mc)| {
-            let base = simulate(&w.program, mc);
-            let (ssp, sim) = simulate_traced(&adapted.program, mc, &targets);
-            ModelTrace { model, base_cycles: base.cycles, ssp_cycles: ssp.cycles, sim }
-        })
-        .collect();
-    TraceRow {
-        name: w.name,
-        tool: tool_trace,
-        delinquent: adapted.report.delinquent.iter().map(|t| t.0).collect(),
-        slices: adapted.report.slice_count(),
-        models,
-    }
-}
-
 /// Compute every workload's [`TraceRow`] with the experiments' default
 /// configuration on [`parallel::threads`] workers.
 pub fn trace_rows(ws: &[Workload]) -> Vec<TraceRow> {
@@ -135,9 +106,10 @@ pub fn trace_rows(ws: &[Workload]) -> Vec<TraceRow> {
 /// [`trace_rows`] against explicit options/machines/worker count.
 ///
 /// Two indexed fan-outs, mirroring [`crate::run_suite_configured`]:
-/// first every workload's traced adaptation, then all `4 × N`
-/// simulations (baseline and traced-SSP on each model). Results are
-/// reassembled by workload index, so rows — and therefore
+/// first every workload's traced adaptation with the in-order tool (the
+/// paper shares one enhanced binary across both models), then all
+/// `4 × N` simulations (baseline and traced-SSP on each model). Results
+/// are reassembled by workload index, so rows — and therefore
 /// [`render_json`] output — are identical to a serial run.
 pub fn trace_rows_configured(
     ws: &[Workload],
@@ -402,7 +374,7 @@ mod tests {
         io.max_cycles = 120_000;
         let mut ooo = MachineConfig::out_of_order();
         ooo.max_cycles = 120_000;
-        let row = trace_row(&w, &AdaptOptions::default(), &io, &ooo);
+        let row = trace_rows_configured(&[w], &AdaptOptions::default(), &io, &ooo, 1).remove(0);
         assert!(row.slices >= 1);
         assert!(!row.delinquent.is_empty());
         assert_eq!(row.models.len(), 2);

@@ -4,7 +4,10 @@
 //! the post-pass tool, and runs baseline and adapted binaries on *both*
 //! machine models ([`MachineConfig::in_order`] and
 //! [`MachineConfig::out_of_order`]), asserting the adaptation is
-//! semantically transparent:
+//! semantically transparent. The adapted binary goes through one gate,
+//! [`check_adapted_with`] against the program's [`baseline_snapshots`];
+//! the `ssp-tune` auto-tuner runs every candidate plan through the same
+//! gate. The checks:
 //!
 //! * identical final architectural state — registers the original
 //!   program mentions, the memory image, and the trap status;
@@ -16,12 +19,16 @@
 //!   static trigger;
 //! * static/dynamic agreement — a dynamic invariant violation on a
 //!   binary the `ssp-lint` static verifier passed clean is reported as
-//!   a `lint-blind-spot` meta-bug in its own right;
-//! * engine agreement — every simulation is also replayed on the
-//!   stepped (fast-forward-disabled) engine, and any difference in
-//!   statistics or architectural snapshot is an `engine-divergence`
-//!   violation, so the fuzzer hammers the clock-skip logic with the
-//!   same random programs it uses against the adapter.
+//!   a `lint-blind-spot` meta-bug in its own right (`run_case` only);
+//! * engine agreement — each of the case's four simulations is also
+//!   replayed on the stepped (fast-forward-disabled) engine, and any
+//!   difference in statistics or architectural snapshot is an
+//!   `engine-divergence` violation, so the fuzzer hammers the
+//!   clock-skip logic with the same random programs it uses against the
+//!   adapter (`run_case` only).
+//!
+//! A case's violation kinds are reported once each, in first-seen order
+//! ([`kinds`]).
 //!
 //! Nothing in this path panics on a bad case: generator, tool, and
 //! checker failures all become [`Violation`]s in the returned
@@ -61,6 +68,19 @@ pub struct Violation {
     pub kind: &'static str,
     /// Human-readable specifics.
     pub detail: String,
+}
+
+/// The distinct kinds of `violations`, in first-seen order: the kind
+/// list every verdict reports (case answers, batch summaries and the
+/// tuner's evaluations).
+pub fn kinds(violations: &[Violation]) -> Vec<String> {
+    let mut out: Vec<String> = Vec::new();
+    for v in violations {
+        if !out.iter().any(|k| k == v.kind) {
+            out.push(v.kind.to_owned());
+        }
+    }
+    out
 }
 
 /// How one case ended.
@@ -128,14 +148,10 @@ impl CaseResult {
     }
 
     /// Deduplicated violation kinds, in first-seen order (empty unless
-    /// the outcome is `violations`).
+    /// the outcome is `violations`); see [`kinds`].
     pub fn violation_kinds(&self) -> Vec<String> {
         match &self.outcome {
-            CaseOutcome::Violations(vs) => {
-                let mut kinds: Vec<String> = vs.iter().map(|v| v.kind.to_owned()).collect();
-                kinds.dedup();
-                kinds
-            }
+            CaseOutcome::Violations(vs) => kinds(vs),
             _ => Vec::new(),
         }
     }
@@ -151,13 +167,13 @@ impl CaseResult {
         )
     }
 
+    /// A verdict reached before any adapted run: no slices, no threads.
+    fn early(spec: &CaseSpec, outcome: CaseOutcome) -> Self {
+        CaseResult { spec: spec.clone(), outcome, slices: 0, threads_spawned: 0 }
+    }
+
     fn failed(spec: &CaseSpec, kind: &'static str, detail: String) -> Self {
-        CaseResult {
-            spec: spec.clone(),
-            outcome: CaseOutcome::Violations(vec![Violation { kind, detail }]),
-            slices: 0,
-            threads_spawned: 0,
-        }
+        Self::early(spec, CaseOutcome::Violations(vec![Violation { kind, detail }]))
     }
 }
 
@@ -205,23 +221,11 @@ fn check_single_trigger(adapted: &Program, out: &mut Vec<Violation>) {
     }
 }
 
-/// Compare one baseline/adapted snapshot pair on one machine model.
-fn check_model(
-    model: &str,
-    base: &ArchSnapshot,
-    adapted: &ArchSnapshot,
-    adapted_res: &SimResult,
-    mentioned: &[bool],
-    out: &mut Vec<Violation>,
-) {
-    check_equivalence(model, base, adapted, mentioned, out);
-    check_ssp_invariants(model, adapted, adapted_res, out);
-}
-
-/// The architectural-equivalence half of [`check_model`]: trap status,
-/// tag-filtered commit stream, mentioned registers, memory digest.
-/// Meaningless when the baseline hit the cycle cap (the baseline never
-/// reached its final state), so capped-baseline callers skip this half.
+/// The architectural-equivalence half of the per-model checks: trap
+/// status, tag-filtered commit stream, mentioned registers, memory
+/// digest. Meaningless when the baseline hit the cycle cap (the baseline
+/// never reached its final state), so [`check_adapted_with`] skips it
+/// there.
 fn check_equivalence(
     model: &str,
     base: &ArchSnapshot,
@@ -273,7 +277,7 @@ fn check_equivalence(
     }
 }
 
-/// The dynamic SSP-invariant half of [`check_model`]: spec-store
+/// The dynamic SSP-invariant half of the per-model checks: spec-store
 /// freedom and spawn balance. Valid on any run, capped or not.
 fn check_ssp_invariants(
     model: &str,
@@ -363,8 +367,8 @@ pub fn baseline_snapshots(
 }
 
 /// Run the oracle's invariant and equivalence checks on one
-/// already-adapted binary — the same checks [`run_case`] applies to its
-/// generated programs, exposed for harnesses (the `ssp-tune` optimizer)
+/// already-adapted binary — the gate [`run_case`] runs its generated
+/// programs through, exposed for harnesses (the `ssp-tune` optimizer)
 /// that adapt real workloads with non-default options and must prove
 /// every candidate plan transparent before trusting its cycle count:
 ///
@@ -420,101 +424,54 @@ pub fn check_adapted_with(
     (violations, runs)
 }
 
-/// Run the full differential check for one case.
+/// Run the full differential check for one case: generate the program,
+/// take its [`baseline_snapshots`], adapt it once against the in-order
+/// profile (as the paper does), and gate that one binary on both models
+/// with [`check_adapted_with`]. Each of the four runs is also replayed
+/// on the stepped engine, and a dynamic violation of an invariant the
+/// static linter claims to prove is cross-checked against `ssp-lint`.
 pub fn run_case(spec: &CaseSpec, ocfg: &OracleConfig) -> CaseResult {
     let prog = match gen::generate(spec) {
         Ok(p) => p,
         Err(e) => return CaseResult::failed(spec, "generate-verify", e.to_string()),
     };
-    let bound = prog.next_tag;
     let mut io = MachineConfig::in_order();
     io.max_cycles = ocfg.max_cycles;
     let mut ooo = MachineConfig::out_of_order();
     ooo.max_cycles = ocfg.max_cycles;
-
-    let (b_io_res, base_io) = simulate_snapshot(&prog, &io, bound);
-    let (b_ooo_res, base_ooo) = simulate_snapshot(&prog, &ooo, bound);
+    let models = [("in-order", &io), ("out-of-order", &ooo)];
 
     // Engine agreement is checked even on capped baselines — a capped
     // run is exactly where a fast-forward jump could overshoot the cap.
+    let base = baseline_snapshots(&prog, &io, &ooo);
     let mut violations = Vec::new();
-    check_engines(
-        "in-order",
-        "baseline",
-        &prog,
-        &io,
-        bound,
-        (&b_io_res, &base_io),
-        &mut violations,
-    );
-    check_engines(
-        "out-of-order",
-        "baseline",
-        &prog,
-        &ooo,
-        bound,
-        (&b_ooo_res, &base_ooo),
-        &mut violations,
-    );
-    if !violations.is_empty() {
-        return CaseResult {
-            spec: spec.clone(),
-            outcome: CaseOutcome::Violations(violations),
-            slices: 0,
-            threads_spawned: 0,
-        };
+    for ((model, cfg), (res, snap)) in models.into_iter().zip([&base.io, &base.ooo]) {
+        check_engines(model, "baseline", &prog, cfg, base.bound, (res, snap), &mut violations);
     }
-    if base_io.trap == TrapKind::CycleCap || base_ooo.trap == TrapKind::CycleCap {
-        return CaseResult {
-            spec: spec.clone(),
-            outcome: CaseOutcome::BaselineCapped,
-            slices: 0,
-            threads_spawned: 0,
-        };
+    if !violations.is_empty() {
+        return CaseResult::early(spec, CaseOutcome::Violations(violations));
+    }
+    if base.io.1.trap == TrapKind::CycleCap || base.ooo.1.trap == TrapKind::CycleCap {
+        return CaseResult::early(spec, CaseOutcome::BaselineCapped);
     }
 
-    // Adapt once against the in-order profile (as the paper does) and
-    // check the same binary on both models.
     let adapted = match PostPassTool::new(io.clone()).run(&prog) {
         Ok(a) => a,
         Err(e) => return CaseResult::failed(spec, "adapt-error", e.to_string()),
     };
-
-    if let Err(e) = ssp_ir::verify::verify_speculative(&adapted.program) {
-        violations.push(Violation { kind: "store-in-slice", detail: e.to_string() });
+    let (mut violations, runs) = check_adapted_with(&adapted.program, &base, &io, &ooo, None);
+    for ((model, cfg), run) in models.into_iter().zip(&runs) {
+        let snap = run.snapshot.as_ref().expect("snapshot requested");
+        let fast = (&run.result, snap);
+        check_engines(model, "adapted", &adapted.program, cfg, base.bound, fast, &mut violations);
     }
-    check_single_trigger(&adapted.program, &mut violations);
-
-    let mentioned = mentioned_regs(&prog);
-    let (a_io_res, a_io) = simulate_snapshot(&adapted.program, &io, bound);
-    let (a_ooo_res, a_ooo) = simulate_snapshot(&adapted.program, &ooo, bound);
-    check_engines(
-        "in-order",
-        "adapted",
-        &adapted.program,
-        &io,
-        bound,
-        (&a_io_res, &a_io),
-        &mut violations,
-    );
-    check_engines(
-        "out-of-order",
-        "adapted",
-        &adapted.program,
-        &ooo,
-        bound,
-        (&a_ooo_res, &a_ooo),
-        &mut violations,
-    );
-    check_model("in-order", &base_io, &a_io, &a_io_res, &mentioned, &mut violations);
-    check_model("out-of-order", &base_ooo, &a_ooo, &a_ooo_res, &mentioned, &mut violations);
 
     // Cross-check static vs dynamic verdicts: every invariant the
     // `ssp-lint` static verifier claims to prove also has a dynamic
-    // detector above. A dynamic violation of one of those on a binary
-    // the linter passed means a linter blind spot — itself a reported
-    // meta-bug (the reverse direction is covered by the adapt gate:
-    // a dirty lint never reaches simulation).
+    // detector in the gate. A dynamic violation of one of those on a
+    // binary the linter passed means a linter blind spot — itself a
+    // reported meta-bug (the reverse direction is covered by the adapt
+    // gate: a dirty lint never reaches simulation).
     const LINTED_KINDS: [&str; 4] = ["store-in-slice", "multi-trigger", "spec-store", "spawn-leak"];
     if violations.iter().any(|v| LINTED_KINDS.contains(&v.kind))
         && ssp_core::lint_binary(&prog, &adapted).is_clean()
@@ -534,7 +491,7 @@ pub fn run_case(spec: &CaseSpec, ocfg: &OracleConfig) -> CaseResult {
             CaseOutcome::Violations(violations)
         },
         slices: adapted.report.slice_count(),
-        threads_spawned: a_io_res.threads_spawned + a_ooo_res.threads_spawned,
+        threads_spawned: runs.iter().map(|r| r.result.threads_spawned).sum(),
     }
 }
 
@@ -571,9 +528,7 @@ pub fn summarize<'a>(results: impl IntoIterator<Item = &'a CaseResult>) -> Summa
             CaseOutcome::BaselineCapped => s.baseline_capped += 1,
             CaseOutcome::Violations(vs) => {
                 s.violations += 1;
-                let mut kinds: Vec<String> = vs.iter().map(|v| v.kind.to_owned()).collect();
-                kinds.dedup();
-                s.failures.push((r.spec.to_string(), kinds));
+                s.failures.push((r.spec.to_string(), kinds(vs)));
             }
         }
     }
@@ -654,6 +609,28 @@ mod tests {
         assert_eq!(a.to_json(), b.to_json());
         assert_eq!(a.cases, 6);
         assert_eq!(a.passed + a.baseline_capped + a.violations, a.cases);
+    }
+
+    /// A binary that corrupts a register and memory on both models: the
+    /// equivalence checks run model by model, so the kinds repeat
+    /// non-adjacently, and every kind list keeps each one once.
+    #[test]
+    fn violation_kinds_are_distinct_in_first_seen_order() {
+        let v = |kind, model| Violation { kind, detail: format!("{model}: differs") };
+        let result = CaseResult {
+            spec: CaseSpec::parse("seed=9 chase=8 loads=1").unwrap(),
+            outcome: CaseOutcome::Violations(vec![
+                v("reg-mismatch", "in-order"),
+                v("mem-mismatch", "in-order"),
+                v("reg-mismatch", "out-of-order"),
+                v("mem-mismatch", "out-of-order"),
+            ]),
+            slices: 1,
+            threads_spawned: 2,
+        };
+        let want = vec!["reg-mismatch".to_owned(), "mem-mismatch".to_owned()];
+        assert_eq!(result.violation_kinds(), want);
+        assert_eq!(summarize([&result]).failures, vec![(result.spec.to_string(), want)]);
     }
 
     #[test]

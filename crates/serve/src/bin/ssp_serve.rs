@@ -17,8 +17,7 @@
 //!
 //! * `--socket PATH` — serve over a unix socket instead of stdin;
 //! * `--store DIR` — open (or create) a persistent store at `DIR`, so
-//!   answers survive restarts; the baseline-simulation cache becomes
-//!   disk-backed too;
+//!   answers (and the candidates of `tune` requests) survive restarts;
 //! * `--max-cycles N` — cap every simulation at `N` cycles (capped
 //!   machine configs fingerprint differently, so capped and uncapped
 //!   answers never mix in the caches);
@@ -73,20 +72,13 @@ fn main() -> ExitCode {
 
     let mut server = Server::new(config);
     if let Some(dir) = &store_dir {
-        // Two stores on the same directory: the serve-level response
-        // store and the bench-level baseline-simulation cache. They
-        // never collide — keys differ and shards are content-addressed.
-        let open = |what: &str| match Store::open(dir) {
-            Ok(s) => Some(s),
+        match Store::open(dir) {
+            Ok(store) => server = server.with_store(store),
             Err(e) => {
-                eprintln!("ssp-serve: cannot open {what} store at {dir:?}: {e}");
-                None
+                eprintln!("ssp-serve: cannot open store at {dir:?}: {e}");
+                return ExitCode::FAILURE;
             }
-        };
-        let Some(response_store) = open("response") else { return ExitCode::FAILURE };
-        let Some(baseline_store) = open("baseline") else { return ExitCode::FAILURE };
-        server = server.with_store(response_store);
-        ssp_bench::cache::attach_store(baseline_store);
+        }
     }
 
     let code = match socket {

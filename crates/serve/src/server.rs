@@ -114,7 +114,8 @@ impl Server {
     }
 
     /// Attach a persistent store: memory misses probe it, computed
-    /// answers are written back.
+    /// answers are written back, and each tune request lends it to its
+    /// tuner for the candidates.
     pub fn with_store(self, store: Store) -> Server {
         self.memo.attach_store(store);
         self
@@ -256,12 +257,10 @@ impl Server {
                 workers,
             });
             if let Some(store) = self.memo.store() {
-                // The tuner's own evaluation cache shares the daemon's
-                // store directory, so a restarted daemon replays even
-                // half-finished tunes from disk.
-                if let Ok(s) = Store::open(store.root()) {
-                    tuner = tuner.with_store(s);
-                }
+                // The tuner's candidate memo shares the daemon's store,
+                // so a restarted daemon replays even half-finished tunes
+                // from disk.
+                tuner = tuner.with_store(store.clone());
             }
             let entry = TuneEntry {
                 name: name.to_owned(),

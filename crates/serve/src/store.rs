@@ -366,7 +366,7 @@ mod tests {
         ));
     }
 
-    /// Every strict prefix of a payload of each of the seven formats
+    /// Every strict prefix of a payload of each of the eight formats
     /// fails to decode: a cut entry is a miss, never a shorter value.
     #[test]
     fn every_strict_prefix_of_a_payload_is_rejected() {
@@ -391,23 +391,29 @@ mod tests {
         let tune = tune_entry();
         check(&tune.ooo_row);
         check(&tune);
-        check(&ssp_tune::Eval {
-            adapt_error: None,
-            slices: 2,
-            skipped: 1,
-            plan_digest: "ab12".to_owned(),
-            violations: vec!["reg-mismatch".to_owned()],
-            io_cycles: 98580,
-            ooo_cycles: 193960,
-        });
-        check(&ssp_tune::TelemetrySummary {
-            triggers_fired: 9,
-            slices_spawned: 7,
-            prefetches_issued: 40,
-            per_load: vec![(
-                3,
-                ssp_sim::TimelinessCounts { early: 1, timely: 2, late: 3, useless: 40 },
-            )],
-        });
+        let candidate = ssp_tune::Candidate {
+            eval: ssp_tune::Eval {
+                adapt_error: None,
+                slices: 2,
+                skipped: 1,
+                plan_digest: "ab12".to_owned(),
+                violations: vec!["reg-mismatch".to_owned()],
+                io_cycles: 98580,
+                ooo_cycles: 193960,
+            },
+            io_telemetry: ssp_tune::TelemetrySummary {
+                triggers_fired: 9,
+                slices_spawned: 7,
+                prefetches_issued: 40,
+                per_load: vec![(
+                    3,
+                    ssp_sim::TimelinessCounts { early: 1, timely: 2, late: 3, useless: 40 },
+                )],
+            },
+            ooo_telemetry: ssp_tune::TelemetrySummary::default(),
+        };
+        check(&candidate.eval);
+        check(&candidate.io_telemetry);
+        check(&candidate);
     }
 }

@@ -44,20 +44,21 @@
 //! Move menus are generated in a fixed order, candidates are evaluated
 //! with [`parallel::map_indexed`] (order-preserving), and acceptance
 //! breaks ties by menu position — so a tune run is byte-identical
-//! across worker counts. Every evaluation and telemetry read is
-//! memoized in the tuner's own [`Memo`] (see its doc comment for the
-//! caching contract), keyed by the workload identity, both machine
-//! fingerprints, and the candidate's [`AdaptOptions::fingerprint`];
-//! attach a [`Store`] and a warm restart replays the whole search from
-//! disk without re-simulating.
+//! across worker counts. Each candidate is memoized as one [`Candidate`]
+//! in the tuner's own [`Memo`] (see its doc comment for the caching
+//! contract): its evaluation and both models' telemetry, all taken from
+//! the same gated runs, so a telemetry read is a lookup. Candidates are
+//! grouped by the workload identity (both machine fingerprints
+//! included) and keyed by it plus the candidate's
+//! [`AdaptOptions::fingerprint`]; attach a [`Store`] and a warm restart
+//! replays the whole search from disk without re-simulating.
 //!
 //! Below that memo, a second, memory-only one holds oracle-gate runs
 //! by exact adapted binary: many moves emit the same program, so the
 //! gate simulates each distinct binary once, with the telemetry
-//! collector installed in the same runs, and telemetry reads take
-//! their trace from there ([`Tuner::gate_stats`] counts it). The
-//! workload's profile and baseline snapshots are computed once per
-//! tuner, for both rows.
+//! collector installed in the same runs ([`Tuner::gate_stats`] counts
+//! it). The workload's profile and baseline snapshots are computed once
+//! per tuner, for both rows.
 
 pub mod report;
 
@@ -332,6 +333,19 @@ impl Eval {
             TargetModel::OutOfOrder => self.ooo_cycles,
         }
     }
+
+    /// A plan that emits nothing: clean, at the baseline's cycles.
+    fn baseline(base: &BaselineSnapshots) -> Eval {
+        Eval {
+            adapt_error: None,
+            slices: 0,
+            skipped: 0,
+            plan_digest: "-".to_owned(),
+            violations: Vec::new(),
+            io_cycles: base.io.0.cycles,
+            ooo_cycles: base.ooo.0.cycles,
+        }
+    }
 }
 
 impl Record for Eval {
@@ -431,12 +445,34 @@ impl Record for TelemetrySummary {
     }
 }
 
-/// One memoized answer: evaluations and telemetry reads share the
-/// tuner's memo under disjoint key prefixes.
-#[derive(Clone)]
-enum Answer {
-    Eval(Eval),
-    Telemetry(TelemetrySummary),
+/// Everything the tuner learns about one candidate option set on one
+/// workload: its [`Eval`] and each model's telemetry, taken from the
+/// same oracle-gated runs (both telemetries are empty when the plan
+/// emits nothing or the tool rejects it). The unit the tuner memoizes
+/// and persists: one record, holding the evaluation and then the
+/// in-order and out-of-order telemetry as nested records.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Candidate {
+    /// The candidate's evaluation.
+    pub eval: Eval,
+    /// Telemetry of the gated in-order run.
+    pub io_telemetry: TelemetrySummary,
+    /// Telemetry of the gated out-of-order run.
+    pub ooo_telemetry: TelemetrySummary,
+}
+
+impl Record for Candidate {
+    const FORMAT: &'static str = "ssp-tune-candidate/1";
+
+    fn write(&self, w: &mut RecordWriter) {
+        w.record(&self.eval);
+        w.record(&self.io_telemetry);
+        w.record(&self.ooo_telemetry);
+    }
+
+    fn read(r: &mut RecordReader<'_>) -> Result<Self, PersistError> {
+        Ok(Candidate { eval: r.record()?, io_telemetry: r.record()?, ooo_telemetry: r.record()? })
+    }
 }
 
 /// One oracle-gated run of an adapted binary on both machine models:
@@ -457,7 +493,7 @@ pub struct Tuner {
     config: TuneConfig,
     /// Both machine fingerprints as they appear in every key.
     machines: String,
-    memo: Memo<Answer>,
+    memo: Memo<Candidate>,
     /// Oracle-gate runs by exact adapted binary; memory only.
     gates: Memo<Gate>,
     /// Profile and baseline snapshots by workload; memory only.
@@ -478,7 +514,7 @@ impl Tuner {
     }
 
     /// Attach a persistent store: memory misses probe it, computed
-    /// evaluations are written back.
+    /// candidates are written back.
     pub fn with_store(self, store: Store) -> Tuner {
         self.memo.attach_store(store);
         self
@@ -495,8 +531,8 @@ impl Tuner {
     }
 
     /// Counters of the oracle-gate memo: `misses` is the number of
-    /// distinct adapted binaries simulated, `hits` the evaluations and
-    /// telemetry reads that reused one of those runs.
+    /// distinct adapted binaries simulated, `hits` the candidates that
+    /// reused one of those runs.
     pub fn gate_stats(&self) -> MemoStats {
         self.gates.stats()
     }
@@ -536,25 +572,11 @@ impl Tuner {
     /// (a `chain_budget` change). Adaptation never writes the data
     /// image, so the key leaves it out and the image is compared with
     /// the workload's instead: a binary with a foreign image is gated
-    /// uncached. `base` is looked up only on a miss; `None` takes the
-    /// tuner's own baselines of `w`.
-    fn gate(
-        &self,
-        w: &Workload,
-        adapted: &AdaptedBinary,
-        base: Option<&BaselineSnapshots>,
-    ) -> Gate {
+    /// uncached.
+    fn gate(&self, w: &Workload, adapted: &AdaptedBinary, base: &BaselineSnapshots) -> Gate {
         let prog = &adapted.program;
         let targets = prefetch_targets(adapted);
         let run = || {
-            let own;
-            let base = match base {
-                Some(b) => b,
-                None => {
-                    own = self.inputs(w);
-                    &own.1
-                }
-            };
             let (violations, [io, ooo]) = oracle::check_adapted_with(
                 prog,
                 base,
@@ -562,14 +584,8 @@ impl Tuner {
                 &self.config.ooo,
                 Some(&targets),
             );
-            let mut kinds: Vec<String> = Vec::new();
-            for v in &violations {
-                if !kinds.iter().any(|k| k == v.kind) {
-                    kinds.push(v.kind.to_owned());
-                }
-            }
             Gate {
-                violations: kinds,
+                violations: oracle::kinds(&violations),
                 io_cycles: io.result.cycles,
                 ooo_cycles: ooo.result.cycles,
                 io_telemetry: TelemetrySummary::of(io.trace.expect("telemetry requested")),
@@ -589,8 +605,7 @@ impl Tuner {
 
     /// Evaluate one candidate option set: adapt with the shared
     /// profile, run the oracle gate, simulate on both models. Memoized
-    /// by workload identity + machine fingerprints + options
-    /// fingerprint.
+    /// as its [`Candidate`].
     pub fn evaluate(
         &self,
         w: &Workload,
@@ -598,79 +613,12 @@ impl Tuner {
         base: &BaselineSnapshots,
         opts: &AdaptOptions,
     ) -> Eval {
-        let key = format!("tune-eval {} {}", self.identity(w), opts.fingerprint());
-        let answer = self.memo.get(
-            &key,
-            &key,
-            |text| persist::decode(text).ok().map(Answer::Eval),
-            || {
-                let e = self.compute_eval(w, profile, base, opts);
-                let text = persist::encode(&e);
-                (Answer::Eval(e), text)
-            },
-        );
-        match answer {
-            Answer::Eval(e) => e,
-            Answer::Telemetry(_) => unreachable!("tune-eval keys hold evaluations"),
-        }
+        self.candidate(w, profile, Some(base), opts).eval
     }
 
-    fn compute_eval(
-        &self,
-        w: &Workload,
-        profile: &Profile,
-        base: &BaselineSnapshots,
-        opts: &AdaptOptions,
-    ) -> Eval {
-        let tool = PostPassTool::new(self.config.io.clone()).with_options(opts.clone());
-        match tool.run_with_profile(&w.program, profile.clone()) {
-            Err(e) => Eval {
-                adapt_error: Some(
-                    match e {
-                        AdaptError::Lint(_) => "lint",
-                        AdaptError::EmitVerify(_) => "verify",
-                    }
-                    .to_owned(),
-                ),
-                slices: 0,
-                skipped: 0,
-                plan_digest: "-".to_owned(),
-                violations: Vec::new(),
-                io_cycles: 0,
-                ooo_cycles: 0,
-            },
-            Ok(adapted) => {
-                let slices = adapted.report.slice_count() as u64;
-                let skipped = adapted.report.skipped.len() as u64;
-                if adapted.report.is_noop() {
-                    return Eval {
-                        adapt_error: None,
-                        slices,
-                        skipped,
-                        plan_digest: "-".to_owned(),
-                        violations: Vec::new(),
-                        io_cycles: base.io.0.cycles,
-                        ooo_cycles: base.ooo.0.cycles,
-                    };
-                }
-                let gate = self.gate(w, &adapted, Some(base));
-                Eval {
-                    adapt_error: None,
-                    slices,
-                    skipped,
-                    plan_digest: adapted.report.plan_digest(),
-                    violations: gate.violations,
-                    io_cycles: gate.io_cycles,
-                    ooo_cycles: gate.ooo_cycles,
-                }
-            }
-        }
-    }
-
-    /// Telemetry of `opts`'s plan on `target`, read from the plan's
-    /// oracle-gate run (which [`Tuner::evaluate`] of the same plan has
-    /// usually made already). Memoized like [`Tuner::evaluate`],
-    /// additionally keyed by the target model.
+    /// Telemetry of `opts`'s plan on `target`, from the plan's
+    /// [`Candidate`] (which [`Tuner::evaluate`] of the same plan has
+    /// usually memoized already).
     pub fn telemetry(
         &self,
         w: &Workload,
@@ -678,46 +626,97 @@ impl Tuner {
         opts: &AdaptOptions,
         target: TargetModel,
     ) -> TelemetrySummary {
-        let key = format!(
-            "tune-telemetry {} target={} {}",
-            self.identity(w),
-            target.name(),
-            opts.fingerprint()
-        );
-        let answer = self.memo.get(
-            &key,
-            &key,
-            |text| persist::decode(text).ok().map(Answer::Telemetry),
-            || {
-                let t = self.compute_telemetry(w, profile, opts, target);
-                let text = persist::encode(&t);
-                (Answer::Telemetry(t), text)
-            },
-        );
-        match answer {
-            Answer::Telemetry(t) => t,
-            Answer::Eval(_) => unreachable!("tune-telemetry keys hold telemetry"),
+        let c = self.candidate(w, profile, None, opts);
+        match target {
+            TargetModel::InOrder => c.io_telemetry,
+            TargetModel::OutOfOrder => c.ooo_telemetry,
         }
     }
 
-    fn compute_telemetry(
+    /// The memoized [`Candidate`] of `opts` on `w`, grouped by the
+    /// workload identity and keyed by it plus the options fingerprint.
+    /// `base` is looked up only on a miss; `None` takes the tuner's own
+    /// baselines of `w`.
+    fn candidate(
         &self,
         w: &Workload,
         profile: &Profile,
+        base: Option<&BaselineSnapshots>,
         opts: &AdaptOptions,
-        target: TargetModel,
-    ) -> TelemetrySummary {
-        let tool = PostPassTool::new(self.config.io.clone()).with_options(opts.clone());
-        let Ok(adapted) = tool.run_with_profile(&w.program, profile.clone()) else {
-            return TelemetrySummary::default();
+    ) -> Candidate {
+        let id = self.identity(w);
+        let key = format!("tune-candidate {id} {}", opts.fingerprint());
+        self.memo.get(
+            &id,
+            &key,
+            |text| persist::decode(text).ok(),
+            || {
+                let own;
+                let base = match base {
+                    Some(b) => b,
+                    None => {
+                        own = self.inputs(w);
+                        &own.1
+                    }
+                };
+                let c = self.compute_candidate(w, profile, base, opts);
+                let text = persist::encode(&c);
+                (c, text)
+            },
+        )
+    }
+
+    fn compute_candidate(
+        &self,
+        w: &Workload,
+        profile: &Profile,
+        base: &BaselineSnapshots,
+        opts: &AdaptOptions,
+    ) -> Candidate {
+        let unsimulated = |eval| Candidate {
+            eval,
+            io_telemetry: TelemetrySummary::default(),
+            ooo_telemetry: TelemetrySummary::default(),
         };
+        let tool = PostPassTool::new(self.config.io.clone()).with_options(opts.clone());
+        let adapted = match tool.run_with_profile(&w.program, profile.clone()) {
+            Ok(adapted) => adapted,
+            Err(e) => {
+                return unsimulated(Eval {
+                    adapt_error: Some(
+                        match e {
+                            AdaptError::Lint(_) => "lint",
+                            AdaptError::EmitVerify(_) => "verify",
+                        }
+                        .to_owned(),
+                    ),
+                    slices: 0,
+                    skipped: 0,
+                    plan_digest: "-".to_owned(),
+                    violations: Vec::new(),
+                    io_cycles: 0,
+                    ooo_cycles: 0,
+                })
+            }
+        };
+        let slices = adapted.report.slice_count() as u64;
+        let skipped = adapted.report.skipped.len() as u64;
         if adapted.report.is_noop() {
-            return TelemetrySummary::default();
+            return unsimulated(Eval { slices, skipped, ..Eval::baseline(base) });
         }
-        let gate = self.gate(w, &adapted, None);
-        match target {
-            TargetModel::InOrder => gate.io_telemetry,
-            TargetModel::OutOfOrder => gate.ooo_telemetry,
+        let gate = self.gate(w, &adapted, base);
+        Candidate {
+            eval: Eval {
+                adapt_error: None,
+                slices,
+                skipped,
+                plan_digest: adapted.report.plan_digest(),
+                violations: gate.violations,
+                io_cycles: gate.io_cycles,
+                ooo_cycles: gate.ooo_cycles,
+            },
+            io_telemetry: gate.io_telemetry,
+            ooo_telemetry: gate.ooo_telemetry,
         }
     }
 
@@ -750,19 +749,8 @@ impl Tuner {
         // (tool bug) degrades to the baseline no-op so the loop still
         // has a clean current point.
         let mut cur_opts = default_opts.clone();
-        let mut cur_eval = if default_eval.clean() {
-            default_eval.clone()
-        } else {
-            Eval {
-                adapt_error: None,
-                slices: 0,
-                skipped: 0,
-                plan_digest: "-".to_owned(),
-                violations: Vec::new(),
-                io_cycles: base.io.0.cycles,
-                ooo_cycles: base.ooo.0.cycles,
-            }
-        };
+        let mut cur_eval =
+            if default_eval.clean() { default_eval.clone() } else { Eval::baseline(base) };
 
         let mut moves: Vec<(String, u64)> = Vec::new();
         let mut rounds = 0u64;
@@ -951,6 +939,41 @@ mod tests {
         assert!(decode::<TelemetrySummary>("").is_err());
     }
 
+    #[test]
+    fn candidate_roundtrips_through_the_codec() {
+        let c = Candidate {
+            eval: Eval {
+                adapt_error: None,
+                slices: 1,
+                skipped: 0,
+                plan_digest: "ab12".to_owned(),
+                violations: Vec::new(),
+                io_cycles: 1234,
+                ooo_cycles: 987,
+            },
+            io_telemetry: TelemetrySummary {
+                triggers_fired: 9,
+                slices_spawned: 7,
+                prefetches_issued: 4,
+                per_load: vec![(3, TimelinessCounts { early: 1, timely: 2, late: 0, useless: 1 })],
+            },
+            ooo_telemetry: TelemetrySummary::default(),
+        };
+        assert_eq!(decode(&encode(&c)), Ok(c.clone()));
+        // The header, then the evaluation and both telemetries as nested
+        // records with their own bytes.
+        assert_eq!(
+            encode(&c),
+            "ssp-tune-candidate/1\n\
+             ssp-tune-eval/1\nadapt_error=-\nslices=1\nskipped=0\nplan_digest=ab12\n\
+             violations=-\nio_cycles=1234\nooo_cycles=987\n\
+             ssp-tune-telemetry/1\ntriggers_fired=9\nslices_spawned=7\nprefetches_issued=4\n\
+             loads=1\n3 1 2 0 1\n\
+             ssp-tune-telemetry/1\ntriggers_fired=0\nslices_spawned=0\nprefetches_issued=0\n\
+             loads=0\n"
+        );
+    }
+
     /// A cycle-capped tuner (tier-1 runs these in a debug build) and
     /// mcf, whose default plan emits chaining slices.
     fn capped_mcf() -> (Tuner, Workload) {
@@ -1002,13 +1025,13 @@ mod tests {
         let inputs = tuner.inputs(&w);
         let mut adapted = adapt(&tuner, &w, &AdaptOptions::default());
         let targets = prefetch_targets(&adapted);
-        let own = tuner.gate(&w, &adapted, Some(&inputs.1));
+        let own = tuner.gate(&w, &adapted, &inputs.1);
         // Same code, every data word zero: all node pointers null.
         for (_, word) in &mut adapted.program.image {
             *word = 0;
         }
         for _ in 0..2 {
-            let foreign = tuner.gate(&w, &adapted, Some(&inputs.1));
+            let foreign = tuner.gate(&w, &adapted, &inputs.1);
             assert_ne!(foreign.io_telemetry, own.io_telemetry, "the image changes the run");
             for (cfg, cycles, telemetry) in [
                 (&tuner.config.io, foreign.io_cycles, foreign.io_telemetry),
@@ -1038,7 +1061,10 @@ mod tests {
             assert!(t.totals().total() > 0, "{} classified no prefetch", target.name());
             assert_eq!(t, TelemetrySummary::of(trace), "{}", target.name());
         }
-        assert_eq!(tuner.gate_stats(), MemoStats { hits: 2, disk_hits: 0, misses: 1 });
+        // Both reads come from the evaluation's candidate entry: memo
+        // hits, with no second gate lookup.
+        assert_eq!(tuner.gate_stats(), MemoStats { hits: 0, disk_hits: 0, misses: 1 });
+        assert_eq!(tuner.stats(), MemoStats { hits: 2, disk_hits: 0, misses: 1 });
     }
 
     #[test]
@@ -1057,9 +1083,11 @@ mod tests {
         let cold = encode(&first.evaluate(&w, &profile, &base, &opts));
 
         // Keep the entry's key header; cut its payload in half, then by
-        // just its last two bytes (`ooo_cycles` loses a digit).
-        let key = format!("tune-eval {} {}", first.identity(&w), opts.fingerprint());
-        let (store, shard) = (first.memo.store().unwrap(), Store::shard_of(&key));
+        // just its last two bytes (the out-of-order telemetry's last line
+        // loses a digit).
+        let id = first.identity(&w);
+        let key = format!("tune-candidate {id} {}", opts.fingerprint());
+        let (store, shard) = (first.memo.store().unwrap(), Store::shard_of(&id));
         let payload = store.load(&shard, &key).expect("the cold run wrote its entry");
         for cut in [payload.len() / 2, payload.len() - 2] {
             store.save(&shard, &key, &payload[..cut]).unwrap();
@@ -1087,11 +1115,12 @@ mod tests {
 
         // An 11-digit row count must not size an allocation: the entry
         // is one counted miss, and the recompute answers the cold bytes.
-        let key =
-            format!("tune-telemetry {} target=in-order {}", first.identity(&w), opts.fingerprint());
-        let (store, shard) = (first.memo.store().unwrap(), Store::shard_of(&key));
+        // The first `loads=` line is the nested in-order telemetry's.
+        let id = first.identity(&w);
+        let key = format!("tune-candidate {id} {}", opts.fingerprint());
+        let (store, shard) = (first.memo.store().unwrap(), Store::shard_of(&id));
         let payload = store.load(&shard, &key).expect("the cold run wrote its entry");
-        let loads = decode::<TelemetrySummary>(&payload).unwrap().per_load.len();
+        let loads = decode::<Candidate>(&payload).unwrap().io_telemetry.per_load.len();
         let forged = payload.replacen(&format!("\nloads={loads}\n"), "\nloads=99999999999\n", 1);
         assert_ne!(forged, payload);
         store.save(&shard, &key, &forged).unwrap();
