@@ -1,22 +1,28 @@
-//! Pre-decoded instruction side table.
+//! Pre-decoded instruction table: the engine's whole view of the program.
 //!
-//! The cycle loop used to re-derive an instruction's functional-unit
-//! class and source-register list (with a fresh `Vec`) every time it was
-//! issued — once per dynamic instruction. This module computes those
-//! facts once per *static* instruction, up front, into one flat,
-//! cache-friendly array. The engine then indexes the table by
-//! [`InstRef`] with two small lookups and touches no heap in the hot
-//! path.
+//! Every static instruction is decoded once, up front, into one flat,
+//! cache-friendly array, and the engine addresses instructions by their
+//! index into it. A thread's pc and its return addresses are flat
+//! indices; fallthrough is `pc + 1`; every static control target (both
+//! `br.cond` targets, `br`, the `chk.c` stub, the `spawn` entry and a
+//! direct call's callee) is resolved to the flat index of its block's
+//! first instruction here, and a per-function entry table serves
+//! indirect calls. Each entry carries the [`Op`] it executes, its
+//! functional-unit class, its use list and mask, its tag and its
+//! branch-predictor key, so issuing an instruction is one indexed read
+//! and the cycle loop touches no heap.
 //!
-//! The table is derived data only: functional execution still reads the
-//! [`Program`] itself, so the decoded view cannot drift from program
-//! semantics, and the `uses` array is filled by the same visitor that
-//! backs [`Op::uses_into`], so stall-reporting order is identical by
-//! construction.
+//! The `uses` array is filled by the same visitor that backs
+//! [`Op::uses_into`], so stall-reporting order is identical by
+//! construction. Fallthrough by `pc + 1` is sound only because every
+//! block ends in a terminator: [`DecodedProgram::new`] rejects a program
+//! with a block that does not, so a pc can never run from one block into
+//! the next.
 
+use crate::branch::static_pc;
 use crate::exec::{RegMask, MASK_WORDS};
 use ssp_ir::inst::MAX_USES;
-use ssp_ir::{InstRef, InstTag, Op, Program, Reg};
+use ssp_ir::{BlockId, FuncId, InstTag, Op, Program, Reg};
 
 /// Functional-unit classes (Table 1: 4 int, 2 FP, 3 branch, 2 mem ports).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -49,9 +55,11 @@ pub fn fu_class(op: &Op) -> FuClass {
     }
 }
 
-/// Everything the timing model needs about one static instruction.
-#[derive(Clone, Copy, Debug)]
+/// Everything the engine needs about one static instruction.
+#[derive(Clone, Debug)]
 pub struct DecodedInst {
+    /// The operation, executed from here.
+    pub op: Op,
     /// Source registers, in [`Op::uses_into`] order; only the first
     /// `n_uses` entries are meaningful.
     uses: [Reg; MAX_USES],
@@ -64,18 +72,26 @@ pub struct DecodedInst {
     pub use_mask: RegMask,
     /// Which functional unit executes this instruction.
     pub fu: FuClass,
-    /// Profile identity (avoids re-walking the program for loads).
+    /// Profile identity.
     pub tag: InstTag,
-    /// [`Op::is_load`].
-    pub is_load: bool,
-    /// [`Op::is_store`].
-    pub is_store: bool,
-    /// [`Op::is_terminator`].
-    pub is_terminator: bool,
+    /// Flat index of the static control target: `br`'s target,
+    /// `br.cond`'s taken target, the `chk.c` stub, the `spawn` entry or
+    /// a direct call's callee entry. 0 for every other operation.
+    pub target: u32,
+    /// Flat index of `br.cond`'s not-taken target; 0 otherwise.
+    pub else_target: u32,
+    /// The branch-predictor key of this location
+    /// ([`crate::branch::static_pc`]).
+    pub branch_key: u64,
+    /// For a load, the row of its tag in [`DecodedProgram::load_tags`]
+    /// (the dense per-load statistics table); 0 otherwise.
+    pub load_slot: u32,
 }
 
 impl DecodedInst {
-    fn new(op: &Op, tag: InstTag) -> Self {
+    /// Decode `op` at the location whose branch-predictor key is
+    /// `branch_key`, with no control targets or load row yet.
+    fn new(op: &Op, tag: InstTag, branch_key: u64) -> Self {
         let mut uses = [Reg(0); MAX_USES];
         let n_uses = op.uses_fixed(&mut uses) as u8;
         let mut use_mask = [0u64; MASK_WORDS];
@@ -83,14 +99,16 @@ impl DecodedInst {
             use_mask[u.index() / 64] |= 1u64 << (u.index() % 64);
         }
         DecodedInst {
+            op: op.clone(),
             uses,
             n_uses,
             use_mask,
             fu: fu_class(op),
             tag,
-            is_load: op.is_load(),
-            is_store: op.is_store(),
-            is_terminator: op.is_terminator(),
+            target: 0,
+            else_target: 0,
+            branch_key,
+            load_slot: 0,
         }
     }
 
@@ -101,48 +119,106 @@ impl DecodedInst {
     }
 }
 
-/// A flat side table of [`DecodedInst`]s for one [`Program`].
-///
-/// Lookup is two array reads: per-function bases give each function's
-/// run of blocks, per-block bases give each block's run of instructions.
+/// The flat table of [`DecodedInst`]s for one [`Program`]: functions in
+/// order, each function's blocks in order, each block's instructions in
+/// order.
 #[derive(Clone, Debug)]
 pub struct DecodedProgram {
-    /// Per function: index of its first block in `block_base`.
-    func_base: Vec<u32>,
-    /// Per block (all functions, flattened): index of its first
-    /// instruction in `insts`.
-    block_base: Vec<u32>,
     insts: Vec<DecodedInst>,
+    /// Per function: flat index of its entry block's first instruction.
+    func_entry: Vec<u32>,
+    /// The distinct tags of the program's loads, ascending.
+    load_tags: Vec<InstTag>,
 }
 
 impl DecodedProgram {
     /// Decode every instruction of `prog`.
-    pub fn new(prog: &Program) -> Self {
-        let mut func_base = Vec::with_capacity(prog.funcs.len());
-        let mut block_base = Vec::new();
-        let mut insts = Vec::with_capacity(prog.inst_count());
-        for f in &prog.funcs {
-            func_base.push(block_base.len() as u32);
-            for b in &f.blocks {
-                block_base.push(insts.len() as u32);
-                for i in &b.insts {
-                    insts.push(DecodedInst::new(&i.op, i.tag));
-                }
-            }
-        }
-        DecodedProgram { func_base, block_base, insts }
-    }
-
-    /// The decoded entry for the instruction at `r`.
     ///
     /// # Panics
     ///
-    /// Panics if any component of `r` is out of range for the decoded
-    /// program.
+    /// Panics if a block does not end in a terminator (the flat pc would
+    /// fall through into the next block), if a control target names a
+    /// block or function that does not exist, or if the program has
+    /// more than `u32::MAX` instructions.
+    pub fn new(prog: &Program) -> Self {
+        // Flat index of every block's first instruction, per function.
+        let mut starts: Vec<Vec<u32>> = Vec::with_capacity(prog.funcs.len());
+        let mut n = 0usize;
+        for (fid, f) in prog.iter_funcs() {
+            let mut s = Vec::with_capacity(f.blocks.len());
+            for (bid, b) in f.iter_blocks() {
+                assert!(
+                    b.insts.last().is_some_and(|i| i.op.is_terminator()),
+                    "block {fid}:{bid} does not end in a terminator"
+                );
+                s.push(n as u32);
+                n += b.insts.len();
+            }
+            starts.push(s);
+        }
+        assert!(u32::try_from(n).is_ok(), "more than u32::MAX instructions");
+        let block = |f: FuncId, b: BlockId| starts[f.0 as usize][b.index()];
+        let func_entry: Vec<u32> = prog.iter_funcs().map(|(fid, f)| block(fid, f.entry)).collect();
+        let mut load_tags: Vec<InstTag> = prog
+            .funcs
+            .iter()
+            .flat_map(|f| &f.blocks)
+            .flat_map(|b| &b.insts)
+            .filter(|i| i.op.is_load())
+            .map(|i| i.tag)
+            .collect();
+        load_tags.sort_unstable();
+        load_tags.dedup();
+
+        let mut insts = Vec::with_capacity(n);
+        for (fid, f) in prog.iter_funcs() {
+            for (bid, b) in f.iter_blocks() {
+                for (idx, i) in b.insts.iter().enumerate() {
+                    let mut d = DecodedInst::new(&i.op, i.tag, static_pc(fid, bid, idx));
+                    match i.op {
+                        Op::Br { target }
+                        | Op::ChkC { stub: target }
+                        | Op::Spawn { entry: target, .. } => d.target = block(fid, target),
+                        Op::BrCond { if_true, if_false, .. } => {
+                            d.target = block(fid, if_true);
+                            d.else_target = block(fid, if_false);
+                        }
+                        Op::Call { callee, .. } => d.target = func_entry[callee.0 as usize],
+                        Op::Ld { .. } => {
+                            let row =
+                                load_tags.binary_search(&i.tag).expect("load tags are listed");
+                            d.load_slot = row as u32;
+                        }
+                        _ => {}
+                    }
+                    insts.push(d);
+                }
+            }
+        }
+        DecodedProgram { insts, func_entry, load_tags }
+    }
+
+    /// The decoded entry at flat index `pc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pc` is out of range.
     #[inline]
-    pub fn get(&self, r: InstRef) -> &DecodedInst {
-        let fb = self.func_base[r.func.0 as usize] as usize + r.block.index();
-        &self.insts[self.block_base[fb] as usize + r.idx]
+    pub fn get(&self, pc: u32) -> &DecodedInst {
+        &self.insts[pc as usize]
+    }
+
+    /// Flat index of function `f`'s first instruction, or `None` if the
+    /// program has no such function.
+    #[inline]
+    pub fn entry(&self, f: FuncId) -> Option<u32> {
+        self.func_entry.get(f.0 as usize).copied()
+    }
+
+    /// The distinct tags of the program's loads, ascending: the rows of
+    /// the per-load statistics table ([`DecodedInst::load_slot`]).
+    pub fn load_tags(&self) -> &[InstTag] {
+        &self.load_tags
     }
 
     /// Number of decoded instructions.
@@ -159,7 +235,7 @@ impl DecodedProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssp_ir::{conv, BlockId, FuncId, Operand, ProgramBuilder};
+    use ssp_ir::{conv, Inst, Operand, ProgramBuilder};
 
     fn sample() -> Program {
         let mut pb = ProgramBuilder::new();
@@ -182,11 +258,13 @@ mod tests {
         let d = DecodedProgram::new(&prog);
         assert_eq!(d.len(), prog.inst_count());
         assert!(!d.is_empty());
+        let mut pc = 0;
         for (fid, f) in prog.iter_funcs() {
             for (bid, b) in f.iter_blocks() {
                 for (i, inst) in b.insts.iter().enumerate() {
-                    let r = InstRef { func: fid, block: bid, idx: i };
-                    let e = d.get(r);
+                    let e = d.get(pc);
+                    let r = format!("{fid}:{bid}:{i}");
+                    assert_eq!(e.op, inst.op, "at {r}");
                     assert_eq!(e.uses(), inst.op.uses().as_slice(), "at {r}");
                     let mut mask = [0u64; MASK_WORDS];
                     for u in inst.op.uses() {
@@ -195,9 +273,8 @@ mod tests {
                     assert_eq!(e.use_mask, mask, "at {r}");
                     assert_eq!(e.fu, fu_class(&inst.op), "at {r}");
                     assert_eq!(e.tag, inst.tag, "at {r}");
-                    assert_eq!(e.is_load, inst.op.is_load(), "at {r}");
-                    assert_eq!(e.is_store, inst.op.is_store(), "at {r}");
-                    assert_eq!(e.is_terminator, inst.op.is_terminator(), "at {r}");
+                    assert_eq!(e.branch_key, static_pc(fid, bid, i), "at {r}");
+                    pc += 1;
                 }
             }
         }
@@ -207,16 +284,54 @@ mod tests {
     fn lookup_crosses_function_boundaries() {
         let prog = sample();
         let d = DecodedProgram::new(&prog);
-        // main is the second function; its first instruction is `movi`.
-        let main = prog.func_by_name("main").unwrap();
-        let r = InstRef { func: main, block: prog.func(main).entry, idx: 0 };
-        assert_eq!(d.get(r).uses(), &[] as &[Reg]);
-        assert_eq!(d.get(r).fu, FuClass::Int);
-        // The leaf's `ret` is a branch-class terminator.
+        // Flat layout: leaf's add, ret (0, 1); main's entry block movi,
+        // ld, st, call, br (2..=6); main's `done` block, halt (7).
         let leaf = prog.func_by_name("leaf").unwrap();
-        let r = InstRef { func: leaf, block: BlockId(0), idx: 1 };
-        assert!(d.get(r).is_terminator);
-        assert_eq!(d.get(r).fu, FuClass::Branch);
-        let _ = FuncId(0);
+        let main = prog.func_by_name("main").unwrap();
+        assert_eq!(d.entry(leaf), Some(0));
+        assert_eq!(d.entry(main), Some(2));
+        assert_eq!(d.entry(FuncId(2)), None);
+        assert_eq!(d.get(2).uses(), &[] as &[Reg]);
+        assert_eq!(d.get(2).fu, FuClass::Int);
+        assert_eq!(d.get(5).target, 0, "main's call lands on the leaf's entry");
+        assert_eq!(d.get(6).target, 7, "main's br lands on `done`");
+        // The leaf's `ret` is a branch-class terminator.
+        assert!(d.get(1).op.is_terminator());
+        assert_eq!(d.get(1).fu, FuClass::Branch);
+        // The one load's tag is the one row of the per-load table.
+        assert_eq!(d.load_tags(), &[d.get(3).tag]);
+        assert_eq!(d.get(3).load_slot, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not end in a terminator")]
+    fn a_block_without_a_terminator_is_rejected() {
+        let mut prog = sample();
+        // Drop `main`'s entry `br`: its block would fall through into
+        // `done` under a flat pc, so decoding must refuse it.
+        let main = prog.func_by_name("main").unwrap();
+        prog.funcs[main.0 as usize].blocks[0].insts.pop();
+        DecodedProgram::new(&prog);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not end in a terminator")]
+    fn an_empty_block_is_rejected() {
+        let mut prog = sample();
+        let main = prog.func_by_name("main").unwrap();
+        prog.funcs[main.0 as usize].blocks.push(ssp_ir::Block::default());
+        DecodedProgram::new(&prog);
+    }
+
+    #[test]
+    fn a_load_tag_repeated_across_loads_has_one_row() {
+        let mut prog = sample();
+        let main = prog.func_by_name("main").unwrap();
+        let block = &mut prog.funcs[main.0 as usize].blocks[0];
+        let tag = block.insts[1].tag;
+        block.insts.insert(2, Inst { op: Op::Ld { dst: Reg(3), base: Reg(1), off: 8 }, tag });
+        let d = DecodedProgram::new(&prog);
+        assert_eq!(d.load_tags(), &[tag]);
+        assert_eq!((d.get(3).load_slot, d.get(4).load_slot), (0, 0));
     }
 }

@@ -25,19 +25,19 @@
 //! architectural state (the verifier bans stores in slices; the engine
 //! additionally drops any store a speculative thread tries to execute).
 
-use crate::branch::{static_pc, Btb, Gshare};
+use crate::branch::{Btb, Gshare};
 use crate::cache::{Hierarchy, HitWhere};
 use crate::config::{MachineConfig, MemoryMode, PipelineKind};
-use crate::decode::{DecodedProgram, FuClass};
+use crate::decode::{DecodedInst, DecodedProgram, FuClass};
 use crate::exec::{alu_eval, cmp_eval, falu_eval, RegFile, Scoreboard};
 use crate::mem::{LiveInBuffer, Memory, LIB_NO_SLOT};
 use crate::snapshot::{ArchSnapshot, SnapshotRec, TrapKind};
-use crate::stats::{SimResult, WindowStats};
+use crate::stats::{LoadStats, SimResult, WindowStats};
 use crate::stride::StridePrefetcher;
 use crate::telemetry::Telemetry;
 use crate::window::Issuers;
 use ssp_ir::reg::{conv, NUM_REGS};
-use ssp_ir::{BlockId, FuncId, InstRef, Op, Program};
+use ssp_ir::{FuncId, Op, Program};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -83,8 +83,11 @@ pub(crate) struct RobEntry {
 #[derive(Clone, Debug)]
 pub(crate) struct Thread {
     pub(crate) rf: RegFile,
-    pub(crate) pc: Option<InstRef>,
-    pub(crate) call_stack: Vec<InstRef>,
+    /// Flat index into the [`DecodedProgram`] of the next instruction;
+    /// `None` for a free context.
+    pub(crate) pc: Option<u32>,
+    /// Flat return addresses.
+    pub(crate) call_stack: Vec<u32>,
     pub(crate) sb: Scoreboard,
     pub(crate) fetch_ready: u64,
     pub(crate) speculative: bool,
@@ -143,40 +146,42 @@ impl Thread {
         }
     }
 
-    /// Return the context to its [`Thread::new`] state, keeping the
-    /// capacity of its ROB, queues and call stack: a spawn reuses the
-    /// buffers its predecessor grew, so the cycle loop allocates nothing.
-    fn reset(&mut self) {
-        let Thread {
-            rf,
-            pc,
-            call_stack,
-            sb,
-            fetch_ready,
-            speculative,
-            insts,
-            owned_slot,
-            rob,
-            outstanding,
-            rs_waiting,
-            loads_q,
-            missload_q,
-            blocked_until,
-        } = self;
-        *rf = RegFile::new();
-        *pc = None;
-        call_stack.clear();
-        *sb = Scoreboard::new();
-        *fetch_ready = 0;
-        *speculative = false;
-        *insts = 0;
-        *owned_slot = None;
-        rob.clear();
-        outstanding.clear();
-        rs_waiting.clear();
-        loads_q.clear();
-        missload_q.clear();
-        *blocked_until = 0;
+    /// Free the context: no pc, no call stack, no live-in slot, an empty
+    /// ROB and empty event queues, their capacity kept so the next spawn
+    /// reuses the buffers this thread grew and the cycle loop allocates
+    /// nothing.
+    ///
+    /// The register file, scoreboard and per-thread scalars are left as
+    /// they are. That is sound because every reader of a context checks
+    /// [`Thread::active`] first, so a free context's registers are never
+    /// read, and [`Thread::start`] writes all of them before the context
+    /// runs again.
+    fn free(&mut self) {
+        self.pc = None;
+        self.call_stack.clear();
+        self.owned_slot = None;
+        self.rob.clear();
+        self.outstanding.clear();
+        self.rs_waiting.clear();
+        self.loads_q.clear();
+        self.missload_q.clear();
+    }
+
+    /// Start a free context as a speculative thread at flat index `pc`,
+    /// holding live-in slot `slot`: a zeroed register file but for
+    /// [`conv::SLOT`], and the whole scoreboard available at `ready`,
+    /// when the spawn hand-off materialises the register file at once.
+    fn start(&mut self, pc: u32, slot: u64, ready: u64) {
+        debug_assert!(!self.active() && self.rob.is_empty() && self.call_stack.is_empty());
+        self.rf = RegFile::new();
+        self.rf.write(conv::SLOT, slot);
+        self.sb.fill(ready);
+        self.pc = Some(pc);
+        self.fetch_ready = ready;
+        self.speculative = true;
+        self.insts = 0;
+        self.owned_slot = Some(slot);
+        self.blocked_until = 0;
     }
 
     pub(crate) fn active(&self) -> bool {
@@ -290,12 +295,16 @@ enum Flow {
     Halt,
 }
 
+/// Initial length of the OOO functional-unit ring (a power of two); it
+/// doubles whenever a booking lands beyond it.
+const FU_RING_MIN: usize = 64;
+
 /// The simulation engine, built and run only by [`simulate_with`].
 pub(crate) struct Engine<'a> {
-    pub(crate) prog: &'a Program,
-    /// Pre-decoded side table: FU class, use lists, flags, and tags,
-    /// computed once so the cycle loop allocates nothing.
-    pub(crate) decode: DecodedProgram,
+    /// The decoded program: every instruction the engine fetches, by
+    /// flat index. Borrowed, so an entry stays usable across `&mut self`
+    /// calls.
+    pub(crate) decode: &'a DecodedProgram,
     /// How the clock advances. [`SimMode::Fast`] and
     /// [`SimMode::Crosschecked`] run busy windows on the incremental
     /// event queues; [`SimMode::Stepped`] keeps the original O(ROB)
@@ -314,12 +323,19 @@ pub(crate) struct Engine<'a> {
     /// run is the region of interest.
     pub(crate) has_roi: bool,
     pub(crate) result: SimResult,
+    /// Per-load statistics of the run, one row per
+    /// [`DecodedProgram::load_tags`] entry; folded into
+    /// `result.loads` when the run ends.
+    pub(crate) load_stats: Vec<LoadStats>,
     /// Per-cycle FU use (in-order); OOO books into `fu_ring`.
     pub(crate) fu_used: [usize; 4],
     pub(crate) fu_limits: [usize; 4],
-    /// OOO functional-unit booking for future cycles, indexed from
-    /// `fu_ring_base`.
-    pub(crate) fu_ring: VecDeque<[u16; 4]>,
+    /// OOO functional-unit bookings, a power-of-two ring indexed by
+    /// cycle: slot `c & (len - 1)` holds cycle `c`'s count per class for
+    /// every cycle in `[fu_ring_base, fu_ring_base + len)`. A booking
+    /// beyond that span doubles the ring ([`Engine::book_fu`]); slots
+    /// are zeroed as the clock passes them ([`Engine::advance_fu_ring`]).
+    pub(crate) fu_ring: Vec<[u16; 4]>,
     pub(crate) fu_ring_base: u64,
     pub(crate) rr_next: usize,
     pub(crate) stride: Option<StridePrefetcher>,
@@ -347,21 +363,25 @@ pub(crate) struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    /// Set up a machine to run `prog` with the recorders `opts` asks for.
-    fn new(prog: &'a Program, cfg: &'a MachineConfig, opts: SimOptions<'_>) -> Self {
+    /// Set up a machine to run `prog`, decoded as `decode`, with the
+    /// recorders `opts` asks for.
+    fn new(
+        prog: &Program,
+        decode: &'a DecodedProgram,
+        cfg: &'a MachineConfig,
+        opts: SimOptions<'_>,
+    ) -> Self {
         let mut mem = Memory::new();
         mem.load_image(&prog.image);
         let mut threads = vec![Thread::new(); cfg.num_contexts];
         // The main thread starts at the program entry with SP set.
-        let entry = prog.func(prog.entry).entry;
-        threads[0].pc = Some(InstRef { func: prog.entry, block: entry, idx: 0 });
+        threads[0].pc = Some(decode.entry(prog.entry).expect("the entry function exists"));
         threads[0].rf.write(conv::SP, 0x7FFF_FF00_0000);
         let has_roi = prog.iter_funcs().any(|(_, f)| {
             f.blocks.iter().any(|b| b.insts.iter().any(|i| matches!(i.op, Op::RoiBegin)))
         });
         Engine {
-            prog,
-            decode: DecodedProgram::new(prog),
+            decode,
             mode: opts.mode,
             cfg,
             mem,
@@ -374,9 +394,10 @@ impl<'a> Engine<'a> {
             in_roi: false,
             has_roi,
             result: SimResult::default(),
+            load_stats: vec![LoadStats::default(); decode.load_tags().len()],
             fu_used: [0; 4],
             fu_limits: [cfg.int_units, cfg.fp_units, cfg.branch_units, cfg.mem_ports],
-            fu_ring: VecDeque::new(),
+            fu_ring: vec![[0; 4]; FU_RING_MIN],
             fu_ring_base: 0,
             rr_next: 1,
             stride: cfg.stride_prefetcher.then(|| StridePrefetcher::new(cfg.stride_degree)),
@@ -419,6 +440,8 @@ impl<'a> Engine<'a> {
         }
         self.result.halted = halted;
         self.result.total_cycles = self.cycle;
+        let rows = self.decode.load_tags().iter().zip(&self.load_stats);
+        self.result.loads = rows.filter(|(_, s)| s.accesses > 0).map(|(&t, &s)| (t, s)).collect();
     }
 
     /// Run a busy window: main-only cycles from the current one up to
@@ -655,7 +678,9 @@ impl<'a> Engine<'a> {
     fn step_cycle(&mut self, issuers: Issuers) -> StepOutcome {
         let main_only = issuers != Issuers::All;
         self.fu_used = [0; 4];
-        self.advance_fu_ring();
+        if self.cfg.pipeline == PipelineKind::OutOfOrder {
+            self.advance_fu_ring();
+        }
 
         let width = self.cfg.bundle_width; // instructions per bundle
         let mut main_issued = 0usize;
@@ -782,32 +807,49 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Zero the FU-ring slots of the cycles the clock has passed since
+    /// the last call (at most the whole ring, after a long jump), so the
+    /// ring covers `[cycle, cycle + len)`.
     fn advance_fu_ring(&mut self) {
-        while self.fu_ring_base < self.cycle {
-            if self.fu_ring.pop_front().is_none() {
-                // Ring already empty — after a clock jump, snap the base
-                // forward in O(1) instead of iterating the skipped span.
-                self.fu_ring_base = self.cycle;
-                break;
-            }
-            self.fu_ring_base += 1;
+        let len = self.fu_ring.len() as u64;
+        let passed = (self.cycle - self.fu_ring_base).min(len);
+        for c in self.fu_ring_base..self.fu_ring_base + passed {
+            self.fu_ring[(c & (len - 1)) as usize] = [0; 4];
         }
+        self.fu_ring_base = self.cycle;
     }
 
     /// Book a functional unit of `class` at or after `earliest` (OOO).
     fn book_fu(&mut self, class: FuClass, earliest: u64) -> u64 {
+        let (c, limit) = (class as usize, self.fu_limits[class as usize]);
         let mut t = earliest.max(self.cycle);
         loop {
-            let off = (t - self.fu_ring_base) as usize;
-            while self.fu_ring.len() <= off {
-                self.fu_ring.push_back([0; 4]);
+            if t - self.fu_ring_base >= self.fu_ring.len() as u64 {
+                self.grow_fu_ring(t);
             }
-            if (self.fu_ring[off][class as usize] as usize) < self.fu_limits[class as usize] {
-                self.fu_ring[off][class as usize] += 1;
+            let mask = self.fu_ring.len() as u64 - 1;
+            let slot = &mut self.fu_ring[(t & mask) as usize];
+            if (slot[c] as usize) < limit {
+                slot[c] += 1;
                 return t;
             }
             t += 1;
         }
+    }
+
+    /// Double the FU ring until cycle `t` fits, moving every booking to
+    /// its cycle's slot in the larger ring.
+    fn grow_fu_ring(&mut self, t: u64) {
+        let (base, old) = (self.fu_ring_base, self.fu_ring.len() as u64);
+        let mut len = old * 2;
+        while t - base >= len {
+            len *= 2;
+        }
+        let mut ring = vec![[0; 4]; len as usize];
+        for c in base..base + old {
+            ring[(c & (len - 1)) as usize] = self.fu_ring[(c & (old - 1)) as usize];
+        }
+        self.fu_ring = ring;
     }
 
     /// Issue (in-order) or dispatch (OOO) up to `max` instructions from
@@ -815,15 +857,15 @@ impl<'a> Engine<'a> {
     fn issue_thread(&mut self, tid: usize, max: usize) -> (usize, Option<StallReason>, bool) {
         let mut count = 0usize;
         let ooo = self.cfg.pipeline == PipelineKind::OutOfOrder;
-        // `prog` is copied out of `self` so `op` borrows the program (not
-        // the engine) and stays usable across `&mut self` calls below —
-        // the per-issue `Op::clone` this loop used to do is gone.
-        let prog = self.prog;
+        // The table reference is copied out of `self`, so `d` borrows the
+        // decoded program (not the engine) and stays usable across the
+        // `&mut self` calls below.
+        let decode = self.decode;
         while count < max {
-            let Some(at) = self.threads[tid].pc else {
+            let Some(pc) = self.threads[tid].pc else {
                 return (count, None, false);
             };
-            let op = &prog.inst(at).op;
+            let d = decode.get(pc);
 
             if ooo {
                 if self.threads[tid].rob.len() >= self.cfg.rob_entries {
@@ -868,7 +910,7 @@ impl<'a> Engine<'a> {
                 // keep in the event computations (`min_ready` /
                 // `max_ready`), where the *unready subset* is needed.
                 let mut stall = None;
-                for &u in self.decode.get(at).uses() {
+                for &u in d.uses() {
                     if self.threads[tid].sb.ready_at(u) > self.cycle {
                         stall = Some(self.threads[tid].sb.src_of(u));
                         break;
@@ -882,14 +924,14 @@ impl<'a> Engine<'a> {
             // Functional-unit check (in-order uses per-cycle counters;
             // OOO books at the computed start time inside exec).
             if !ooo {
-                let class = self.decode.get(at).fu;
+                let class = d.fu;
                 if self.fu_used[class as usize] >= self.fu_limits[class as usize] {
                     return (count, Some(StallReason::Structural), false);
                 }
                 self.fu_used[class as usize] += 1;
             }
 
-            let flow = self.exec_inst(tid, at, op);
+            let flow = self.exec_inst(tid, pc, d);
             count += 1;
             if tid == 0 {
                 if let Some(s) = self.snap.as_deref_mut() {
@@ -897,7 +939,7 @@ impl<'a> Engine<'a> {
                     // dispatched instruction retires (the machine always
                     // follows the correct path), so the main thread's
                     // dispatch stream *is* its committed stream.
-                    s.record_commit(self.decode.get(at).tag);
+                    s.record_commit(d.tag);
                 }
             }
             if tid == 0 && self.effective_roi() {
@@ -905,9 +947,12 @@ impl<'a> Engine<'a> {
             } else if tid != 0 && self.effective_roi() {
                 self.result.spec_insts += 1;
             }
-            if self.threads[tid].speculative {
-                self.threads[tid].insts += 1;
-                if self.threads[tid].insts > self.cfg.spec_inst_cap {
+            // The instruction may have killed its own thread, leaving a
+            // free context: `active()` first, as for every context read.
+            let t = &mut self.threads[tid];
+            if t.active() && t.speculative {
+                t.insts += 1;
+                if t.insts > self.cfg.spec_inst_cap {
                     self.kill_thread(tid);
                     self.result.runaway_kills += 1;
                     return (count, None, false);
@@ -922,30 +967,21 @@ impl<'a> Engine<'a> {
         (count, None, false)
     }
 
-    fn next_ref(&self, at: InstRef) -> InstRef {
-        InstRef { idx: at.idx + 1, ..at }
-    }
-
-    fn block_start(&self, func: FuncId, block: BlockId) -> InstRef {
-        InstRef { func, block, idx: 0 }
-    }
-
     /// Start time of an instruction: current cycle (in-order) or the max
     /// of its operands' ready times (OOO, perfect renaming). The fast
     /// engine computes the max through the scoreboard bitset (order-free,
     /// so `trailing_zeros` iteration over the pending intersection is
     /// enough); the stepped oracle walks the use list.
-    fn start_time(&mut self, tid: usize, at: InstRef) -> u64 {
+    fn start_time(&mut self, tid: usize, d: &DecodedInst) -> u64 {
         if self.cfg.pipeline == PipelineKind::InOrder {
             return self.cycle;
         }
         if self.fast() {
-            let mask = self.decode.get(at).use_mask;
             let now = self.cycle;
-            self.threads[tid].sb.max_ready(&mask, now)
+            self.threads[tid].sb.max_ready(&d.use_mask, now)
         } else {
             let mut t = self.cycle;
-            for &u in self.decode.get(at).uses() {
+            for &u in d.uses() {
                 t = t.max(self.threads[tid].sb.ready_at(u));
             }
             t
@@ -1020,7 +1056,7 @@ impl<'a> Engine<'a> {
         if let Some(slot) = self.threads[tid].owned_slot {
             self.lib.free(slot);
         }
-        self.threads[tid].reset();
+        self.threads[tid].free();
     }
 
     /// Timed load path honouring the perfect-memory modes.
@@ -1038,20 +1074,16 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Execute one instruction functionally and apply its timing.
-    fn exec_inst(&mut self, tid: usize, at: InstRef, op: &Op) -> Flow {
+    /// Execute the instruction `d` at flat index `pc` functionally and
+    /// apply its timing.
+    fn exec_inst(&mut self, tid: usize, pc: u32, d: &DecodedInst) -> Flow {
         let ooo = self.cfg.pipeline == PipelineKind::OutOfOrder;
-        let start0 = self.start_time(tid, at);
-        let start = if ooo {
-            let class = self.decode.get(at).fu;
-            self.book_fu(class, start0)
-        } else {
-            start0
-        };
-        let next = self.next_ref(at);
+        let start0 = self.start_time(tid, d);
+        let start = if ooo { self.book_fu(d.fu, start0) } else { start0 };
+        let next = pc + 1;
         let spec = self.threads[tid].speculative;
 
-        match *op {
+        match d.op {
             Op::Movi { dst, imm } => {
                 let done = start + self.cfg.int_latency;
                 self.finish_write(tid, dst, imm as u64, done, None);
@@ -1108,7 +1140,7 @@ impl<'a> Engine<'a> {
             Op::Ld { dst, base, off } => {
                 let addr = self.threads[tid].rf.read(base).wrapping_add(off as u64);
                 let v = self.mem.read(addr);
-                let tag = self.decode.get(at).tag;
+                let tag = d.tag;
                 let (ready, hit) = self.load_access(tag, addr, start);
                 // Hardware stride prefetcher observes demand loads.
                 if self.cfg.memory_mode == MemoryMode::Normal {
@@ -1126,7 +1158,7 @@ impl<'a> Engine<'a> {
                 }
                 let roi = self.effective_roi();
                 if roi {
-                    self.result.loads.entry(tag).or_default().record(hit);
+                    self.load_stats[d.load_slot as usize].record(hit);
                 }
                 if let Some(tel) = self.telemetry.as_deref_mut() {
                     if spec {
@@ -1165,10 +1197,9 @@ impl<'a> Engine<'a> {
                 if self.cfg.memory_mode == MemoryMode::Normal {
                     let r = self.hier.access_prefetch(addr, start);
                     if spec {
-                        let tag = self.decode.get(at).tag;
                         if let Some(tel) = self.telemetry.as_deref_mut() {
                             match r {
-                                Some(r) => tel.record_prefetch(tag, addr, r.ready_at, r.hit),
+                                Some(r) => tel.record_prefetch(d.tag, addr, r.ready_at, r.hit),
                                 None => tel.prefetches_dropped += 1,
                             }
                         }
@@ -1178,14 +1209,14 @@ impl<'a> Engine<'a> {
                 self.threads[tid].pc = Some(next);
                 Flow::Continue
             }
-            Op::Br { target } => {
+            Op::Br { .. } => {
                 self.push_rob(tid, start, start + 1, false, None);
-                self.threads[tid].pc = Some(self.block_start(at.func, target));
+                self.threads[tid].pc = Some(d.target);
                 Flow::Redirect
             }
-            Op::BrCond { pred, if_true, if_false } => {
+            Op::BrCond { pred, if_true, .. } => {
                 let taken = self.threads[tid].rf.read(pred) != 0;
-                let pc_key = static_pc(at.func, at.block, at.idx);
+                let pc_key = d.branch_key;
                 let predicted = self.gshare.predict(pc_key);
                 self.gshare.update(pc_key, taken);
                 let resolve = start + 1;
@@ -1193,8 +1224,7 @@ impl<'a> Engine<'a> {
                 if tid == 0 && self.effective_roi() {
                     self.result.branches += 1;
                 }
-                let target = if taken { if_true } else { if_false };
-                self.threads[tid].pc = Some(self.block_start(at.func, target));
+                self.threads[tid].pc = Some(if taken { d.target } else { d.else_target });
                 if predicted != taken {
                     if tid == 0 && self.effective_roi() {
                         self.result.mispredicts += 1;
@@ -1203,7 +1233,7 @@ impl<'a> Engine<'a> {
                 } else if taken {
                     // Correct direction, but the front end still needs the
                     // target: a BTB miss costs a short redirect bubble.
-                    let tkey = u64::from(target.0);
+                    let tkey = u64::from(if_true.0);
                     if !self.btb.lookup(pc_key, tkey, self.cycle) {
                         self.btb.record(pc_key, tkey, self.cycle);
                         self.threads[tid].fetch_ready = self.cycle + 2;
@@ -1211,21 +1241,19 @@ impl<'a> Engine<'a> {
                 }
                 Flow::Redirect
             }
-            Op::Call { callee, .. } => {
+            Op::Call { .. } => {
                 self.push_rob(tid, start, start + 1, false, None);
                 self.threads[tid].call_stack.push(next);
-                let entry = self.prog.func(callee).entry;
-                self.threads[tid].pc = Some(self.block_start(callee, entry));
+                self.threads[tid].pc = Some(d.target);
                 Flow::Redirect
             }
             Op::CallInd { target, .. } => {
                 self.push_rob(tid, start, start + 1, false, None);
                 let v = self.threads[tid].rf.read(target);
-                match FuncId::from_value(v) {
-                    Some(f) if (f.0 as usize) < self.prog.funcs.len() => {
+                match FuncId::from_value(v).and_then(|f| self.decode.entry(f)) {
+                    Some(entry) => {
                         self.threads[tid].call_stack.push(next);
-                        let entry = self.prog.func(f).entry;
-                        self.threads[tid].pc = Some(self.block_start(f, entry));
+                        self.threads[tid].pc = Some(entry);
                         Flow::Redirect
                     }
                     // A wild indirect call: fatal for the main thread,
@@ -1251,7 +1279,7 @@ impl<'a> Engine<'a> {
                     None => self.halt_with(TrapKind::MainExit),
                 }
             }
-            Op::ChkC { stub } => {
+            Op::ChkC { .. } => {
                 self.push_rob(tid, start, start + 1, false, None);
                 // The context check also requires a free live-in-buffer
                 // slot — a raise whose stub cannot allocate a slot would
@@ -1262,7 +1290,7 @@ impl<'a> Engine<'a> {
                     // Raise: pipeline flush, recovery code = stub block.
                     self.result.spawns_fired += 1;
                     self.threads[tid].fetch_ready = start + self.cfg.spawn_flush_penalty;
-                    self.threads[tid].pc = Some(self.block_start(at.func, stub));
+                    self.threads[tid].pc = Some(d.target);
                     Flow::Redirect
                 } else {
                     if !spec {
@@ -1272,23 +1300,13 @@ impl<'a> Engine<'a> {
                     Flow::Continue
                 }
             }
-            Op::Spawn { entry, slot } => {
+            Op::Spawn { slot, .. } => {
                 self.push_rob(tid, start, start + 1, false, None);
                 let slot_val = self.threads[tid].rf.read(slot);
                 if slot_val != LIB_NO_SLOT {
                     if let Some(child) = self.free_context() {
                         let ready = start + self.cfg.spawn_latency;
-                        let child_pc = self.block_start(at.func, entry);
-                        let t = &mut self.threads[child];
-                        t.reset();
-                        t.rf.write(conv::SLOT, slot_val);
-                        // The spawn hand-off materialises the whole
-                        // register file at once.
-                        t.sb.fill(ready);
-                        t.fetch_ready = ready;
-                        t.speculative = true;
-                        t.owned_slot = Some(slot_val);
-                        t.pc = Some(child_pc);
+                        self.threads[child].start(d.target, slot_val, ready);
                         self.result.threads_spawned += 1;
                     } else {
                         self.lib.free(slot_val);
@@ -1501,7 +1519,8 @@ pub struct SimRun {
 /// inputs. Every run asserts the window accounting invariant
 /// ([`WindowStats::simulated`] equals `total_cycles`).
 pub fn simulate_with(prog: &Program, cfg: &MachineConfig, opts: SimOptions<'_>) -> SimRun {
-    let mut e = Engine::new(prog, cfg, opts);
+    let decode = DecodedProgram::new(prog);
+    let mut e = Engine::new(prog, &decode, cfg, opts);
     e.run();
     let w = &e.windows;
     assert_eq!(

@@ -1,13 +1,48 @@
 //! Functional memory: a sparse 64-bit word store, plus the live-in buffer.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The splitmix64 finalizer: a fixed bijection of `u64` whose every
+/// output bit depends on every input bit.
+fn mix(x: u64) -> u64 {
+    let x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    let x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+/// The functional memory's key hasher. A word address is one `u64`, and
+/// the workloads' addresses are aligned and strided, differing only in a
+/// few middle bits; one [`mix`] spreads them over the table's buckets
+/// for a fraction of SipHash's cost. The keys are addresses computed by
+/// programs the in-tree workload and case generators built, never bytes
+/// from outside the program, so the hasher needs no per-process key
+/// against crafted collisions.
+#[derive(Clone, Copy, Debug, Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = mix(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = mix(self.0 ^ x);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Sparse simulated memory. Word-granular (8 bytes); unaligned accesses
 /// are rounded down to the containing word, matching the aligned-only
 /// discipline the workloads follow. Unwritten memory reads as zero.
 #[derive(Clone, Debug, Default)]
 pub struct Memory {
-    words: HashMap<u64, u64>,
+    words: HashMap<u64, u64, BuildHasherDefault<WordHasher>>,
 }
 
 impl Memory {
@@ -16,8 +51,10 @@ impl Memory {
         Self::default()
     }
 
-    /// Load the initialized-data image of a program.
+    /// Load the initialized-data image of a program, sizing the table
+    /// for it first. A repeated address keeps its last value.
     pub fn load_image(&mut self, image: &[(u64, u64)]) {
+        self.words.reserve(image.len());
         for &(addr, val) in image {
             self.write(addr, val);
         }
@@ -42,8 +79,8 @@ impl Memory {
     /// of a per-entry FNV hash over every *nonzero* word. Zero-valued
     /// words are skipped because unwritten memory reads as zero — two
     /// memories that answer every `read` identically digest identically,
-    /// regardless of which zeros were ever explicitly stored and of
-    /// `HashMap` iteration order.
+    /// regardless of which zeros were ever explicitly stored and of the
+    /// table's iteration order, which is therefore never observable.
     pub fn digest(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x100_0000_01b3;
@@ -193,6 +230,39 @@ mod tests {
         assert_eq!(a.digest(), b.digest());
         b.write(0x108, 3);
         assert_ne!(a.digest(), b.digest());
+    }
+
+    #[test]
+    fn a_repeated_image_address_keeps_its_last_value() {
+        let mut m = Memory::new();
+        m.load_image(&[(0x100, 1), (0x108, 2), (0x100, 3), (0x104, 4)]);
+        assert_eq!(m.read(0x100), 4, "0x104 is the same word as 0x100");
+        assert_eq!(m.read(0x108), 2);
+        assert_eq!(m.footprint_words(), 2);
+    }
+
+    /// Distinct buckets `n` word addresses `stride` bytes apart occupy in
+    /// a table of `n` buckets (a power of two), indexed by the hash's low
+    /// bits as `HashMap` indexes its buckets.
+    fn buckets_hit(n: u64, stride: u64) -> usize {
+        let mut hit = vec![false; n as usize];
+        for i in 0..n {
+            let mut h = WordHasher::default();
+            h.write_u64(0x1000_0000 + i * stride);
+            hit[(h.finish() & (n - 1)) as usize] = true;
+        }
+        hit.iter().filter(|&&b| b).count()
+    }
+
+    #[test]
+    fn the_word_hasher_spreads_strided_addresses() {
+        // An identity hash would put all of the page-strided addresses in
+        // one bucket and the line-strided ones in 64; a uniform hash
+        // fills about 1 - 1/e (63%) of the buckets.
+        for stride in [4096, 64] {
+            let hit = buckets_hit(4096, stride);
+            assert!(hit >= 2048, "stride {stride}: {hit} of 4096 buckets");
+        }
     }
 
     #[test]

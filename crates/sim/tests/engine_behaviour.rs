@@ -7,7 +7,8 @@ use ssp_ir::{CmpKind, InstRef, Op, Operand, Program, ProgramBuilder, Reg};
 use ssp_sim::decode::fu_class;
 use ssp_sim::exec::MASK_WORDS;
 use ssp_sim::{
-    simulate, simulate_stepped, DecodedProgram, MachineConfig, MemoryMode, PipelineKind,
+    simulate, simulate_snapshot, simulate_stepped, DecodedProgram, MachineConfig, MemoryMode,
+    PipelineKind,
 };
 
 const ARCS: u64 = 0x0100_0000;
@@ -319,6 +320,46 @@ fn runaway_speculative_thread_is_killed() {
     assert_eq!(r.runaway_kills, 1);
 }
 
+/// A slice whose own `kill` is the instruction that crosses the runaway
+/// cap ends once: one kill and no runaway kill. A killed context keeps
+/// its stale registers and counters until the next spawn, so nothing may
+/// be charged to it once it is free.
+#[test]
+fn a_slice_killing_itself_at_the_runaway_cap_is_killed_once() {
+    // `movis` moves then `kill`: with a cap of 4, four moves put the kill
+    // fifth (over the cap, but the thread is already gone); five moves
+    // trip the cap before the kill runs.
+    for (movis, runaway) in [(4, 0), (5, 1)] {
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.function("main");
+        let e = f.entry_block();
+        let wait = f.new_block();
+        let exit = f.new_block();
+        let slice = f.new_block();
+        let (slot, i, p) = (Reg(20), Reg(64), Reg(65));
+        f.at(e).lib_alloc(slot).spawn(slice, slot).movi(i, 0).br(wait);
+        f.at(wait).add(i, i, 1).cmp(CmpKind::Lt, p, i, 200).br_cond(p, wait, exit);
+        f.at(exit).halt();
+        let mut c = f.at(slice);
+        for k in 0..movis {
+            c = c.movi(Reg(30 + k), 1);
+        }
+        c.kill_thread();
+        let main = f.finish();
+        let mut prog = pb.finish_with(main);
+        prog.funcs[0].blocks[slice.index()].attachment = true;
+        for mut cfg in [MachineConfig::in_order(), MachineConfig::out_of_order()] {
+            cfg.spec_inst_cap = 4;
+            let (r, snap) = simulate_snapshot(&prog, &cfg, prog.next_tag);
+            let what = format!("{movis} moves on {:?}", cfg.pipeline);
+            assert_eq!(r.threads_spawned, 1, "{what}");
+            assert_eq!(r.runaway_kills, runaway, "{what}");
+            assert_eq!(snap.spec_kills, 1, "{what}");
+            assert_eq!(simulate_stepped(&prog, &cfg), r, "{what}");
+        }
+    }
+}
+
 #[test]
 fn speculative_store_does_not_modify_memory() {
     // A (hand-broken) slice stores to memory; the engine must drop it.
@@ -429,10 +470,10 @@ fn roi_markers_limit_cycle_accounting() {
     assert!(roi.total_cycles >= full.cycles / 2, "total still includes warm-up");
 }
 
-/// Assert that every entry of `prog`'s pre-decoded table equals what the
-/// retired reference engine re-derived from the `Op` at issue time: use
-/// list (in stall-reporting order), use mask, FU class, tag and the
-/// load/store/terminator flags. Returns the ops checked.
+/// Assert that every entry of `prog`'s pre-decoded table, in flat order,
+/// equals what the retired reference engine re-derived from the `Op` at
+/// issue time: the op itself, use list (in stall-reporting order), use
+/// mask, FU class and tag. Returns the ops checked.
 fn assert_decoded_matches_ops(what: &str, prog: &Program) -> Vec<Op> {
     let table = DecodedProgram::new(prog);
     assert_eq!(table.len(), prog.inst_count(), "{what}: one entry per instruction");
@@ -441,7 +482,8 @@ fn assert_decoded_matches_ops(what: &str, prog: &Program) -> Vec<Op> {
         for (block, b) in f.iter_blocks() {
             for (idx, inst) in b.insts.iter().enumerate() {
                 let at = InstRef { func, block, idx };
-                let d = table.get(at);
+                let d = table.get(ops.len() as u32);
+                assert_eq!(d.op, inst.op, "{what} at {at}: op");
                 let uses = inst.op.uses();
                 let mut mask = [0u64; MASK_WORDS];
                 for u in &uses {
@@ -451,9 +493,6 @@ fn assert_decoded_matches_ops(what: &str, prog: &Program) -> Vec<Op> {
                 assert_eq!(d.use_mask, mask, "{what} at {at}: use mask");
                 assert_eq!(d.fu, fu_class(&inst.op), "{what} at {at}: FU class");
                 assert_eq!(d.tag, inst.tag, "{what} at {at}: tag");
-                assert_eq!(d.is_load, inst.op.is_load(), "{what} at {at}: is_load");
-                assert_eq!(d.is_store, inst.op.is_store(), "{what} at {at}: is_store");
-                assert_eq!(d.is_terminator, inst.op.is_terminator(), "{what} at {at}: terminator");
                 ops.push(inst.op.clone());
             }
         }
