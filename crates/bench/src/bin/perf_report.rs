@@ -1,15 +1,14 @@
 //! `perf_report`: machine-readable performance snapshot of the harness.
 //!
-//! Emits one JSON object (`ssp-perf-report/4`) on stdout:
+//! Emits one JSON object (`ssp-perf-report/5`) on stdout:
 //!   - `engine`: wall time of simulating the workload suite with the
 //!     fast engine vs. the stepped engine, per machine model and per
 //!     binary class (baseline / SSP-adapted), with a bit-identity check
 //!     over every `SimResult` and a `windows` object, taken from the
 //!     timed fast runs, breaking down how the fast engine spent its
-//!     cycles (busy windows and stepped cycles, plus power-of-two
-//!     window-length histograms; the `idle_*` fields are always 0, see
-//!     `WindowStats`). Every row is checked against the accounting
-//!     invariant `busy + idle + stepped == simulated_cycles`,
+//!     cycles (busy windows and stepped cycles, plus a power-of-two
+//!     histogram of busy-window lengths). Every row is checked against
+//!     the accounting invariant `busy + stepped == simulated_cycles`,
 //!   - `suite`: wall time of regenerating the Figure 8–10 suite with a
 //!     cold vs. warm baseline cache, plus every row's cycle counts and
 //!     its `noop`/`regression` diagnostic flags (each flagged row also
@@ -94,9 +93,8 @@ fn engine_row(
         windows.simulated(),
         simulated,
         "{model} {class}: window accounting must partition the simulated cycles \
-         (busy {} + idle {} + stepped {} != {simulated})",
+         (busy {} + stepped {} != {simulated})",
         windows.busy_cycles,
-        windows.idle_cycles,
         windows.stepped_cycles,
     );
     EngineRow {
@@ -126,17 +124,13 @@ fn hist_json(h: &[u64]) -> String {
 fn windows_json(w: &WindowStats) -> String {
     format!(
         concat!(
-            "{{\"busy_windows\": {}, \"busy_cycles\": {}, \"idle_skips\": {}, ",
-            "\"idle_cycles\": {}, \"stepped_cycles\": {}, ",
-            "\"busy_len_hist\": {}, \"idle_len_hist\": {}}}"
+            "{{\"busy_windows\": {}, \"busy_cycles\": {}, \"stepped_cycles\": {}, ",
+            "\"busy_len_hist\": {}}}"
         ),
         w.busy_windows,
         w.busy_cycles,
-        w.idle_skips,
-        w.idle_cycles,
         w.stepped_cycles,
         hist_json(&w.busy_len_hist),
-        hist_json(&w.idle_len_hist),
     )
 }
 
@@ -159,7 +153,7 @@ fn render(digest: bool, report: &Report) -> String {
         out.push('\n');
     };
     line("{".into());
-    line("  \"schema\": \"ssp-perf-report/4\",".into());
+    line("  \"schema\": \"ssp-perf-report/5\",".into());
     line(format!("  \"seed\": {SEED},"));
     if !digest {
         line(format!("  \"workers\": {workers},"));

@@ -10,7 +10,8 @@
 //! `ssp-sim-result/1` record, the final architectural snapshot's
 //! digests and trap, the speculative-thread counters, and for adapted
 //! runs the telemetry counters and timeliness totals. Runs are capped
-//! at 120,000 cycles, the tier-1 cap.
+//! at 120,000 cycles, the tier-1 cap. Every run must also keep its ROI
+//! cycles within its total cycles.
 //!
 //! To regenerate after an intentional change to what the simulator
 //! computes:
@@ -49,6 +50,13 @@ fn render_run(
 ) {
     let opts = SimOptions { snapshot: Some(bound), telemetry: targets, ..Default::default() };
     let run = simulate_with(prog, cfg, opts);
+    let r = &run.result;
+    assert!(
+        r.cycles <= r.total_cycles,
+        "{what}: ROI cycles {} exceed total_cycles {}",
+        r.cycles,
+        r.total_cycles
+    );
     let s = run.snapshot.expect("snapshot requested");
     writeln!(out, "run {what}").unwrap();
     out.push_str(&ssp_bench::persist::encode(&run.result));

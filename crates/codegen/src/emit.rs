@@ -37,7 +37,7 @@ use ssp_ir::reg::{conv, NUM_REGS};
 use ssp_ir::{Block, BlockId, CmpKind, FuncId, Inst, InstRef, InstTag, Op, Operand, Program, Reg};
 use ssp_sched::SpModel;
 use ssp_trigger::TriggerPoint;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 
 /// Emission knobs.
 #[derive(Clone, Debug)]
@@ -634,15 +634,4 @@ pub fn insert_triggers(prog: &mut Program, work: Vec<(TriggerPoint, PendingStub)
 pub fn verify_emitted(prog: &Program) -> Result<(), ssp_ir::verify::VerifyError> {
     ssp_ir::verify::verify(prog)?;
     ssp_ir::verify::verify_speculative(prog)
-}
-
-/// Convenience map from tags to the plans covering them.
-pub fn coverage_map(emitted: &[EmittedSlice]) -> HashMap<InstTag, usize> {
-    let mut m = HashMap::new();
-    for (i, e) in emitted.iter().enumerate() {
-        for &t in &e.root_tags {
-            m.insert(t, i);
-        }
-    }
-    m
 }

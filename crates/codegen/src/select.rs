@@ -1,12 +1,13 @@
 //! Region and precomputation-model selection (§3.4.1).
 //!
-//! For each delinquent load the selector walks the region graph outward
-//! from the innermost region containing the load — loop body, enclosing
-//! loop bodies, finally the procedure — and picks "the first region in
-//! which the reduced miss cycles for basic or chaining SP is greater than
-//! a threshold value", where the threshold is a cutoff percentage of the
-//! load's profiled miss cycles. If no region qualifies, the region with
-//! the largest reduction wins; inner regions are preferred on ties.
+//! For each delinquent load the selector walks the function's loop
+//! forest outward from the innermost region containing the load — loop
+//! body, enclosing loop bodies, finally the procedure — and picks "the
+//! first region in which the reduced miss cycles for basic or chaining
+//! SP is greater than a threshold value", where the threshold is a
+//! cutoff percentage of the load's profiled miss cycles. If no region
+//! qualifies, the region with the largest reduction wins; inner regions
+//! are preferred on ties.
 
 use ssp_ir::loops::LoopId;
 use ssp_ir::{BlockId, FuncId, InstRef, Op, Program};

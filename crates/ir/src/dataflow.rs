@@ -1,5 +1,5 @@
 //! Register dataflow over machine code: reaching definitions (giving
-//! def-use chains) and liveness.
+//! def-use chains) and the upward-exposed uses of a block subgraph.
 //!
 //! A post-pass tool sees physical registers, so dependences are recovered
 //! with classic bit-vector dataflow rather than read off SSA. Call
@@ -205,100 +205,20 @@ impl ReachingDefs {
             .map(|&d| self.defs[d])
             .collect()
     }
-
-    /// All definition sites in the function.
-    pub fn all_defs(&self) -> &[DefSite] {
-        &self.defs
-    }
-}
-
-/// Block-level liveness of registers.
-#[derive(Clone, Debug)]
-pub struct Liveness {
-    live_in: Vec<BitSet>,
-    live_out: Vec<BitSet>,
-}
-
-impl Liveness {
-    /// Run liveness on `func`. Registers used by any instruction are
-    /// tracked; `Ret` is treated as using the return-value register and
-    /// all callee-saved registers (conservative for a binary tool).
-    pub fn new(func: &Function, cfg: &Cfg) -> Self {
-        let nb = func.blocks.len();
-        let mut use_set = vec![BitSet::new(NUM_REGS); nb];
-        let mut def_set = vec![BitSet::new(NUM_REGS); nb];
-        let mut uses_buf = Vec::new();
-        for (bid, block) in func.iter_blocks() {
-            for inst in &block.insts {
-                uses_buf.clear();
-                inst.op.uses_into(&mut uses_buf);
-                if matches!(inst.op, crate::inst::Op::Ret) {
-                    uses_buf.push(crate::reg::conv::RV);
-                    uses_buf.extend(
-                        (0..NUM_REGS as u16)
-                            .map(Reg)
-                            .filter(|&r| crate::reg::conv::is_callee_saved(r)),
-                    );
-                }
-                for &u in &uses_buf {
-                    if !def_set[bid.index()].contains(u.index()) {
-                        use_set[bid.index()].insert(u.index());
-                    }
-                }
-                if let Some(d) = inst.op.def() {
-                    def_set[bid.index()].insert(d.index());
-                }
-                for d in inst.op.extra_defs() {
-                    def_set[bid.index()].insert(d.index());
-                }
-            }
-        }
-        let mut live_in = vec![BitSet::new(NUM_REGS); nb];
-        let mut live_out = vec![BitSet::new(NUM_REGS); nb];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in cfg.rpo().iter().rev() {
-                let mut new_out = BitSet::new(NUM_REGS);
-                for &s in cfg.succs(b) {
-                    new_out.union_with(&live_in[s.index()]);
-                }
-                let mut new_in = new_out.clone();
-                new_in.subtract(&def_set[b.index()]);
-                new_in.union_with(&use_set[b.index()]);
-                if new_in != live_in[b.index()] || new_out != live_out[b.index()] {
-                    live_in[b.index()] = new_in;
-                    live_out[b.index()] = new_out;
-                    changed = true;
-                }
-            }
-        }
-        Liveness { live_in, live_out }
-    }
-
-    /// Whether `r` is live at the entry of `b`.
-    pub fn live_in(&self, b: BlockId, r: Reg) -> bool {
-        self.live_in[b.index()].contains(r.index())
-    }
-
-    /// Whether `r` is live at the exit of `b`.
-    pub fn live_out(&self, b: BlockId, r: Reg) -> bool {
-        self.live_out[b.index()].contains(r.index())
-    }
 }
 
 /// Registers read before being written on some path from `entry` through
 /// `blocks` — the upward-exposed uses of that subgraph.
 ///
-/// This is raw liveness at `entry` restricted to the given block set
-/// (successor edges leaving the set are ignored), *without* the
-/// [`Liveness`] convention that `Ret` uses the callee-saved registers:
-/// the caller gets exactly the registers some instruction reads without
-/// a prior in-subgraph definition. The SSP linter uses it to prove a
-/// speculative slice reads nothing beyond its live-in buffer slot: the
-/// child context starts zeroed, so every upward-exposed register of the
-/// slice body must be copied in by the stub, and to find which registers
-/// the main thread still reads after a trigger's resume point.
+/// This is raw register liveness at `entry` restricted to the given
+/// block set (successor edges leaving the set are ignored), with no
+/// calling-convention uses added at `Ret`: the caller gets exactly the
+/// registers some instruction reads without a prior in-subgraph
+/// definition. The SSP linter uses it to prove a speculative slice reads
+/// nothing beyond its live-in buffer slot: the child context starts
+/// zeroed, so every upward-exposed register of the slice body must be
+/// copied in by the stub, and to find which registers the main thread
+/// still reads after a trigger's resume point.
 pub fn upward_exposed_uses(func: &Function, entry: BlockId, blocks: &[BlockId]) -> Vec<Reg> {
     let in_sub = {
         let mut v = vec![false; func.blocks.len()];
@@ -460,20 +380,5 @@ mod tests {
         assert_eq!(upward_exposed_uses(func, BlockId(0), &all), Vec::<Reg>::new());
         // Entry outside the subgraph: nothing to report.
         assert_eq!(upward_exposed_uses(func, BlockId(2), &[BlockId(1)]), Vec::<Reg>::new());
-    }
-
-    #[test]
-    fn liveness_in_loop() {
-        let prog = simple_loop();
-        let func = prog.func(prog.entry);
-        let cfg = Cfg::new(func);
-        let live = Liveness::new(func, &cfg);
-        // r1 and r2 live into the loop body.
-        assert!(live.live_in(BlockId(1), Reg(1)));
-        assert!(live.live_in(BlockId(1), Reg(2)));
-        // r3 (loop-local load result, never used) not live out of b1.
-        assert!(!live.live_out(BlockId(1), Reg(3)));
-        // r1 live out of b0.
-        assert!(live.live_out(BlockId(0), Reg(1)));
     }
 }

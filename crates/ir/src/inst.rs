@@ -30,16 +30,6 @@ pub enum Operand {
     Imm(i64),
 }
 
-impl Operand {
-    /// The register, if this operand is one.
-    pub fn as_reg(self) -> Option<Reg> {
-        match self {
-            Operand::Reg(r) => Some(r),
-            Operand::Imm(_) => None,
-        }
-    }
-}
-
 impl fmt::Display for Operand {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -14,10 +14,8 @@
 //! * [`mod@cfg`] — control-flow graph views, reverse post-order
 //! * [`dom`] — dominator and post-dominator trees (Cooper–Harvey–Kennedy)
 //! * [`loops`] — natural-loop detection
-//! * [`region`] — the hierarchical *region graph* of §3.1.1 (procedures,
-//!   loops, loop bodies, connected caller→callee and outer→inner)
-//! * [`callgraph`] — the static call graph
-//! * [`dataflow`] — reaching definitions and liveness over physical registers
+//! * [`dataflow`] — reaching definitions and upward-exposed uses over
+//!   physical registers
 //! * [`paths`] — trigger-coverage path counting over marked sub-CFGs
 //! * [`verify`] — structural well-formedness checks
 //!
@@ -48,7 +46,6 @@
 #![warn(missing_docs)]
 
 pub mod builder;
-pub mod callgraph;
 pub mod cfg;
 pub mod dataflow;
 pub mod display;
@@ -58,7 +55,6 @@ pub mod loops;
 pub mod paths;
 pub mod program;
 pub mod reg;
-pub mod region;
 pub mod verify;
 
 pub use builder::{BlockCursor, FunctionBuilder, ProgramBuilder};

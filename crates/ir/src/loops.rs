@@ -34,19 +34,6 @@ impl Loop {
     pub fn contains(&self, b: BlockId) -> bool {
         self.blocks.contains(&b)
     }
-
-    /// Member blocks that can exit the loop, paired with their targets.
-    pub fn exit_edges(&self, cfg: &Cfg) -> Vec<(BlockId, BlockId)> {
-        let mut v = Vec::new();
-        for &b in &self.blocks {
-            for &s in cfg.succs(b) {
-                if !self.contains(s) {
-                    v.push((b, s));
-                }
-            }
-        }
-        v
-    }
 }
 
 /// All natural loops of one function, organized as a forest by nesting.
@@ -251,15 +238,6 @@ mod tests {
         assert_eq!(lf.innermost(BlockId(3)), Some(outer_id));
         assert_eq!(lf.innermost(BlockId(0)), None);
         assert_eq!(lf.innermost(BlockId(4)), None);
-    }
-
-    #[test]
-    fn exit_edges_found() {
-        let prog = nested();
-        let (lf, cfg) = forest(&prog);
-        let outer = lf.iter().find(|(_, l)| l.header == BlockId(1)).unwrap().1;
-        let exits = outer.exit_edges(&cfg);
-        assert_eq!(exits, vec![(BlockId(3), BlockId(4))]);
     }
 
     #[test]

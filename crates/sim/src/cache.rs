@@ -309,12 +309,6 @@ impl Hierarchy {
         self.mshr.retain(|e| e.ready_at > now);
     }
 
-    /// Number of fills in flight at `now`.
-    pub fn mshr_in_flight(&mut self, now: u64) -> usize {
-        self.retire_mshr(now);
-        self.mshr.len()
-    }
-
     /// Perform a demand load at cycle `now`.
     pub fn access_load(&mut self, addr: u64, now: u64) -> AccessResult {
         self.access(addr, now, false).expect("demand loads are never dropped")

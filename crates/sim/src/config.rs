@@ -117,8 +117,6 @@ pub struct MachineConfig {
     pub rob_entries: usize,
     /// Reservation-station entries per thread (OOO only).
     pub rs_entries: usize,
-    /// Expansion-queue length in bundles per thread (in-order only).
-    pub expansion_queue_bundles: usize,
     /// Memory subsystem behaviour.
     pub memory_mode: MemoryMode,
     /// Enable a hardware stride prefetcher (per-PC reference prediction
@@ -169,7 +167,6 @@ impl MachineConfig {
             lib_slot_words: 16,
             rob_entries: 255,
             rs_entries: 18,
-            expansion_queue_bundles: 16,
             memory_mode: MemoryMode::Normal,
             stride_prefetcher: false,
             stride_degree: 2,
@@ -196,7 +193,7 @@ impl MachineConfig {
     }
 
     /// Versioned canonical fingerprint: a field-explicit `key=value`
-    /// encoding under a `ssp-machine-config/1` header, stable across
+    /// encoding under a `ssp-machine-config/2` header, stable across
     /// field reorders, rustc versions, and `Debug` format changes —
     /// the identity the `ssp-bench` baseline cache and the `ssp-serve`
     /// on-disk store key their shards by.
@@ -243,7 +240,6 @@ impl MachineConfig {
             lib_slot_words,
             rob_entries,
             rs_entries,
-            expansion_queue_bundles,
             memory_mode,
             stride_prefetcher,
             stride_degree,
@@ -265,7 +261,7 @@ impl MachineConfig {
             }
         };
         format!(
-            "ssp-machine-config/1 pipeline={pipeline} num_contexts={num_contexts} \
+            "ssp-machine-config/2 pipeline={pipeline} num_contexts={num_contexts} \
              bundle_width={bundle_width} bundles_per_cycle={bundles_per_cycle} \
              int_units={int_units} fp_units={fp_units} branch_units={branch_units} \
              mem_ports={mem_ports} l1d={} l2={} l3={} fill_buffer={fill_buffer} \
@@ -276,9 +272,9 @@ impl MachineConfig {
              spawn_latency={spawn_latency} int_latency={int_latency} mul_latency={mul_latency} \
              fp_latency={fp_latency} lib_latency={lib_latency} lib_slots={lib_slots} \
              lib_slot_words={lib_slot_words} rob_entries={rob_entries} rs_entries={rs_entries} \
-             expansion_queue_bundles={expansion_queue_bundles} memory_mode={mode} \
-             stride_prefetcher={stride_prefetcher} stride_degree={stride_degree} \
-             spec_inst_cap={spec_inst_cap} max_cycles={max_cycles}",
+             memory_mode={mode} stride_prefetcher={stride_prefetcher} \
+             stride_degree={stride_degree} spec_inst_cap={spec_inst_cap} \
+             max_cycles={max_cycles}",
             cache(l1d),
             cache(l2),
             cache(l3),
@@ -329,15 +325,15 @@ mod tests {
         // update the expectation.
         assert_eq!(
             MachineConfig::in_order().fingerprint(),
-            "ssp-machine-config/1 pipeline=in-order num_contexts=4 bundle_width=3 \
+            "ssp-machine-config/2 pipeline=in-order num_contexts=4 bundle_width=3 \
              bundles_per_cycle=2 int_units=4 fp_units=2 branch_units=3 mem_ports=2 \
              l1d=16384:4:64:2 l2=262144:4:64:14 l3=3145728:12:64:30 fill_buffer=16 \
              mem_latency=230 tlb_miss_penalty=30 tlb_entries=128 page_size=4096 \
              gshare_entries=2048 btb_entries=256 btb_assoc=4 mispredict_penalty=9 \
              spawn_flush_penalty=12 spawn_latency=4 int_latency=1 mul_latency=3 fp_latency=4 \
              lib_latency=1 lib_slots=32 lib_slot_words=16 rob_entries=255 rs_entries=18 \
-             expansion_queue_bundles=16 memory_mode=normal stride_prefetcher=false \
-             stride_degree=2 spec_inst_cap=50000 max_cycles=2000000000"
+             memory_mode=normal stride_prefetcher=false stride_degree=2 spec_inst_cap=50000 \
+             max_cycles=2000000000"
         );
     }
 

@@ -424,15 +424,12 @@ impl<'a> Engine<'a> {
         while self.cycle < max && !halted {
             halted = match self.issuers(max) {
                 Issuers::All => {
+                    // The halting cycle counts like any other: the clock
+                    // moves past it, so `total_cycles` includes it and
+                    // the regimes partition exactly the cycles it counts.
                     let halt = self.step_cycle(Issuers::All).halt;
-                    // The halting cycle is excluded from `total_cycles`
-                    // (the clock is never advanced past it), so it is
-                    // not a stepped cycle either: the regimes partition
-                    // exactly the cycles `total_cycles` counts.
-                    if !halt {
-                        self.windows.stepped_cycles += 1;
-                        self.cycle += 1;
-                    }
+                    self.windows.stepped_cycles += 1;
+                    self.cycle += 1;
                     halt
                 }
                 Issuers::MainUntil(horizon) => self.run_window(horizon),
@@ -449,7 +446,8 @@ impl<'a> Engine<'a> {
     /// blocked. Returns whether the program halted.
     ///
     /// The window closes at its horizon, on a spawn (which activates a
-    /// context the entry proof does not cover), or on a halt. After a
+    /// context the entry proof does not cover), or after the halting
+    /// cycle, so it always covers at least one cycle. After a
     /// cycle in which the main thread issued nothing, the clock jumps
     /// to its next event ([`Engine::skip_to_main_event`]). The blocked
     /// contexts' OOO commits, which nothing observes mid-window, are
@@ -460,11 +458,11 @@ impl<'a> Engine<'a> {
         let mut halted = false;
         while self.cycle < horizon {
             let step = self.step_cycle(Issuers::MainUntil(horizon));
+            self.cycle += 1;
             if step.halt {
                 halted = true;
                 break;
             }
-            self.cycle += 1;
             if step.issued == 0 {
                 self.skip_to_main_event(step.main_stall, horizon);
             } else if self.result.threads_spawned != spawned {
@@ -472,20 +470,12 @@ impl<'a> Engine<'a> {
             }
         }
         if self.cfg.pipeline == PipelineKind::OutOfOrder {
-            // The halt cycle, when there is one, runs its commit phase
-            // like any other.
-            let last = if halted { self.cycle } else { self.cycle - 1 };
-            let width = self.commit_width();
+            let (width, last) = (self.commit_width(), self.cycle - 1);
             for t in &mut self.threads[1..] {
                 drain_thread(t, width, entry, last);
             }
         }
-        // On halt the clock stays on the halt cycle, which `total_cycles`
-        // excludes, so it is not part of the window either (a window
-        // that halts on its first cycle is not recorded).
-        if self.cycle > entry {
-            self.windows.record_busy(self.cycle - entry);
-        }
+        self.windows.record_busy(self.cycle - entry);
         halted
     }
 
@@ -1526,9 +1516,8 @@ pub fn simulate_with(prog: &Program, cfg: &MachineConfig, opts: SimOptions<'_>) 
     assert_eq!(
         w.simulated(),
         e.result.total_cycles,
-        "window accounting: busy {} + idle {} + stepped {} must equal total_cycles {}",
+        "window accounting: busy {} + stepped {} must equal total_cycles {}",
         w.busy_cycles,
-        w.idle_cycles,
         w.stepped_cycles,
         e.result.total_cycles,
     );

@@ -45,8 +45,6 @@ pub struct Profile {
     pub edge_freq: HashMap<(FuncId, BlockId, BlockId), u64>,
     /// Observed targets of indirect call sites, with counts.
     pub indirect_targets: HashMap<InstRef, HashMap<FuncId, u64>>,
-    /// Direct + indirect call-site execution counts.
-    pub call_freq: HashMap<InstRef, u64>,
     /// Per call site: total dynamic instructions executed between the
     /// call and its return (nested work included) and invocation count —
     /// the latency estimate for `Call` nodes in dependence graphs.
@@ -228,9 +226,6 @@ pub fn profile(prog: &Program, cfg: &MachineConfig) -> Profile {
                 pc = InstRef { func: pc.func, block: target, idx: 0 };
             }
             Op::Call { callee, .. } => {
-                if in_roi {
-                    *out.call_freq.entry(pc).or_insert(0) += 1;
-                }
                 stack.push((next, pc, executed));
                 let eb = prog.func(callee).entry;
                 enter(&mut out, in_roi, callee, None, eb);
@@ -241,7 +236,6 @@ pub fn profile(prog: &Program, cfg: &MachineConfig) -> Profile {
                 match FuncId::from_value(v) {
                     Some(f) if (f.0 as usize) < prog.funcs.len() => {
                         if in_roi {
-                            *out.call_freq.entry(pc).or_insert(0) += 1;
                             *out.indirect_targets.entry(pc).or_default().entry(f).or_insert(0) += 1;
                         }
                         stack.push((next, pc, executed));

@@ -14,7 +14,6 @@
 //! hook is a single untaken branch, so the untraced cycle loop is
 //! unchanged.
 
-use ssp_ir::reg::NUM_REGS;
 use ssp_ir::InstTag;
 
 /// How a simulation ended, from the main thread's point of view.
@@ -107,10 +106,10 @@ impl SnapshotRec {
 /// equivalence checks.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ArchSnapshot {
-    /// Final main-thread register file, all [`NUM_REGS`] registers.
-    /// Callers compare only the registers the *original* program
-    /// mentions: stub scratch registers are deliberately chosen from
-    /// never-mentioned registers and legitimately differ.
+    /// Final main-thread register file, all [`ssp_ir::reg::NUM_REGS`]
+    /// registers. Callers compare only the registers the *original*
+    /// program mentions: stub scratch registers are deliberately chosen
+    /// from never-mentioned registers and legitimately differ.
     pub regs: Vec<u64>,
     /// Order-independent digest over all nonzero memory words
     /// (`addr -> value`). Unwritten memory reads as zero, so zero-valued
@@ -141,11 +140,6 @@ impl ArchSnapshot {
     /// [`crate::SimResult`]).
     pub fn spawns_balanced(&self, threads_spawned: u64) -> bool {
         self.spec_kills + self.spec_live_at_end == threads_spawned
-    }
-
-    /// The number of registers in [`ArchSnapshot::regs`].
-    pub fn reg_count() -> usize {
-        NUM_REGS
     }
 }
 

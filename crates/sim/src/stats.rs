@@ -133,15 +133,6 @@ pub struct SimResult {
 }
 
 impl SimResult {
-    /// Main-thread IPC over the ROI.
-    pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.main_insts as f64 / self.cycles as f64
-        }
-    }
-
     /// Aggregate load stats over a set of tags (e.g. the delinquent set).
     pub fn load_stats_for(&self, tags: &[InstTag]) -> LoadStats {
         let mut agg = LoadStats::default();
@@ -174,7 +165,7 @@ pub fn speedup(base: &SimResult, new: &SimResult) -> f64 {
 pub const WINDOW_HIST_BUCKETS: usize = 24;
 
 /// How a run spent its simulated cycles — the per-window
-/// instrumentation behind `ssp-perf-report/4`'s `windows` object, which
+/// instrumentation behind `ssp-perf-report/5`'s `windows` object, which
 /// `perf_report` takes from its timed fast runs.
 ///
 /// Two regimes are distinguished:
@@ -184,47 +175,20 @@ pub const WINDOW_HIST_BUCKETS: usize = 24;
 /// * **stepped cycles** — everything else, simulated one cycle at a time
 ///   with every context allowed to issue.
 ///
-/// The `idle_*` fields are always 0. They counted an all-contexts clock
-/// jump that could never fire: the fast engine steps all contexts only
-/// when some speculative context can issue within a cycle, so after
-/// such a cycle either something issued or the next event is the very
-/// next cycle. They stay so the `ssp-perf-report/4` schema keeps its
-/// bytes.
-///
-/// The histograms bucket window lengths by power of two (bucket `i`
+/// The histogram buckets window lengths by power of two (bucket `i`
 /// counts lengths in `[2^i, 2^(i+1))`), so a glance shows whether the
 /// residual bottleneck is many short windows (per-window entry/exit
 /// overhead) or a few long ones.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct WindowStats {
     /// Busy windows the batcher completed.
     pub busy_windows: u64,
     /// Cycles simulated inside busy windows.
     pub busy_cycles: u64,
-    /// Always 0 (see the type docs).
-    pub idle_skips: u64,
-    /// Always 0 (see the type docs).
-    pub idle_cycles: u64,
     /// Cycles simulated one at a time by the full cycle loop.
     pub stepped_cycles: u64,
     /// Busy-window lengths, bucketed by power of two.
     pub busy_len_hist: [u64; WINDOW_HIST_BUCKETS],
-    /// Always all 0 (see the type docs).
-    pub idle_len_hist: [u64; WINDOW_HIST_BUCKETS],
-}
-
-impl Default for WindowStats {
-    fn default() -> Self {
-        WindowStats {
-            busy_windows: 0,
-            busy_cycles: 0,
-            idle_skips: 0,
-            idle_cycles: 0,
-            stepped_cycles: 0,
-            busy_len_hist: [0; WINDOW_HIST_BUCKETS],
-            idle_len_hist: [0; WINDOW_HIST_BUCKETS],
-        }
-    }
 }
 
 /// The histogram bucket for a window of `len` cycles.
@@ -235,11 +199,10 @@ fn hist_bucket(len: u64) -> usize {
 impl WindowStats {
     /// Total cycles the regimes account for. The accounting invariant —
     /// asserted by every `simulate_with` run and by `perf_report` — is
-    /// that this equals the run's `total_cycles`: every simulated cycle
-    /// lands in exactly one regime (the halting cycle, which
-    /// `total_cycles` excludes, is counted by none).
+    /// that this equals the run's `total_cycles`: every simulated cycle,
+    /// the halting one included, lands in exactly one regime.
     pub fn simulated(&self) -> u64 {
-        self.busy_cycles + self.idle_cycles + self.stepped_cycles
+        self.busy_cycles + self.stepped_cycles
     }
 
     /// Record one completed busy window of `len` cycles.
@@ -254,12 +217,9 @@ impl WindowStats {
     pub fn merge(&mut self, other: &WindowStats) {
         self.busy_windows += other.busy_windows;
         self.busy_cycles += other.busy_cycles;
-        self.idle_skips += other.idle_skips;
-        self.idle_cycles += other.idle_cycles;
         self.stepped_cycles += other.stepped_cycles;
         for i in 0..WINDOW_HIST_BUCKETS {
             self.busy_len_hist[i] += other.busy_len_hist[i];
-            self.idle_len_hist[i] += other.idle_len_hist[i];
         }
     }
 }
@@ -321,7 +281,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.busy_windows, 2);
         assert_eq!(a.busy_cycles, 5);
-        assert_eq!(a.idle_skips, 0);
         assert_eq!(a.stepped_cycles, 12);
         assert_eq!(a.busy_len_hist[0], 1);
         assert_eq!(a.busy_len_hist[2], 1);

@@ -15,8 +15,6 @@ pub struct FuncAnalyses {
     pub cfg: Cfg,
     /// Dominator tree.
     pub dom: DomTree,
-    /// Post-dominator tree.
-    pub pdom: DomTree,
     /// Per-block control dependences (which branch blocks decide whether
     /// each block runs).
     pub cdeps: Vec<Vec<BlockId>>,
@@ -32,11 +30,10 @@ impl FuncAnalyses {
         let func = prog.func(fid);
         let cfg = Cfg::new(func);
         let dom = DomTree::dominators(func, &cfg);
-        let pdom = DomTree::post_dominators(func, &cfg);
         let cdeps = control_deps(func, &cfg);
         let loops = LoopForest::new(func, &cfg, &dom);
         let rd = ReachingDefs::new(fid, func, &cfg);
-        FuncAnalyses { cfg, dom, pdom, cdeps, loops, rd }
+        FuncAnalyses { cfg, dom, cdeps, loops, rd }
     }
 }
 

@@ -230,16 +230,6 @@ impl RegionDepGraph {
         self.index.get(&at).copied()
     }
 
-    /// Producer edges into `n` (what `n` depends on).
-    pub fn deps_of(&self, n: usize) -> impl Iterator<Item = &DepEdge> {
-        self.edges.iter().filter(move |e| e.to == n)
-    }
-
-    /// Consumer edges out of `n`.
-    pub fn users_of(&self, n: usize) -> impl Iterator<Item = &DepEdge> {
-        self.edges.iter().filter(move |e| e.from == n)
-    }
-
     /// Drop inner-carried edges: the view the chaining/basic schedulers
     /// use, where nested-loop serialization is intra-link work.
     pub fn without_inner_carried(&self) -> RegionDepGraph {
@@ -308,20 +298,6 @@ impl RegionDepGraph {
         let edges =
             self.edges.iter().filter(|e| !remove.contains(&(e.from, e.to))).copied().collect();
         RegionDepGraph { nodes: self.nodes.clone(), edges, index: self.index.clone() }
-    }
-
-    /// Sum of all node latencies divided by the critical path length: the
-    /// *available ILP* metric of §3.2.1.2.2 (Cooper et al.). Values near
-    /// 1.0 mean the code is one long dependence chain — the regime where
-    /// height-based list scheduling is near optimal.
-    pub fn available_ilp(&self, profile: &Profile, prog: &Program, mc: &MachineConfig) -> f64 {
-        let total: u64 = self.nodes.iter().map(|&at| latency_of_at(prog, at, profile, mc)).sum();
-        let cp = self.critical_path(profile, prog, mc);
-        if cp == 0 {
-            1.0
-        } else {
-            total as f64 / cp as f64
-        }
     }
 
     /// Longest latency path (over non-carried edges) from any region
@@ -456,17 +432,6 @@ mod tests {
         assert!(sub.edges.iter().any(|e| e.from == n(0) && e.to == n(1)));
         assert!(sub.edges.iter().any(|e| e.from == n(3) && e.to == n(0) && e.carried));
         assert!(sub.node_of(at(2)).is_none());
-    }
-
-    #[test]
-    fn pointer_chase_has_low_available_ilp() {
-        let (prog, body) = mcf_like();
-        let g = graph_for(&prog, body);
-        let profile = Profile::default();
-        let mc = MachineConfig::in_order();
-        let ilp = g.available_ilp(&profile, &prog, &mc);
-        assert!(ilp >= 1.0);
-        assert!(ilp < 2.5, "dependence chains dominate: ilp = {ilp}");
     }
 
     #[test]

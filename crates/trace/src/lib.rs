@@ -8,17 +8,17 @@
 //!   time plus named counters for the five tool phases (`profile`,
 //!   `slicing`, `sched`, `trigger`, `codegen`) — slice sizes, SCC
 //!   counts, triggers placed, live-ins per trigger.
-//! * **Simulator events** ([`SimEvent`], [`TraceSink`]): trigger fired,
-//!   slice spawned/killed, live-in copy, prefetch issued/dropped, and
-//!   the per-prefetch *timeliness* classification ([`Timeliness`]) of
-//!   every SSP prefetch relative to the consuming delinquent load.
-//! * **Deterministic accumulation** ([`SimTrace`], [`TimelinessCounts`]):
-//!   plain-data results that merge by value, so parallel experiment
-//!   runs collected by input index are byte-identical to serial runs.
+//! * **Simulator traces** ([`SimTrace`], [`TimelinessCounts`]): event
+//!   totals (triggers fired, slices spawned/killed, live-in copies,
+//!   prefetches issued/dropped) and the per-load *timeliness*
+//!   classification ([`Timeliness`]) of every SSP prefetch relative to
+//!   the consuming delinquent load, as plain data that merges by value,
+//!   so parallel experiment runs collected by input index are
+//!   byte-identical to serial runs.
 //!
 //! Tracing is strictly opt-in and zero-cost when disabled: the
 //! instrumented call sites in `ssp-sim` and `ssp-codegen` take an
-//! `Option` sink and do nothing (no allocation, no time query) when it
+//! `Option` and do nothing (no allocation, no time query) when it
 //! is `None`. The simulator's built-in collector additionally
 //! pre-allocates every structure it needs (dense per-tag histograms and
 //! a fixed-capacity prefetch table, extending the decoded-side-table
@@ -28,15 +28,21 @@
 //! # Example
 //!
 //! ```
-//! use ssp_trace::{SimEvent, SimTrace, Timeliness, TraceSink};
+//! use ssp_trace::{SimTrace, TimelinessCounts};
 //!
-//! let mut trace = SimTrace::default();
-//! trace.event(SimEvent::TriggerFired);
-//! trace.event(SimEvent::SliceSpawned);
-//! trace.event(SimEvent::PrefetchIssued);
-//! trace.event(SimEvent::PrefetchClassified { load: 7, class: Timeliness::Timely });
-//! assert_eq!(trace.triggers_fired, 1);
-//! assert_eq!(trace.histogram(7).timely, 1);
+//! let mut suite = SimTrace {
+//!     triggers_fired: 1,
+//!     per_load: vec![(7, TimelinessCounts { timely: 1, ..Default::default() })],
+//!     ..Default::default()
+//! };
+//! let run = SimTrace {
+//!     triggers_fired: 2,
+//!     per_load: vec![(7, TimelinessCounts { late: 1, ..Default::default() })],
+//!     ..Default::default()
+//! };
+//! suite.merge(&run);
+//! assert_eq!(suite.triggers_fired, 3);
+//! assert_eq!(suite.histogram(7).total(), 2);
 //! ```
 
 #![warn(missing_docs)]
@@ -100,49 +106,6 @@ impl TimelinessCounts {
     }
 }
 
-/// One structured simulator event.
-///
-/// Loads are identified by their instruction tag's raw value so the
-/// event type stays independent of the IR crate.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SimEvent {
-    /// A `chk.c` found free resources and redirected to its stub.
-    TriggerFired,
-    /// A `chk.c` found no free context/slot and behaved as a nop.
-    TriggerSuppressed,
-    /// A `spawn` bound a free hardware context to a slice.
-    SliceSpawned,
-    /// A speculative thread ended (voluntarily or killed).
-    SliceKilled,
-    /// One live-in word moved through the live-in buffer.
-    LiveInCopy,
-    /// A speculative thread issued a prefetching access.
-    PrefetchIssued,
-    /// A speculative `lfetch` was dropped (fill buffer full).
-    PrefetchDropped,
-    /// A prefetch received its final timeliness classification,
-    /// attributed to the static load with tag value `load`.
-    PrefetchClassified {
-        /// Raw tag value of the load the classification is attributed
-        /// to (the consumer for early/timely/late, the targeted
-        /// delinquent load for useless).
-        load: u32,
-        /// The classification.
-        class: Timeliness,
-    },
-}
-
-/// A sink for structured simulator events.
-///
-/// [`SimTrace`] is the canonical accumulating sink; tests may implement
-/// their own (e.g. an event log). The simulator's built-in collector
-/// classifies prefetches internally with pre-allocated dense tables and
-/// reports the same totals a [`SimTrace`] fed event-by-event would hold.
-pub trait TraceSink {
-    /// Consume one event.
-    fn event(&mut self, ev: SimEvent);
-}
-
 /// Deterministic per-run simulator trace: event totals plus per-load
 /// prefetch-timeliness histograms.
 ///
@@ -184,22 +147,6 @@ impl SimTrace {
         }
     }
 
-    /// Record a classification for `load`, keeping `per_load` sorted.
-    ///
-    /// This general-purpose path may allocate; the simulator's built-in
-    /// collector uses dense pre-sized tables instead and only builds the
-    /// sparse vector once, after the run.
-    pub fn record_classified(&mut self, load: u32, class: Timeliness) {
-        let i = match self.per_load.binary_search_by_key(&load, |e| e.0) {
-            Ok(i) => i,
-            Err(i) => {
-                self.per_load.insert(i, (load, TimelinessCounts::default()));
-                i
-            }
-        };
-        self.per_load[i].1.record(class);
-    }
-
     /// Sum of all per-load histograms.
     pub fn totals(&self) -> TimelinessCounts {
         let mut t = TimelinessCounts::default();
@@ -230,21 +177,6 @@ impl SimTrace {
                 }
             };
             self.per_load[i].1.merge(&h);
-        }
-    }
-}
-
-impl TraceSink for SimTrace {
-    fn event(&mut self, ev: SimEvent) {
-        match ev {
-            SimEvent::TriggerFired => self.triggers_fired += 1,
-            SimEvent::TriggerSuppressed => self.triggers_suppressed += 1,
-            SimEvent::SliceSpawned => self.slices_spawned += 1,
-            SimEvent::SliceKilled => self.slices_killed += 1,
-            SimEvent::LiveInCopy => self.live_in_copies += 1,
-            SimEvent::PrefetchIssued => self.prefetches_issued += 1,
-            SimEvent::PrefetchDropped => self.prefetches_dropped += 1,
-            SimEvent::PrefetchClassified { load, class } => self.record_classified(load, class),
         }
     }
 }
@@ -361,61 +293,42 @@ impl Stopwatch {
 mod tests {
     use super::*;
 
-    #[test]
-    fn sim_trace_accumulates_events() {
-        let mut t = SimTrace::default();
-        t.event(SimEvent::TriggerFired);
-        t.event(SimEvent::TriggerFired);
-        t.event(SimEvent::TriggerSuppressed);
-        t.event(SimEvent::SliceSpawned);
-        t.event(SimEvent::SliceKilled);
-        t.event(SimEvent::LiveInCopy);
-        t.event(SimEvent::PrefetchIssued);
-        t.event(SimEvent::PrefetchDropped);
-        assert_eq!(t.triggers_fired, 2);
-        assert_eq!(t.triggers_suppressed, 1);
-        assert_eq!(t.slices_spawned, 1);
-        assert_eq!(t.slices_killed, 1);
-        assert_eq!(t.live_in_copies, 1);
-        assert_eq!(t.prefetches_issued, 1);
-        assert_eq!(t.prefetches_dropped, 1);
+    /// A trace holding only the given per-load histograms and
+    /// `issued` prefetches.
+    fn trace(per_load: &[(u32, TimelinessCounts)], issued: u64) -> SimTrace {
+        SimTrace { prefetches_issued: issued, per_load: per_load.to_vec(), ..SimTrace::default() }
     }
 
-    #[test]
-    fn per_load_histograms_stay_sorted() {
-        let mut t = SimTrace::default();
-        for (load, class) in [
-            (9, Timeliness::Timely),
-            (3, Timeliness::Early),
-            (9, Timeliness::Late),
-            (5, Timeliness::Useless),
-            (9, Timeliness::Timely),
-        ] {
-            t.event(SimEvent::PrefetchClassified { load, class });
-        }
-        let tags: Vec<u32> = t.per_load.iter().map(|e| e.0).collect();
-        assert_eq!(tags, vec![3, 5, 9]);
-        assert_eq!(t.histogram(9).timely, 2);
-        assert_eq!(t.histogram(9).late, 1);
-        assert_eq!(t.histogram(3).early, 1);
-        assert_eq!(t.histogram(1).total(), 0);
-        assert_eq!(t.totals().total(), 5);
+    fn counts(early: u64, timely: u64, late: u64, useless: u64) -> TimelinessCounts {
+        TimelinessCounts { early, timely, late, useless }
     }
 
     #[test]
     fn traces_merge_by_tag() {
-        let mut a = SimTrace::default();
-        a.event(SimEvent::PrefetchClassified { load: 2, class: Timeliness::Timely });
-        a.event(SimEvent::PrefetchIssued);
-        let mut b = SimTrace::default();
-        b.event(SimEvent::PrefetchClassified { load: 2, class: Timeliness::Early });
-        b.event(SimEvent::PrefetchClassified { load: 7, class: Timeliness::Useless });
-        b.event(SimEvent::PrefetchIssued);
+        let mut a = trace(&[(2, counts(0, 1, 0, 0)), (9, counts(0, 0, 1, 0))], 1);
+        let b = trace(
+            &[
+                (1, counts(1, 0, 0, 0)),
+                (2, counts(1, 0, 0, 0)),
+                (7, counts(0, 0, 0, 1)),
+                (12, counts(0, 1, 0, 0)),
+            ],
+            1,
+        );
         a.merge(&b);
         assert_eq!(a.prefetches_issued, 2);
         assert_eq!(a.histogram(2).timely, 1);
         assert_eq!(a.histogram(2).early, 1);
         assert_eq!(a.histogram(7).useless, 1);
+        // New tags are inserted in order, before, between and after the
+        // existing ones, so `histogram`'s binary search stays valid.
+        let tags: Vec<u32> = a.per_load.iter().map(|e| e.0).collect();
+        assert_eq!(tags, vec![1, 2, 7, 9, 12]);
+        assert_eq!(a.histogram(1).early, 1);
+        assert_eq!(a.histogram(9).late, 1);
+        assert_eq!(a.histogram(12).timely, 1);
+        assert_eq!(a.histogram(3).total(), 0);
+        assert_eq!(a.totals().total(), 6);
     }
 
     #[test]

@@ -6,16 +6,13 @@
 //! the delinquent load carries one trigger, while the communication
 //! (live-in copying) stays minimal.
 //!
-//! Two placers are provided:
-//! * [`placement::place_trigger`] — the paper's conservative dominator
-//!   heuristic (the default in the tool);
-//! * [`mincut::min_cut_triggers`] — the optimal frequency-weighted cut
-//!   via max-flow, for comparison and ablation.
+//! [`placement::place_trigger`] implements the paper's conservative
+//! dominator heuristic: the trigger goes after the last live-in producer
+//! and is hoisted to control-dominating nodes while its execution
+//! frequency holds. Codegen emits one `chk.c` per slice, in plan order.
 
 #![warn(missing_docs)]
 
-pub mod mincut;
 pub mod placement;
 
-pub use mincut::{min_cut_triggers, MinCutTriggers};
-pub use placement::{combine_triggers, place_trigger, TriggerPoint, TriggerStyle};
+pub use placement::{place_trigger, TriggerPoint, TriggerStyle};

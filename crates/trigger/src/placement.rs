@@ -178,21 +178,6 @@ fn defs_reaching_root(fa: &FuncAnalyses, load: InstRef, r: Reg) -> Vec<InstRef> 
     fa.rd.reaching(load.block, load.idx, r).into_iter().map(|d| d.at).collect()
 }
 
-/// Combine trigger points: deduplicate identical locations (several
-/// slices hoisted to the same dominance point share one trigger site;
-/// codegen still emits one `chk.c` per slice, back to back).
-///
-/// The result is sorted by an explicit program-order key — function,
-/// then block, then instruction position (block start before any
-/// `after` index) — so the emitted trigger order never depends on the
-/// order slices were selected in. Downstream emission and the lint
-/// report both inherit this determinism.
-pub fn combine_triggers(mut points: Vec<TriggerPoint>) -> Vec<TriggerPoint> {
-    points.sort_by_key(|p| (p.func, p.block, p.after.map_or(-1i64, |i| i as i64)));
-    points.dedup();
-    points
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,61 +252,5 @@ mod tests {
         let tp = place_trigger(&prog, fa, &profile, &slice, TriggerStyle::PerIteration);
         assert_eq!(tp.block, e);
         assert_eq!(tp.after, Some(0), "after `movi a` — the only producer of a live-in");
-    }
-
-    #[test]
-    fn combine_dedups_shared_points() {
-        let p1 = TriggerPoint { func: FuncId(0), block: BlockId(1), after: None };
-        let p2 = TriggerPoint { func: FuncId(0), block: BlockId(1), after: None };
-        let p3 = TriggerPoint { func: FuncId(0), block: BlockId(2), after: Some(3) };
-        let combined = combine_triggers(vec![p1, p2, p3]);
-        assert_eq!(combined.len(), 2);
-    }
-
-    /// The combined order is a function of the point set, not of the
-    /// order slice selection produced it in: every input permutation
-    /// yields the same program-ordered result, with block-start points
-    /// ahead of any in-block position.
-    #[test]
-    fn combine_is_permutation_stable() {
-        let pts = [
-            TriggerPoint { func: FuncId(1), block: BlockId(0), after: None },
-            TriggerPoint { func: FuncId(0), block: BlockId(2), after: Some(3) },
-            TriggerPoint { func: FuncId(0), block: BlockId(2), after: None },
-            TriggerPoint { func: FuncId(0), block: BlockId(1), after: Some(5) },
-            TriggerPoint { func: FuncId(0), block: BlockId(2), after: Some(1) },
-        ];
-        let expected = combine_triggers(pts.to_vec());
-        assert_eq!(
-            expected,
-            vec![pts[3], pts[2], pts[4], pts[1], pts[0]],
-            "program order: func, block, block-start before in-block indices"
-        );
-        // Exhaust all 120 permutations of the 5 points.
-        let mut idx = [0usize, 1, 2, 3, 4];
-        let mut perms = vec![idx];
-        // Heap's algorithm, iterative.
-        let mut c = [0usize; 5];
-        let mut i = 0;
-        while i < 5 {
-            if c[i] < i {
-                if i % 2 == 0 {
-                    idx.swap(0, i);
-                } else {
-                    idx.swap(c[i], i);
-                }
-                perms.push(idx);
-                c[i] += 1;
-                i = 0;
-            } else {
-                c[i] = 0;
-                i += 1;
-            }
-        }
-        assert_eq!(perms.len(), 120);
-        for perm in perms {
-            let shuffled: Vec<_> = perm.iter().map(|&j| pts[j]).collect();
-            assert_eq!(combine_triggers(shuffled), expected);
-        }
     }
 }

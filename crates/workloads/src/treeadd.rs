@@ -27,12 +27,6 @@ fn build_tree(pb: &mut ProgramBuilder, seed: u64, name: &str) -> u64 {
     addrs[0]
 }
 
-/// The expected sum of values (for semantic checking by tests).
-pub fn expected_sum() -> u64 {
-    let count = (1u64 << DEPTH) - 1;
-    count * (count + 1) / 2
-}
-
 /// Depth-first (recursive) variant.
 pub fn build_df(seed: u64) -> Workload {
     let mut pb = ProgramBuilder::new();
