@@ -65,7 +65,10 @@ pub struct MemoStats {
 ///   decoded from the store, and `hits` every other lookup.
 /// * **Disk probe inside the cell.** The first lookup of a key loads
 ///   its entry from the attached store and decodes it inside the cell,
-///   so a stored answer is read and decoded once per instance.
+///   so a stored answer is read and decoded once per instance, plus
+///   read once per [`Memo::probe`] made before that lookup; a caller
+///   that hands the probed value to the lookup's decoder decodes the
+///   entry only once.
 /// * **An undecodable entry is a miss.** An entry that is missing,
 ///   corrupt, or written for a colliding key is computed once and
 ///   counted as a miss. With the [`crate::persist`] codecs, corrupt
@@ -134,6 +137,30 @@ impl<V: Clone> Memo<V> {
         self.shards.iter().map(|s| s.lock().expect("memo shard poisoned").len()).collect()
     }
 
+    /// The memory shard `group` hashes to.
+    fn shard(&self, group: &str) -> &Mutex<HashMap<String, Arc<OnceLock<V>>>> {
+        &self.shards[(fnv64(group) % SHARDS as u64) as usize]
+    }
+
+    /// The answer [`Memo::get`] of `key` in `group` would give without
+    /// computing: its cell's value, else the stored entry if `decode`
+    /// accepts it, else `None`. A probe neither counts nor fills a
+    /// cell, so a later `get` counts exactly as it would have without
+    /// it, also when its decoder returns the probed value.
+    pub fn probe(
+        &self,
+        group: &str,
+        key: &str,
+        decode: impl FnOnce(&str) -> Option<V>,
+    ) -> Option<V> {
+        let shard = self.shard(group).lock().expect("memo shard poisoned");
+        if let Some(value) = shard.get(key).and_then(|cell| cell.get()) {
+            return Some(value.clone());
+        }
+        drop(shard);
+        self.store.get()?.load(&Store::shard_of(group), key).and_then(|text| decode(&text))
+    }
+
     /// The answer for `key` in `group`: from memory, else decoded from
     /// the store, else computed and written back (see the type docs).
     pub fn get(
@@ -143,9 +170,12 @@ impl<V: Clone> Memo<V> {
         decode: impl FnOnce(&str) -> Option<V>,
         compute: impl FnOnce() -> (V, String),
     ) -> V {
-        let shard = &self.shards[(fnv64(group) % SHARDS as u64) as usize];
         let cell = Arc::clone(
-            shard.lock().expect("memo shard poisoned").entry(key.to_owned()).or_default(),
+            self.shard(group)
+                .lock()
+                .expect("memo shard poisoned")
+                .entry(key.to_owned())
+                .or_default(),
         );
         let mut counter = &self.hits;
         let value = cell.get_or_init(|| {
@@ -274,7 +304,7 @@ pub fn stats() -> MemoStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::persist::STORE_FORMAT;
+    use crate::persist::{PersistError, Record, RecordReader, RecordWriter, STORE_FORMAT};
     use crate::SEED;
     use ssp_sim::MemoryMode;
     use std::path::PathBuf;
@@ -354,6 +384,77 @@ mod tests {
         let computed = AtomicU64::new(0);
         assert_eq!(lookup(&memo, "k", &computed), 42, "the forged answer must not leak");
         assert_eq!(memo.stats(), stats(0, 0, 1));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A one-field record, so probes see the store grammar's cut check.
+    #[derive(Clone, PartialEq, Debug)]
+    struct Word(u64);
+
+    impl Record for Word {
+        const FORMAT: &'static str = "test-word/1";
+
+        fn write(&self, w: &mut RecordWriter) {
+            w.field("value", self.0);
+        }
+
+        fn read(r: &mut RecordReader<'_>) -> Result<Self, PersistError> {
+            Ok(Word(r.parse("value")?))
+        }
+    }
+
+    #[test]
+    fn a_probe_answers_without_counting_or_filling() {
+        let root = tmpdir("probe");
+        let memo = stored_memo::<Word>(&root);
+        let word = |text: &str| decode::<Word>(text).ok();
+        let computed = AtomicU64::new(0);
+        let get = |key: &str| {
+            memo.get("group", key, word, || {
+                computed.fetch_add(1, Ordering::Relaxed);
+                (Word(7), encode(&Word(7)))
+            })
+        };
+        get("filled");
+        let store = memo.store().unwrap();
+        let shard = Store::shard_of("group");
+        let stored = encode(&Word(4242));
+        store.save(&shard, "stored", &stored).unwrap();
+        // Cut inside its last line: `value=4242` loses `2\n`.
+        store.save(&shard, "cut", &stored[..stored.len() - 2]).unwrap();
+        // Decodable, but recorded for another key.
+        std::fs::write(
+            root.join(&shard).join(format!("{:016x}.entry", fnv64("forged"))),
+            format!("{STORE_FORMAT}\nkey=not-forged\n{stored}"),
+        )
+        .unwrap();
+
+        for (key, answer) in [
+            ("filled", Some(Word(7))),
+            ("stored", Some(Word(4242))),
+            ("missing", None),
+            ("cut", None),
+            ("forged", None),
+        ] {
+            assert_eq!(memo.probe("group", key, word), answer, "probe of {key:?}");
+        }
+        assert_eq!(memo.stats(), stats(0, 0, 1), "a probe counts nothing");
+        assert_eq!(memo.shard_sizes().iter().sum::<usize>(), 1, "a probe makes no cell");
+
+        // Each later lookup counts as it would have without the probes,
+        // also one whose decoder hands back the probed value.
+        let probed = memo.probe("group", "stored", word);
+        let unreached = || -> (Word, String) { unreachable!("a stored entry is not computed") };
+        assert_eq!(memo.get("group", "stored", |_| probed, unreached), Word(4242));
+        assert_eq!(memo.stats(), stats(0, 1, 1));
+        assert_eq!(get("stored"), Word(4242));
+        assert_eq!(memo.stats(), stats(1, 1, 1));
+        for key in ["missing", "cut", "forged"] {
+            assert_eq!(get(key), Word(7), "{key:?} is computed");
+        }
+        assert_eq!(get("filled"), Word(7));
+        assert_eq!(memo.stats(), stats(2, 1, 4));
+        assert_eq!(computed.load(Ordering::Relaxed), 4);
         let _ = std::fs::remove_dir_all(&root);
     }
 

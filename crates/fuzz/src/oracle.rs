@@ -7,7 +7,7 @@
 //! semantically transparent. The adapted binary goes through one gate,
 //! [`check_adapted_with`] against the program's [`baseline_snapshots`];
 //! the `ssp-tune` auto-tuner runs every candidate plan through the same
-//! gate. The checks:
+//! gate, as a [`gated_run`] per model and [`check_runs`]. The checks:
 //!
 //! * identical final architectural state — registers the original
 //!   program mentions, the memory image, and the trap status;
@@ -350,6 +350,18 @@ pub struct BaselineSnapshots {
     pub ooo: (SimResult, ArchSnapshot),
 }
 
+impl BaselineSnapshots {
+    /// Assemble `prog`'s snapshots from its [`baseline_run`] on each
+    /// model.
+    pub fn new(
+        prog: &Program,
+        io: (SimResult, ArchSnapshot),
+        ooo: (SimResult, ArchSnapshot),
+    ) -> BaselineSnapshots {
+        BaselineSnapshots { bound: prog.next_tag, mentioned: mentioned_regs(prog), io, ooo }
+    }
+}
+
 /// Simulate `prog` unadapted on both models and capture everything
 /// [`check_adapted`] needs.
 pub fn baseline_snapshots(
@@ -357,20 +369,20 @@ pub fn baseline_snapshots(
     io: &MachineConfig,
     ooo: &MachineConfig,
 ) -> BaselineSnapshots {
-    let bound = prog.next_tag;
-    BaselineSnapshots {
-        bound,
-        mentioned: mentioned_regs(prog),
-        io: simulate_snapshot(prog, io, bound),
-        ooo: simulate_snapshot(prog, ooo, bound),
-    }
+    BaselineSnapshots::new(prog, baseline_run(prog, io), baseline_run(prog, ooo))
+}
+
+/// One model's half of [`baseline_snapshots`]: `prog` unadapted on
+/// `cfg`, its snapshot's commit digest bounded by `prog.next_tag`.
+pub fn baseline_run(prog: &Program, cfg: &MachineConfig) -> (SimResult, ArchSnapshot) {
+    simulate_snapshot(prog, cfg, prog.next_tag)
 }
 
 /// Run the oracle's invariant and equivalence checks on one
 /// already-adapted binary — the gate [`run_case`] runs its generated
-/// programs through, exposed for harnesses (the `ssp-tune` optimizer)
-/// that adapt real workloads with non-default options and must prove
-/// every candidate plan transparent before trusting its cycle count:
+/// programs through, exposed for harnesses that adapt real workloads
+/// with non-default options and must prove every candidate plan
+/// transparent before trusting its cycle count:
 ///
 /// * static spec-store freedom (`verify_speculative`) and the
 ///   one-trigger-per-stub discipline;
@@ -389,29 +401,56 @@ pub fn check_adapted(
     io: &MachineConfig,
     ooo: &MachineConfig,
 ) -> (Vec<Violation>, SimResult, SimResult) {
-    let (violations, [a_io, a_ooo]) = check_adapted_with(adapted, base, io, ooo, None);
+    let (violations, [a_io, a_ooo]) = check_adapted_with(adapted, base, io, ooo);
     (violations, a_io.result, a_ooo.result)
 }
 
 /// [`check_adapted`], returning each model's whole [`SimRun`] (in-order
-/// first) and, when `targets` is given, collecting each model's
-/// telemetry in the same run (see [`ssp_sim::simulate_traced`] for what
-/// `targets` maps). A caller that steers on Figure-9 signals thus pays
-/// one simulation per model for the gate and the telemetry together.
+/// first): [`gated_run`] on each model, then [`check_runs`]. A caller
+/// that schedules the two simulations itself, or collects telemetry in
+/// them (the `ssp-tune` optimizer), calls those two.
 pub fn check_adapted_with(
     adapted: &Program,
     base: &BaselineSnapshots,
     io: &MachineConfig,
     ooo: &MachineConfig,
-    targets: Option<&[(InstTag, InstTag)]>,
 ) -> (Vec<Violation>, [SimRun; 2]) {
+    let runs = [io, ooo].map(|cfg| gated_run(adapted, base, cfg, None));
+    (check_runs(adapted, base, &runs), runs)
+}
+
+/// One model's simulation of the gate: `adapted` on `cfg`, with the
+/// architectural snapshot the equivalence checks compare against `base`
+/// and, when `targets` is given, the telemetry trace (see
+/// [`ssp_sim::simulate_traced`] for what `targets` maps), so a caller
+/// that steers on Figure-9 signals pays one simulation per model for
+/// the gate and the telemetry together.
+pub fn gated_run(
+    adapted: &Program,
+    base: &BaselineSnapshots,
+    cfg: &MachineConfig,
+    targets: Option<&[(InstTag, InstTag)]>,
+) -> SimRun {
+    simulate_with(
+        adapted,
+        cfg,
+        SimOptions { snapshot: Some(base.bound), telemetry: targets, ..Default::default() },
+    )
+}
+
+/// The checks of [`check_adapted_with`] on runs already taken: `runs`
+/// holds `adapted`'s [`gated_run`] on the in-order and then the
+/// out-of-order model. The static checks read only `adapted`'s code.
+pub fn check_runs(
+    adapted: &Program,
+    base: &BaselineSnapshots,
+    runs: &[SimRun; 2],
+) -> Vec<Violation> {
     let mut violations = Vec::new();
     if let Err(e) = ssp_ir::verify::verify_speculative(adapted) {
         violations.push(Violation { kind: "store-in-slice", detail: e.to_string() });
     }
     check_single_trigger(adapted, &mut violations);
-    let opts = SimOptions { snapshot: Some(base.bound), telemetry: targets, ..Default::default() };
-    let runs = [simulate_with(adapted, io, opts), simulate_with(adapted, ooo, opts)];
     for (model, b_snap, run) in
         [("in-order", &base.io.1, &runs[0]), ("out-of-order", &base.ooo.1, &runs[1])]
     {
@@ -421,7 +460,7 @@ pub fn check_adapted_with(
         }
         check_ssp_invariants(model, a_snap, &run.result, &mut violations);
     }
-    (violations, runs)
+    violations
 }
 
 /// Run the full differential check for one case: generate the program,
@@ -459,7 +498,7 @@ pub fn run_case(spec: &CaseSpec, ocfg: &OracleConfig) -> CaseResult {
         Ok(a) => a,
         Err(e) => return CaseResult::failed(spec, "adapt-error", e.to_string()),
     };
-    let (mut violations, runs) = check_adapted_with(&adapted.program, &base, &io, &ooo, None);
+    let (mut violations, runs) = check_adapted_with(&adapted.program, &base, &io, &ooo);
     for ((model, cfg), run) in models.into_iter().zip(&runs) {
         let snap = run.snapshot.as_ref().expect("snapshot requested");
         let fast = (&run.result, snap);

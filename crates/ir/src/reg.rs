@@ -89,11 +89,6 @@ pub mod conv {
         (2..64).contains(&i) && r != SP
     }
 
-    /// Whether `r` is preserved across calls.
-    pub fn is_callee_saved(r: Reg) -> bool {
-        !is_scratch(r) && r != ZERO
-    }
-
     /// Registers defined (clobbered) by a call instruction, from the
     /// caller's point of view.
     pub fn call_defs() -> impl Iterator<Item = Reg> {
@@ -125,24 +120,22 @@ mod tests {
 
     #[test]
     fn scratch_and_callee_saved_partition() {
-        for i in 0..NUM_REGS as u16 {
-            let r = Reg(i);
-            if r == conv::ZERO {
-                assert!(!conv::is_scratch(r));
-                assert!(!conv::is_callee_saved(r));
-            } else {
-                assert_ne!(
-                    conv::is_scratch(r),
-                    conv::is_callee_saved(r),
-                    "register {r} must be exactly one of scratch / callee-saved"
-                );
-            }
+        // r0 is hardwired, so neither; every other register is scratch
+        // (r2..r63 but SP) or callee-saved (r1, SP, r64..r127).
+        assert!(!conv::is_scratch(conv::ZERO));
+        for r in [Reg(2), conv::RV, conv::SLOT, conv::arg(0), Reg(63)] {
+            assert!(conv::is_scratch(r), "register {r} must be scratch");
         }
+        for r in [Reg(1), conv::SP, Reg(64), Reg(NUM_REGS as u16 - 1)] {
+            assert!(!conv::is_scratch(r), "register {r} must be callee-saved");
+        }
+        let scratch = (0..NUM_REGS as u16).filter(|&i| conv::is_scratch(Reg(i))).count();
+        assert_eq!(scratch, 61, "r2..r63 without SP");
     }
 
     #[test]
     fn sp_is_preserved() {
-        assert!(conv::is_callee_saved(conv::SP));
+        assert!(!conv::is_scratch(conv::SP));
         assert!(!conv::call_defs().any(|r| r == conv::SP));
     }
 

@@ -246,9 +246,11 @@ impl Server {
             let w = ssp_workloads::by_name(name, self.config.seed)
                 .expect("parse_line admits only known workload names");
             // Fanning a tune over every worker costs little memory: a
-            // gated simulation's heap peaks under 0.9 MB, and perfbench's
-            // tune-cold daemon (two workers, two-core host) peaked at
-            // 5.74 MB of RSS, against 6.28 MB with the tune on one.
+            // gated simulation's heap peaks under 0.9 MB, the tuner keeps
+            // no more simulations or data images alive than it has
+            // workers, and perfbench's tune-cold daemon (two workers,
+            // two-vCPU host) peaked at a median 5.87 MB of RSS over eight
+            // runs.
             let mut tuner = Tuner::new(TuneConfig {
                 seed: self.config.seed,
                 io: self.config.io.clone(),

@@ -32,17 +32,18 @@
 //! Every candidate goes through [`PostPassTool::run_with_profile`]
 //! (which rejects on `ssp-lint` diagnostics and emit-verify failures)
 //! and then through the fuzz oracle's
-//! [`ssp_fuzz::oracle::check_adapted`] invariants (via
-//! [`ssp_fuzz::oracle::check_adapted_with`], which also collects the
-//! telemetry): baseline architectural equivalence on both machine
-//! models plus the SSP-specific spec-store and spawn-leak checks. A
+//! [`ssp_fuzz::oracle::check_adapted`] invariants (one
+//! [`ssp_fuzz::oracle::gated_run`] per model, which also collects the
+//! telemetry, then [`ssp_fuzz::oracle::check_runs`]): baseline
+//! architectural equivalence on both machine models plus the
+//! SSP-specific spec-store and spawn-leak checks. A
 //! candidate with any violation is never accepted, no matter its cycle
 //! count.
 //!
 //! # Determinism and caching
 //!
-//! Move menus are generated in a fixed order, candidates are evaluated
-//! with [`parallel::map_indexed`] (order-preserving), and acceptance
+//! Move menus are generated in a fixed order, their simulations run
+//! under [`parallel::map_indexed`] (order-preserving), and acceptance
 //! breaks ties by menu position — so a tune run is byte-identical
 //! across worker counts. Each candidate is memoized as one [`Candidate`]
 //! in the tuner's own [`Memo`] (see its doc comment for the caching
@@ -59,6 +60,32 @@
 //! collector installed in the same runs ([`Tuner::gate_stats`] counts
 //! it). The workload's profile and baseline snapshots are computed once
 //! per tuner, for both rows.
+//!
+//! # One simulation, one job
+//!
+//! A round's menu is evaluated in three steps, and a single option set
+//! (the default plan, [`Tuner::evaluate`]) is a one-item menu:
+//!
+//! 1. *Resolve.* [`Memo::probe`] checks each option set against the
+//!    candidate memo and its store, without counting or filling a
+//!    cell. Only the unresolved ones are adapted, and each emitting one
+//!    names its binary; a binary the gate memo already holds needs no
+//!    run.
+//! 2. *Simulate.* Each distinct binary left gets two jobs, its gated
+//!    in-order and out-of-order runs, and all jobs share one
+//!    [`parallel::map_indexed`] over the tuner's workers, out-of-order
+//!    first (a gated out-of-order run costs about 1.8× an in-order one).
+//!    A job copies the workload's data image into the binary for its
+//!    run only, so at most `workers` images and simulations are alive.
+//! 3. *Fold.* The menu is walked in order through the candidate and
+//!    gate memos, whose misses take the step-2 runs, so every counter,
+//!    store entry and answer is what a serial evaluation gives. (If
+//!    another process saves a candidate to the store between its probe
+//!    and its fold, the fold reads it, and its binary's runs are
+//!    dropped uncounted: [`Tuner::gate_stats`] is exact for one writer
+//!    per store.)
+//!
+//! The profile and the two baseline snapshots are three such jobs too.
 
 pub mod report;
 
@@ -70,9 +97,11 @@ use ssp_core::{
     Profile, SimTrace, SpModel,
 };
 use ssp_fuzz::oracle::{self, BaselineSnapshots};
+use ssp_ir::{InstTag, Program};
+use ssp_sim::SimRun;
 use ssp_trace::TimelinessCounts;
 use ssp_workloads::Workload;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 pub use report::{render_report, TuneRow};
 
@@ -487,6 +516,60 @@ struct Gate {
     ooo_telemetry: TelemetrySummary,
 }
 
+impl Gate {
+    /// The gate's verdict on `program`'s gated runs, in-order first.
+    fn of(program: &Program, base: &BaselineSnapshots, runs: [SimRun; 2]) -> Gate {
+        let violations = oracle::kinds(&oracle::check_runs(program, base, &runs));
+        let [io, ooo] = runs;
+        Gate {
+            violations,
+            io_cycles: io.result.cycles,
+            ooo_cycles: ooo.result.cycles,
+            io_telemetry: TelemetrySummary::of(io.trace.expect("telemetry requested")),
+            ooo_telemetry: TelemetrySummary::of(ooo.trace.expect("telemetry requested")),
+        }
+    }
+}
+
+/// An adapted binary on its way through the oracle gate.
+struct Binary {
+    /// Gate-memo key; `None` when the data image is not the workload's,
+    /// and the binary is gated uncached.
+    key: Option<String>,
+    /// The adapted program. A keyed binary leaves its image out: it is
+    /// the workload's, which each run copies back in for its duration.
+    program: Program,
+    /// Prefetch targets for the telemetry collected in the same runs.
+    targets: Vec<(InstTag, InstTag)>,
+}
+
+impl Binary {
+    /// This binary's gated run on `cfg`, telemetry included.
+    fn run(&self, w: &Workload, base: &BaselineSnapshots, cfg: &MachineConfig) -> SimRun {
+        let restored;
+        let program = match self.key {
+            Some(_) => {
+                restored = Program { image: w.program.image.clone(), ..self.program.clone() };
+                &restored
+            }
+            None => &self.program,
+        };
+        oracle::gated_run(program, base, cfg, Some(&self.targets))
+    }
+}
+
+/// `b`'s index in `binaries`, where it is added unless a binary with
+/// its gate key is there already.
+fn intern(binaries: &mut Vec<Binary>, b: Binary) -> usize {
+    match binaries.iter().position(|k| k.key.is_some() && k.key == b.key) {
+        Some(i) => i,
+        None => {
+            binaries.push(b);
+            binaries.len() - 1
+        }
+    }
+}
+
 /// Instance-based auto-tuner (the `ssp-serve` pattern: "restart the
 /// tuner" in a test is a second `Tuner` on the same store directory).
 pub struct Tuner {
@@ -532,7 +615,8 @@ impl Tuner {
 
     /// Counters of the oracle-gate memo: `misses` is the number of
     /// distinct adapted binaries simulated, `hits` the candidates that
-    /// reused one of those runs.
+    /// reused one of those runs. Exact while this tuner is its store's
+    /// only writer (see the crate docs).
     pub fn gate_stats(&self) -> MemoStats {
         self.gates.stats()
     }
@@ -549,7 +633,8 @@ impl Tuner {
     }
 
     /// `w`'s profile and baseline snapshots, computed once per workload
-    /// and shared by both of its rows and by every gate miss.
+    /// and shared by both of its rows and by every gate miss. The three
+    /// simulations are independent jobs, the costliest first.
     fn inputs(&self, w: &Workload) -> Arc<(Profile, BaselineSnapshots)> {
         let id = self.identity(w);
         self.inputs.get(
@@ -557,50 +642,72 @@ impl Tuner {
             &id,
             |_| None,
             || {
-                let profile = ssp_core::profile(&w.program, &self.config.io);
-                let base =
-                    oracle::baseline_snapshots(&w.program, &self.config.io, &self.config.ooo);
+                let (io, ooo) = (&self.config.io, &self.config.ooo);
+                let jobs = [Some(ooo), None, Some(io)];
+                let mut runs =
+                    parallel::map_indexed(&jobs, self.config.workers, |_, job| match job {
+                        Some(cfg) => (None, Some(oracle::baseline_run(&w.program, cfg))),
+                        None => (Some(ssp_core::profile(&w.program, io)), None),
+                    });
+                let profile = runs[1].0.take().expect("job 1 profiles");
+                let [ooo, io] = [0, 2].map(|j| runs[j].1.take().expect("jobs 0 and 2 snapshot"));
+                let base = BaselineSnapshots::new(&w.program, io, ooo);
                 (Arc::new((profile, base)), String::new())
             },
         )
     }
 
-    /// Run the oracle gate on `adapted` with telemetry collected in the
-    /// same runs, once per distinct binary. The key is exact: workload
-    /// identity, the binary's code and its prefetch targets. A plan
-    /// digest would not do, since one digest can emit different code
-    /// (a `chain_budget` change). Adaptation never writes the data
-    /// image, so the key leaves it out and the image is compared with
-    /// the workload's instead: a binary with a foreign image is gated
-    /// uncached.
-    fn gate(&self, w: &Workload, adapted: &AdaptedBinary, base: &BaselineSnapshots) -> Gate {
-        let prog = &adapted.program;
-        let targets = prefetch_targets(adapted);
-        let run = || {
-            let (violations, [io, ooo]) = oracle::check_adapted_with(
-                prog,
-                base,
-                &self.config.io,
-                &self.config.ooo,
-                Some(&targets),
-            );
-            Gate {
-                violations: oracle::kinds(&violations),
-                io_cycles: io.result.cycles,
-                ooo_cycles: ooo.result.cycles,
-                io_telemetry: TelemetrySummary::of(io.trace.expect("telemetry requested")),
-                ooo_telemetry: TelemetrySummary::of(ooo.trace.expect("telemetry requested")),
+    /// `adapted` as a gate input. Its key is exact: workload identity,
+    /// the binary's code and its prefetch targets. A plan digest would
+    /// not do, since one digest can emit different code (a
+    /// `chain_budget` change). Adaptation never writes the data image,
+    /// so the key leaves it out and the image is compared with the
+    /// workload's instead: a binary with a foreign image is unkeyed.
+    fn binary(&self, w: &Workload, adapted: AdaptedBinary) -> Binary {
+        let targets = prefetch_targets(&adapted);
+        let mut program = adapted.program;
+        let key = (program.image == w.program.image).then(|| {
+            program.image = Vec::new();
+            format!(
+                "tune-gate {} entry={} next_tag={} targets={:?} funcs={:?}",
+                self.identity(w),
+                program.entry,
+                program.next_tag,
+                targets,
+                program.funcs
+            )
+        });
+        Binary { key, program, targets }
+    }
+
+    /// Run the oracle gate on `b` with telemetry collected in the same
+    /// runs, once per distinct keyed binary; an unkeyed one is gated
+    /// uncached. A miss takes `runs` (in-order first) when the simulate
+    /// step took them, and simulates both models itself otherwise.
+    fn gate(
+        &self,
+        w: &Workload,
+        b: &Binary,
+        mut runs: Option<[SimRun; 2]>,
+        base: &BaselineSnapshots,
+    ) -> Gate {
+        let mut compute = || {
+            let runs = runs.take().unwrap_or_else(|| {
+                [&self.config.io, &self.config.ooo].map(|cfg| b.run(w, base, cfg))
+            });
+            Gate::of(&b.program, base, runs)
+        };
+        let gate = match &b.key {
+            None => compute(),
+            Some(key) => {
+                self.gates.get(&self.identity(w), key, |_| None, || (compute(), String::new()))
             }
         };
-        if prog.image != w.program.image {
-            return run();
-        }
-        let id = self.identity(w);
-        let key = format!(
-            "tune-gate {id} entry={} next_tag={} targets={:?} funcs={:?}",
-            prog.entry, prog.next_tag, targets, prog.funcs
-        );
-        self.gates.get(&id, &key, |_| None, || (run(), String::new()))
+        // Runs come only for a binary whose gate-memo probe missed, and
+        // only this tuner fills that memory-only memo: while one thread
+        // drives the tuner, as every caller does, they meet a miss here.
+        debug_assert!(runs.is_none(), "a simulated binary's runs feed exactly one gate miss");
+        gate
     }
 
     /// Evaluate one candidate option set: adapt with the shared
@@ -633,10 +740,7 @@ impl Tuner {
         }
     }
 
-    /// The memoized [`Candidate`] of `opts` on `w`, grouped by the
-    /// workload identity and keyed by it plus the options fingerprint.
-    /// `base` is looked up only on a miss; `None` takes the tuner's own
-    /// baselines of `w`.
+    /// [`Tuner::candidates`] of a one-item menu.
     fn candidate(
         &self,
         w: &Workload,
@@ -644,45 +748,137 @@ impl Tuner {
         base: Option<&BaselineSnapshots>,
         opts: &AdaptOptions,
     ) -> Candidate {
-        let id = self.identity(w);
-        let key = format!("tune-candidate {id} {}", opts.fingerprint());
-        self.memo.get(
-            &id,
-            &key,
-            |text| persist::decode(text).ok(),
-            || {
-                let own;
-                let base = match base {
-                    Some(b) => b,
-                    None => {
-                        own = self.inputs(w);
-                        &own.1
-                    }
-                };
-                let c = self.compute_candidate(w, profile, base, opts);
-                let text = persist::encode(&c);
-                (c, text)
-            },
-        )
+        self.candidates(w, profile, base, &[opts]).pop().expect("one option set, one candidate")
     }
 
-    fn compute_candidate(
+    /// The memoized [`Candidate`] of each of `menu`'s option sets on
+    /// `w`, in menu order, grouped by the workload identity and keyed by
+    /// it plus the options fingerprint; evaluated in the three steps of
+    /// the crate docs. `base` is looked up only when an option set is
+    /// unresolved; `None` takes the tuner's own baselines of `w`.
+    fn candidates(
+        &self,
+        w: &Workload,
+        profile: &Profile,
+        base: Option<&BaselineSnapshots>,
+        menu: &[&AdaptOptions],
+    ) -> Vec<Candidate> {
+        let id = self.identity(w);
+        let decode = |text: &str| persist::decode(text).ok();
+        let own = OnceLock::new();
+        let base = || base.unwrap_or_else(|| &own.get_or_init(|| self.inputs(w)).1);
+
+        // Resolve: adapt what the candidate memo cannot answer, one job
+        // per option set (a job keeps no image past its adaptation), and
+        // number the distinct binaries. A probed entry is decoded once:
+        // the fold's `get` takes the probed value as its decoding.
+        let keys: Vec<String> =
+            menu.iter().map(|o| format!("tune-candidate {id} {}", o.fingerprint())).collect();
+        let mut probed: Vec<Option<Candidate>> =
+            keys.iter().map(|key| self.memo.probe(&id, key, decode)).collect();
+        let unresolved: Vec<usize> = (0..menu.len()).filter(|&i| probed[i].is_none()).collect();
+        let mut adapted: Vec<Option<Result<(Eval, usize), Eval>>> =
+            menu.iter().map(|_| None).collect();
+        let mut binaries = Vec::new();
+        let mut runs: Vec<Option<[SimRun; 2]>> = Vec::new();
+        if !unresolved.is_empty() {
+            let base = base();
+            let outcomes = parallel::map_indexed(&unresolved, self.config.workers, |_, &i| {
+                self.adapt(w, profile, base, menu[i])
+            });
+            for (i, outcome) in unresolved.into_iter().zip(outcomes) {
+                adapted[i] = Some(outcome.map(|(eval, b)| (eval, intern(&mut binaries, b))));
+            }
+
+            // Simulate the binaries the gate memo lacks, two jobs each:
+            // every out-of-order run, then every in-order one.
+            let pending: Vec<usize> = (0..binaries.len())
+                .filter(|&i| {
+                    let key = binaries[i].key.as_ref();
+                    key.is_some_and(|key| self.gates.probe(&id, key, |_| None).is_none())
+                })
+                .collect();
+            let jobs: Vec<(usize, &MachineConfig)> = [&self.config.ooo, &self.config.io]
+                .into_iter()
+                .flat_map(|cfg| pending.iter().map(move |&i| (i, cfg)))
+                .collect();
+            let mut done = parallel::map_indexed(&jobs, self.config.workers, |_, &(i, cfg)| {
+                binaries[i].run(w, base, cfg)
+            })
+            .into_iter();
+            runs.resize_with(binaries.len(), || None);
+            let ooo: Vec<SimRun> = done.by_ref().take(pending.len()).collect();
+            for ((i, ooo), io) in pending.into_iter().zip(ooo).zip(done) {
+                runs[i] = Some([io, ooo]);
+            }
+        }
+
+        // Fold.
+        let candidates = menu
+            .iter()
+            .zip(&keys)
+            .zip(adapted.iter_mut().zip(&mut probed))
+            .map(|((opts, key), (adapted, probed))| {
+                let decode = |text: &str| probed.take().or_else(|| decode(text));
+                self.memo.get(&id, key, decode, || {
+                    // Resolved, unless its entry vanished since the probe.
+                    let adapted = adapted.take().unwrap_or_else(|| {
+                        let outcome = self.adapt(w, profile, base(), opts);
+                        outcome.map(|(eval, b)| (eval, intern(&mut binaries, b)))
+                    });
+                    let c = match adapted {
+                        Err(eval) => Candidate {
+                            eval,
+                            io_telemetry: TelemetrySummary::default(),
+                            ooo_telemetry: TelemetrySummary::default(),
+                        },
+                        Ok((eval, i)) => {
+                            let runs = runs.get_mut(i).and_then(Option::take);
+                            let gate = self.gate(w, &binaries[i], runs, base());
+                            Candidate {
+                                eval: Eval {
+                                    violations: gate.violations,
+                                    io_cycles: gate.io_cycles,
+                                    ooo_cycles: gate.ooo_cycles,
+                                    ..eval
+                                },
+                                io_telemetry: gate.io_telemetry,
+                                ooo_telemetry: gate.ooo_telemetry,
+                            }
+                        }
+                    };
+                    let text = persist::encode(&c);
+                    (c, text)
+                })
+            })
+            .collect();
+        // Runs go unused only when another writer of the store (another
+        // process, say) saved a candidate between its probe and its fold,
+        // which then reads it instead of computing: that work is dropped,
+        // and `gate_stats` does not count it.
+        debug_assert!(
+            runs.iter().all(Option::is_none) || adapted.iter().any(Option::is_some),
+            "a simulated binary went ungated, yet every unresolved candidate was computed"
+        );
+        candidates
+    }
+
+    /// Adapt `opts` with the shared profile: an emitting plan's
+    /// evaluation, its gate verdict and cycles still empty, and its
+    /// [`Binary`]; or, as the error, the whole evaluation of a plan that
+    /// needs no gate (the tool rejected it, or it emits nothing).
+    fn adapt(
         &self,
         w: &Workload,
         profile: &Profile,
         base: &BaselineSnapshots,
         opts: &AdaptOptions,
-    ) -> Candidate {
-        let unsimulated = |eval| Candidate {
-            eval,
-            io_telemetry: TelemetrySummary::default(),
-            ooo_telemetry: TelemetrySummary::default(),
-        };
+    ) -> Result<(Eval, Binary), Eval> {
         let tool = PostPassTool::new(self.config.io.clone()).with_options(opts.clone());
         let adapted = match tool.run_with_profile(&w.program, profile.clone()) {
             Ok(adapted) => adapted,
             Err(e) => {
-                return unsimulated(Eval {
+                return Err(Eval {
                     adapt_error: Some(
                         match e {
                             AdaptError::Lint(_) => "lint",
@@ -702,22 +898,18 @@ impl Tuner {
         let slices = adapted.report.slice_count() as u64;
         let skipped = adapted.report.skipped.len() as u64;
         if adapted.report.is_noop() {
-            return unsimulated(Eval { slices, skipped, ..Eval::baseline(base) });
+            return Err(Eval { slices, skipped, ..Eval::baseline(base) });
         }
-        let gate = self.gate(w, &adapted, base);
-        Candidate {
-            eval: Eval {
-                adapt_error: None,
-                slices,
-                skipped,
-                plan_digest: adapted.report.plan_digest(),
-                violations: gate.violations,
-                io_cycles: gate.io_cycles,
-                ooo_cycles: gate.ooo_cycles,
-            },
-            io_telemetry: gate.io_telemetry,
-            ooo_telemetry: gate.ooo_telemetry,
-        }
+        let eval = Eval {
+            adapt_error: None,
+            slices,
+            skipped,
+            plan_digest: adapted.report.plan_digest(),
+            violations: Vec::new(),
+            io_cycles: 0,
+            ooo_cycles: 0,
+        };
+        Ok((eval, self.binary(w, adapted)))
     }
 
     /// Run the closed loop for one workload on one target model.
@@ -766,9 +958,12 @@ impl Tuner {
             if menu.is_empty() {
                 break;
             }
-            let evals = parallel::map_indexed(&menu, self.config.workers, |_, (_, o)| {
-                self.evaluate(w, profile, base, o)
-            });
+            let options: Vec<&AdaptOptions> = menu.iter().map(|(_, o)| o).collect();
+            let evals: Vec<Eval> = self
+                .candidates(w, profile, Some(base), &options)
+                .into_iter()
+                .map(|c| c.eval)
+                .collect();
             let mut accepted: Option<usize> = None;
             for (i, e) in evals.iter().enumerate() {
                 candidates += 1;
@@ -1025,13 +1220,15 @@ mod tests {
         let inputs = tuner.inputs(&w);
         let mut adapted = adapt(&tuner, &w, &AdaptOptions::default());
         let targets = prefetch_targets(&adapted);
-        let own = tuner.gate(&w, &adapted, &inputs.1);
+        let own = tuner.gate(&w, &tuner.binary(&w, adapted.clone()), None, &inputs.1);
         // Same code, every data word zero: all node pointers null.
         for (_, word) in &mut adapted.program.image {
             *word = 0;
         }
+        let binary = tuner.binary(&w, adapted.clone());
+        assert!(binary.key.is_none(), "a foreign image has no gate key");
         for _ in 0..2 {
-            let foreign = tuner.gate(&w, &adapted, &inputs.1);
+            let foreign = tuner.gate(&w, &binary, None, &inputs.1);
             assert_ne!(foreign.io_telemetry, own.io_telemetry, "the image changes the run");
             for (cfg, cycles, telemetry) in [
                 (&tuner.config.io, foreign.io_cycles, foreign.io_telemetry),

@@ -8,6 +8,7 @@
 //! debug build; capped configs fingerprint differently from the paper
 //! configs, so these cache entries can never pollute a real store.
 
+use ssp_bench::cache::MemoStats;
 use ssp_bench::persist::{decode, encode, Store};
 use ssp_core::MachineConfig;
 use ssp_tune::{render_report, TuneConfig, TuneRow, Tuner, SEED};
@@ -47,16 +48,23 @@ fn tmpdir(name: &str) -> PathBuf {
 
 #[test]
 fn report_is_byte_identical_across_worker_counts() {
-    let (serial_tuner, parallel_tuner) =
-        (Tuner::new(capped_config(1)), Tuner::new(capped_config(4)));
+    let serial_tuner = Tuner::new(capped_config(1));
     let serial = report_for(&serial_tuner);
-    let parallel = report_for(&parallel_tuner);
-    assert_eq!(serial, parallel, "tune report depends on worker count");
     assert!(serial.starts_with("{\n  \"schema\": \"ssp-tune-report/1\""));
-    // Candidates of one round that emit one binary race for its gate
-    // run at 4 workers; the counters must not show which one won.
-    assert_eq!(serial_tuner.gate_stats(), parallel_tuner.gate_stats(), "gate counters");
     assert!(serial_tuner.gate_stats().hits > 0, "no two candidates shared a binary");
+    // Three workers split a round's jobs unevenly. No counter may show
+    // which worker ran which simulation.
+    for workers in [3, 4] {
+        let parallel_tuner = Tuner::new(capped_config(workers));
+        let parallel = report_for(&parallel_tuner);
+        assert_eq!(serial, parallel, "tune report depends on worker count ({workers})");
+        assert_eq!(serial_tuner.stats(), parallel_tuner.stats(), "memo counters ({workers})");
+        assert_eq!(
+            serial_tuner.gate_stats(),
+            parallel_tuner.gate_stats(),
+            "gate counters ({workers})"
+        );
+    }
 }
 
 #[test]
@@ -80,6 +88,9 @@ fn warm_store_restart_replays_byte_identically() {
         warm_stats.disk_hits, cold_stats.misses,
         "every cold computation should be answered from disk on restart"
     );
+    // Every candidate resolved from disk, so the replay gated, and so
+    // simulated, no binary.
+    assert_eq!(warm.gate_stats(), MemoStats::default(), "warm restart ran the oracle gate");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
