@@ -5,47 +5,63 @@
 //! slices on either model, so a per-spawn or per-slot allocation alone
 //! would put it far over the bound.
 //!
-//! The counting allocator keeps a per-thread counter, so tests running
-//! concurrently on other threads of the harness do not disturb it.
+//! The counting allocator keeps per-thread counters (allocator calls, and
+//! live bytes with their high-water mark), so tests running concurrently
+//! on other threads of the harness do not disturb them.
 
 use ssp_core::{simulate, MachineConfig, PostPassTool};
+use ssp_sim::Memory;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread, and the most
+    /// that difference reached since the last [`peak_of`] began.
+    static LIVE: Cell<(isize, isize)> = const { Cell::new((0, 0)) };
 }
 
-fn count() {
+/// Count one allocator call that grows this thread's live bytes by
+/// `grow` (negative for a shrinking reallocation).
+fn count(grow: isize) {
     // `try_with` because the allocator also serves thread teardown,
-    // after the counter is gone.
+    // after the counters are gone.
     let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    let _ = LIVE.try_with(|l| {
+        let (live, peak) = l.get();
+        l.set((live + grow, peak.max(live + grow)));
+    });
 }
 
 // SAFETY: every method forwards to `System` unchanged; counting touches
-// only a const-initialized thread-local `Cell`, which never allocates.
+// only const-initialized thread-local `Cell`s, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as isize);
         // SAFETY: the caller's guarantees for `layout` pass through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as isize);
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size as isize - layout.size() as isize);
         // SAFETY: `ptr` was returned by this allocator, which is `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|l| {
+            let (live, peak) = l.get();
+            l.set((live - layout.size() as isize, peak));
+        });
         // SAFETY: `ptr` was returned by this allocator, which is `System`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -57,6 +73,18 @@ static GLOBAL: Counting = Counting;
 /// Allocator calls (allocations and reallocations) on this thread.
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// `f`'s value, and the most bytes it had allocated on this thread and
+/// not yet freed at any one time.
+fn peak_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let start = LIVE.with(|l| {
+        let (live, _) = l.get();
+        l.set((live, live));
+        live
+    });
+    let value = f();
+    (value, (LIVE.with(Cell::get).1 - start) as usize)
 }
 
 #[test]
@@ -77,4 +105,15 @@ fn adapted_simulation_allocates_only_at_set_up() {
         );
         assert!(made < 500, "{model}: {made} allocations for {} slices", result.threads_spawned);
     }
+}
+
+#[test]
+fn a_run_copies_only_its_image_words() {
+    // mst has the suite's largest data image.
+    let w = ssp_workloads::by_name("mst", ssp_bench::SEED).expect("mst is a suite name");
+    let words = w.program.image.len();
+    assert!(words > 8_000, "mst's image holds {words} words");
+    let (memory, peak) = peak_of(|| Memory::new(Arc::clone(&w.program.image)));
+    assert_eq!(memory.footprint_words(), words);
+    assert!(peak <= 8 * words + 64, "{peak} bytes of heap for an image of {words} words");
 }

@@ -7,10 +7,11 @@
 //! [`InstTag`].
 
 use crate::inst::{AluKind, CmpKind, FAluKind, Inst, InstTag, Op, Operand};
-use crate::program::{Block, BlockId, FuncId, Function, Program};
+use crate::program::{Block, BlockId, FuncId, Function, Image, Program};
 use crate::reg::Reg;
 use std::cell::Cell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Builds a [`Program`] out of functions.
 ///
@@ -29,7 +30,7 @@ use std::rc::Rc;
 #[derive(Debug)]
 pub struct ProgramBuilder {
     funcs: Vec<Function>,
-    image: Vec<(u64, u64)>,
+    image: Image,
     next_tag: Rc<Cell<u32>>,
     next_func: u32,
 }
@@ -45,7 +46,7 @@ impl ProgramBuilder {
     pub fn new() -> Self {
         ProgramBuilder {
             funcs: Vec::new(),
-            image: Vec::new(),
+            image: Image::default(),
             next_tag: Rc::new(Cell::new(0)),
             next_func: 0,
         }
@@ -108,14 +109,14 @@ impl ProgramBuilder {
         self.funcs.push(func);
     }
 
-    /// Add one initialized 64-bit word to the data image.
+    /// Add one initialized 64-bit word to the data image; a repeated
+    /// address keeps its last value.
     ///
     /// # Panics
     ///
     /// Panics if `addr` is not 8-byte aligned.
     pub fn data_word(&mut self, addr: u64, value: u64) -> &mut Self {
-        assert_eq!(addr % 8, 0, "data word at unaligned address {addr:#x}");
-        self.image.push((addr, value));
+        self.image.insert(addr, value);
         self
     }
 
@@ -123,17 +124,16 @@ impl ProgramBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if `addr` is not 8-byte aligned.
+    /// Panics if `values` is not empty and `addr` is not 8-byte aligned.
     pub fn data_words(&mut self, addr: u64, values: &[u64]) -> &mut Self {
-        assert_eq!(addr % 8, 0, "data block at unaligned address {addr:#x}");
         for (i, &v) in values.iter().enumerate() {
-            self.image.push((addr + 8 * i as u64, v));
+            self.image.insert(addr + 8 * i as u64, v);
         }
         self
     }
 
     /// Finish the program with the given entry function, consuming any
-    /// function bodies registered so far.
+    /// function bodies registered so far and freezing the data image.
     ///
     /// The `main` argument is accepted by value purely for call-site
     /// readability (`pb.finish(main_fn_result)`); it must equal an id whose
@@ -152,7 +152,8 @@ impl ProgramBuilder {
             self.funcs.len()
         );
         assert!((entry.0 as usize) < self.funcs.len(), "entry {entry} out of range");
-        Program { funcs: self.funcs, entry, image: self.image, next_tag: self.next_tag.get() }
+        let image = Arc::new(self.image);
+        Program { funcs: self.funcs, entry, image, next_tag: self.next_tag.get() }
     }
 }
 
@@ -471,7 +472,10 @@ mod tests {
         f.at(e).halt();
         let main = f.finish();
         let prog = pb.finish_with(main);
-        assert_eq!(prog.image, vec![(0x100, 7), (0x108, 8), (0x110, 9)]);
+        let words =
+            [0x100, 0x108, 0x110].map(|a| prog.image.slot(a).map(|s| prog.image.words()[s]));
+        assert_eq!(words, [Some(7), Some(8), Some(9)]);
+        assert_eq!(prog.image.len(), 3);
     }
 
     #[test]

@@ -59,5 +59,5 @@ pub mod verify;
 
 pub use builder::{BlockCursor, FunctionBuilder, ProgramBuilder};
 pub use inst::{AluKind, CmpKind, FAluKind, Inst, InstTag, Op, Operand, MAX_USES};
-pub use program::{Block, BlockId, FuncId, Function, InstRef, Program};
+pub use program::{Block, BlockId, FuncId, Function, Image, InstRef, Program, WordHasher, WordMap};
 pub use reg::{conv, Reg};

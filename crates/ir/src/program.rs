@@ -1,8 +1,14 @@
-//! Programs, functions, and basic blocks.
+//! Programs, functions, basic blocks, and the frozen data image every
+//! copy of a program shares: the post-pass tool appends stub and slice
+//! blocks but never writes data (Figure 7), so cloning a program, as
+//! adaptation does, shares its [`Image`] through an [`Arc`].
 
 use crate::inst::{Inst, InstTag, Op};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 /// Index of a function within a [`Program`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -130,6 +136,99 @@ impl Function {
     }
 }
 
+/// The splitmix64 finalizer: a fixed bijection of `u64` whose every
+/// output bit depends on every input bit.
+fn mix(x: u64) -> u64 {
+    let x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    let x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+/// The key hasher of word-address maps ([`WordMap`]). A word address is
+/// one `u64`, and the workloads' addresses are aligned and strided,
+/// differing only in a few middle bits; one `mix` spreads them over a
+/// table's buckets for a fraction of SipHash's cost. The keys are
+/// addresses computed by programs the in-tree workload and case
+/// generators built, never bytes from outside the program, so the hasher
+/// needs no per-process key against crafted collisions.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = mix(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = mix(self.0 ^ x);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by word address, hashed with [`WordHasher`].
+pub type WordMap<V> = HashMap<u64, V, BuildHasherDefault<WordHasher>>;
+
+/// A program's initialized data (like a `.data` section): 64-bit words
+/// at 8-byte-aligned addresses, each in a slot numbered by first
+/// appearance. The address→slot index is built once and shared; a
+/// simulation copies only [`Image::words`] and looks slots up here.
+#[derive(Clone, PartialEq, Debug, Default)]
+pub struct Image {
+    /// Slot of each word address.
+    slots: WordMap<usize>,
+    /// Each slot's initial value.
+    words: Vec<u64>,
+}
+
+impl Image {
+    /// Set the word at `addr`; a repeated address keeps its last value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not 8-byte aligned.
+    pub fn insert(&mut self, addr: u64, value: u64) {
+        assert_eq!(addr % 8, 0, "data word at unaligned address {addr:#x}");
+        match self.slots.entry(addr) {
+            Entry::Occupied(e) => self.words[*e.get()] = value,
+            Entry::Vacant(e) => {
+                e.insert(self.words.len());
+                self.words.push(value);
+            }
+        }
+    }
+
+    /// The slot of the word at the aligned address `addr`, if the image
+    /// holds it.
+    pub fn slot(&self, addr: u64) -> Option<usize> {
+        self.slots.get(&addr).copied()
+    }
+
+    /// Every slot's initial value, by slot.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// `(address, slot)` of every word, in no particular order.
+    pub fn slots(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+        self.slots.iter().map(|(&addr, &slot)| (addr, slot))
+    }
+
+    /// Number of distinct words.
+    pub fn len(&self) -> usize {
+        self.words.len()
+    }
+
+    /// True for an image with no words.
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+}
+
 /// A whole program: the unit the post-pass tool adapts.
 ///
 /// Standing in for a linked binary, a program carries its functions, the
@@ -141,9 +240,8 @@ pub struct Program {
     pub funcs: Vec<Function>,
     /// The function where execution starts.
     pub entry: FuncId,
-    /// Initialized memory: `(byte address, 64-bit word)` pairs. Addresses
-    /// must be 8-byte aligned.
-    pub image: Vec<(u64, u64)>,
+    /// Initialized memory, frozen and shared by every clone.
+    pub image: Arc<Image>,
     /// Next unused instruction-tag value.
     pub next_tag: u32,
 }

@@ -27,8 +27,6 @@ pub enum VerifyError {
     DuplicateTag(InstRef, InstRef),
     /// The entry function id is out of range.
     BadEntry(FuncId),
-    /// A data-image address is not 8-byte aligned.
-    UnalignedImage(u64),
     /// A store appears in an attachment (slice/stub) block reachable only
     /// by speculative threads, violating the paper's "no store instructions
     /// in the precomputation" rule. Stub blocks are executed by the main
@@ -57,9 +55,6 @@ impl fmt::Display for VerifyError {
                 write!(f, "instructions at {a} and {b} share a tag")
             }
             VerifyError::BadEntry(func) => write!(f, "entry function {func} out of range"),
-            VerifyError::UnalignedImage(a) => {
-                write!(f, "data image word at unaligned address {a:#x}")
-            }
             VerifyError::StoreInSlice(at) => {
                 write!(f, "store instruction in speculative slice code at {at}")
             }
@@ -77,11 +72,6 @@ impl Error for VerifyError {}
 pub fn verify(prog: &Program) -> Result<(), VerifyError> {
     if prog.entry.0 as usize >= prog.funcs.len() {
         return Err(VerifyError::BadEntry(prog.entry));
-    }
-    for &(addr, _) in &prog.image {
-        if addr % 8 != 0 {
-            return Err(VerifyError::UnalignedImage(addr));
-        }
     }
     let mut tags: std::collections::HashMap<crate::inst::InstTag, InstRef> =
         std::collections::HashMap::new();

@@ -246,11 +246,11 @@ impl Server {
             let w = ssp_workloads::by_name(name, self.config.seed)
                 .expect("parse_line admits only known workload names");
             // Fanning a tune over every worker costs little memory: a
-            // gated simulation's heap peaks under 0.9 MB, the tuner keeps
-            // no more simulations or data images alive than it has
-            // workers, and perfbench's tune-cold daemon (two workers,
-            // two-vCPU host) peaked at a median 5.87 MB of RSS over eight
-            // runs.
+            // gated simulation's heap peaks under 0.8 MB, the tuner keeps
+            // no more simulations alive than it has workers, all sharing
+            // the workload's one frozen data image, and perfbench's
+            // tune-cold daemon (two workers, two-vCPU host) peaked at a
+            // median 5.87 MB of RSS over eight runs.
             let mut tuner = Tuner::new(TuneConfig {
                 seed: self.config.seed,
                 io: self.config.io.clone(),

@@ -40,6 +40,7 @@ use ssp_ir::reg::{conv, NUM_REGS};
 use ssp_ir::{FuncId, Op, Program};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::Arc;
 
 /// Why a thread could not issue/dispatch this cycle.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -371,8 +372,7 @@ impl<'a> Engine<'a> {
         cfg: &'a MachineConfig,
         opts: SimOptions<'_>,
     ) -> Self {
-        let mut mem = Memory::new();
-        mem.load_image(&prog.image);
+        let mem = Memory::new(Arc::clone(&prog.image));
         let mut threads = vec![Thread::new(); cfg.num_contexts];
         // The main thread starts at the program entry with SP set.
         threads[0].pc = Some(decode.entry(prog.entry).expect("the entry function exists"));

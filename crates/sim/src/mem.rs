@@ -1,78 +1,58 @@
-//! Functional memory: a sparse 64-bit word store, plus the live-in buffer.
+//! Functional memory, plus the live-in buffer.
+//!
+//! A program's data image is frozen once and shared ([`ssp_ir::Image`]);
+//! a simulation's [`Memory`] shares its address→slot index, copies only
+//! its words (8 bytes each, 35–65 KB on the suite) and keeps the few words
+//! a run writes outside the image in a small map of its own.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// The splitmix64 finalizer: a fixed bijection of `u64` whose every
-/// output bit depends on every input bit.
-fn mix(x: u64) -> u64 {
-    let x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    let x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// The functional memory's key hasher. A word address is one `u64`, and
-/// the workloads' addresses are aligned and strided, differing only in a
-/// few middle bits; one [`mix`] spreads them over the table's buckets
-/// for a fraction of SipHash's cost. The keys are addresses computed by
-/// programs the in-tree workload and case generators built, never bytes
-/// from outside the program, so the hasher needs no per-process key
-/// against crafted collisions.
-#[derive(Clone, Copy, Debug, Default)]
-struct WordHasher(u64);
-
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = mix(self.0 ^ u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = mix(self.0 ^ x);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
+use ssp_ir::{Image, WordMap};
+use std::sync::Arc;
 
 /// Sparse simulated memory. Word-granular (8 bytes); unaligned accesses
 /// are rounded down to the containing word, matching the aligned-only
 /// discipline the workloads follow. Unwritten memory reads as zero.
+///
+/// Four words wide, as the one table it replaced was: a wider `Memory`
+/// moves the engine's other fields, and that alone cost tune-cold about
+/// 4% of its median latency (EXPERIMENTS.md, "One frozen data image").
 #[derive(Clone, Debug, Default)]
 pub struct Memory {
-    words: HashMap<u64, u64, BuildHasherDefault<WordHasher>>,
+    /// The program's frozen image: the slot of each image word.
+    image: Arc<Image>,
+    /// This run's value of each image word, by slot.
+    words: Box<[u64]>,
+    /// Words written outside the image.
+    outside: Box<WordMap<u64>>,
 }
 
 impl Memory {
-    /// Empty memory.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Load the initialized-data image of a program, sizing the table
-    /// for it first. A repeated address keeps its last value.
-    pub fn load_image(&mut self, image: &[(u64, u64)]) {
-        self.words.reserve(image.len());
-        for &(addr, val) in image {
-            self.write(addr, val);
-        }
+    /// A run's memory, starting as `image`. A read or write of an image
+    /// word is one probe of the image's index.
+    pub fn new(image: Arc<Image>) -> Self {
+        Memory { words: image.words().into(), image, outside: Box::default() }
     }
 
     /// Read the word containing `addr`.
     pub fn read(&self, addr: u64) -> u64 {
-        self.words.get(&(addr & !7)).copied().unwrap_or(0)
+        let addr = addr & !7;
+        match self.image.slot(addr) {
+            Some(slot) => self.words[slot],
+            None => self.outside.get(&addr).copied().unwrap_or(0),
+        }
     }
 
     /// Write the word containing `addr`.
     pub fn write(&mut self, addr: u64, val: u64) {
-        self.words.insert(addr & !7, val);
+        let addr = addr & !7;
+        match self.image.slot(addr) {
+            Some(slot) => self.words[slot] = val,
+            None => _ = self.outside.insert(addr, val),
+        }
     }
 
-    /// Number of distinct words ever written.
+    /// Number of distinct words the image holds or the run wrote.
     pub fn footprint_words(&self) -> usize {
-        self.words.len()
+        self.words.len() + self.outside.len()
     }
 
     /// Order-independent digest of the semantic memory state: an XOR-fold
@@ -80,12 +60,14 @@ impl Memory {
     /// words are skipped because unwritten memory reads as zero — two
     /// memories that answer every `read` identically digest identically,
     /// regardless of which zeros were ever explicitly stored and of the
-    /// table's iteration order, which is therefore never observable.
+    /// tables' iteration order, which is therefore never observable.
     pub fn digest(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x100_0000_01b3;
+        let image = self.image.slots().map(|(addr, slot)| (addr, self.words[slot]));
+        let outside = self.outside.iter().map(|(&addr, &val)| (addr, val));
         let mut acc = 0u64;
-        for (&addr, &val) in &self.words {
+        for (addr, val) in image.chain(outside) {
             if val == 0 {
                 continue;
             }
@@ -193,16 +175,28 @@ impl LiveInBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::test_runner::TestRng;
+    use ssp_ir::WordHasher;
+    use std::collections::HashMap;
+    use std::hash::Hasher;
+
+    fn image(words: &[(u64, u64)]) -> Arc<Image> {
+        let mut image = Image::default();
+        for &(addr, val) in words {
+            image.insert(addr, val);
+        }
+        Arc::new(image)
+    }
 
     #[test]
     fn memory_reads_zero_when_untouched() {
-        let m = Memory::new();
+        let m = Memory::default();
         assert_eq!(m.read(0x1000), 0);
     }
 
     #[test]
     fn memory_write_read_roundtrip() {
-        let mut m = Memory::new();
+        let mut m = Memory::default();
         m.write(0x1000, 42);
         assert_eq!(m.read(0x1000), 42);
         assert_eq!(m.read(0x1004), 42, "sub-word address maps to same word");
@@ -211,8 +205,7 @@ mod tests {
 
     #[test]
     fn image_loading() {
-        let mut m = Memory::new();
-        m.load_image(&[(0x100, 1), (0x108, 2)]);
+        let m = Memory::new(image(&[(0x100, 1), (0x108, 2)]));
         assert_eq!(m.read(0x100), 1);
         assert_eq!(m.read(0x108), 2);
         assert_eq!(m.footprint_words(), 2);
@@ -220,11 +213,11 @@ mod tests {
 
     #[test]
     fn digest_ignores_zero_words_and_order() {
-        let mut a = Memory::new();
+        let mut a = Memory::default();
         a.write(0x100, 1);
         a.write(0x108, 2);
         a.write(0x200, 0); // explicit zero: invisible to reads
-        let mut b = Memory::new();
+        let mut b = Memory::default();
         b.write(0x108, 2);
         b.write(0x100, 1);
         assert_eq!(a.digest(), b.digest());
@@ -234,11 +227,76 @@ mod tests {
 
     #[test]
     fn a_repeated_image_address_keeps_its_last_value() {
-        let mut m = Memory::new();
-        m.load_image(&[(0x100, 1), (0x108, 2), (0x100, 3), (0x104, 4)]);
-        assert_eq!(m.read(0x100), 4, "0x104 is the same word as 0x100");
+        let m = Memory::new(image(&[(0x100, 1), (0x108, 2), (0x100, 3), (0x100, 4)]));
+        assert_eq!(m.read(0x100), 4);
+        assert_eq!(m.read(0x104), 4, "0x104 is the same word as 0x100");
         assert_eq!(m.read(0x108), 2);
         assert_eq!(m.footprint_words(), 2);
+    }
+
+    /// Memory as one table of every word the image loads or a run
+    /// writes, a repeated image address keeping its last value: the
+    /// semantics [`Memory`] must keep.
+    struct Reference(HashMap<u64, u64>);
+
+    impl Reference {
+        fn new(image: &[(u64, u64)]) -> Self {
+            Reference(image.iter().map(|&(addr, val)| (addr & !7, val)).collect())
+        }
+
+        fn read(&self, addr: u64) -> u64 {
+            self.0.get(&(addr & !7)).copied().unwrap_or(0)
+        }
+
+        fn digest(&self) -> u64 {
+            let mut acc = 0u64;
+            for (&addr, &val) in self.0.iter().filter(|(_, &val)| val != 0) {
+                let mut h = 0xcbf2_9ce4_8422_2325u64;
+                for v in [addr, val] {
+                    for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
+                        h = (h ^ ((v >> shift) & 0xFF)).wrapping_mul(0x100_0000_01b3);
+                    }
+                }
+                acc ^= h;
+            }
+            acc
+        }
+    }
+
+    #[test]
+    fn memory_agrees_with_a_single_table_reference() {
+        let mut rng = TestRng::from_seed(2002);
+        for case in 0..64 {
+            // Addresses in a 96-word region, so images repeat addresses
+            // and runs touch words inside and outside the image; a
+            // quarter of all values are zero.
+            let word = |rng: &mut TestRng| 0x4000 + 8 * rng.below(96);
+            let value = |rng: &mut TestRng| match rng.below(4) {
+                0 => 0,
+                _ => rng.next_u64(),
+            };
+            let pairs: Vec<(u64, u64)> =
+                (0..rng.below(48)).map(|_| (word(&mut rng), value(&mut rng))).collect();
+            let mut m = Memory::new(image(&pairs));
+            let mut r = Reference::new(&pairs);
+            for step in 0..200 {
+                let addr = match (rng.below(2), pairs.is_empty()) {
+                    (0, false) => pairs[rng.below(pairs.len() as u64) as usize].0,
+                    _ => word(&mut rng),
+                } + rng.below(8);
+                if rng.below(2) == 0 {
+                    let val = value(&mut rng);
+                    m.write(addr, val);
+                    r.0.insert(addr & !7, val);
+                }
+                let other = word(&mut rng);
+                let at = format!("case {case} step {step} address {addr:#x}");
+                assert_eq!(m.read(addr), r.read(addr), "{at}");
+                assert_eq!(m.read(other), r.read(other), "{at} (read of {other:#x})");
+                assert_eq!(m.footprint_words(), r.0.len(), "{at}");
+                assert_eq!(m.digest(), r.digest(), "{at}");
+            }
+        }
     }
 
     /// Distinct buckets `n` word addresses `stride` bytes apart occupy in

@@ -19,6 +19,7 @@ use crate::stats::LoadStats;
 use ssp_ir::reg::conv;
 use ssp_ir::{BlockId, FuncId, InstRef, InstTag, Op, Program};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Cache behaviour of one static load.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
@@ -124,8 +125,7 @@ impl Profile {
 /// Panics if the program executes more than `limit` instructions
 /// (runaway guard), with `limit = 500_000_000`.
 pub fn profile(prog: &Program, cfg: &MachineConfig) -> Profile {
-    let mut mem = Memory::new();
-    mem.load_image(&prog.image);
+    let mut mem = Memory::new(Arc::clone(&prog.image));
     let mut hier = Hierarchy::new(cfg);
     let mut rf = RegFile::new();
     rf.write(conv::SP, 0x7FFF_FF00_0000);

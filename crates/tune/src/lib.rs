@@ -75,8 +75,8 @@
 //!    in-order and out-of-order runs, and all jobs share one
 //!    [`parallel::map_indexed`] over the tuner's workers, out-of-order
 //!    first (a gated out-of-order run costs about 1.8× an in-order one).
-//!    A job copies the workload's data image into the binary for its
-//!    run only, so at most `workers` images and simulations are alive.
+//!    Every binary shares the workload's frozen data image, and a run
+//!    copies only its words, so at most `workers` simulations are alive.
 //! 3. *Fold.* The menu is walked in order through the candidate and
 //!    gate memos, whose misses take the step-2 runs, so every counter,
 //!    store entry and answer is what a serial evaluation gives. (If
@@ -533,11 +533,9 @@ impl Gate {
 
 /// An adapted binary on its way through the oracle gate.
 struct Binary {
-    /// Gate-memo key; `None` when the data image is not the workload's,
-    /// and the binary is gated uncached.
-    key: Option<String>,
-    /// The adapted program. A keyed binary leaves its image out: it is
-    /// the workload's, which each run copies back in for its duration.
+    /// Gate-memo key.
+    key: String,
+    /// The adapted program; its data image is the workload's.
     program: Program,
     /// Prefetch targets for the telemetry collected in the same runs.
     targets: Vec<(InstTag, InstTag)>,
@@ -545,23 +543,15 @@ struct Binary {
 
 impl Binary {
     /// This binary's gated run on `cfg`, telemetry included.
-    fn run(&self, w: &Workload, base: &BaselineSnapshots, cfg: &MachineConfig) -> SimRun {
-        let restored;
-        let program = match self.key {
-            Some(_) => {
-                restored = Program { image: w.program.image.clone(), ..self.program.clone() };
-                &restored
-            }
-            None => &self.program,
-        };
-        oracle::gated_run(program, base, cfg, Some(&self.targets))
+    fn run(&self, base: &BaselineSnapshots, cfg: &MachineConfig) -> SimRun {
+        oracle::gated_run(&self.program, base, cfg, Some(&self.targets))
     }
 }
 
 /// `b`'s index in `binaries`, where it is added unless a binary with
 /// its gate key is there already.
 fn intern(binaries: &mut Vec<Binary>, b: Binary) -> usize {
-    match binaries.iter().position(|k| k.key.is_some() && k.key == b.key) {
+    match binaries.iter().position(|k| k.key == b.key) {
         Some(i) => i,
         None => {
             binaries.push(b);
@@ -661,29 +651,30 @@ impl Tuner {
     /// the binary's code and its prefetch targets. A plan digest would
     /// not do, since one digest can emit different code (a
     /// `chain_budget` change). Adaptation never writes the data image,
-    /// so the key leaves it out and the image is compared with the
-    /// workload's instead: a binary with a foreign image is unkeyed.
+    /// and the adapted program shares the workload's, so the identity
+    /// covers it.
     fn binary(&self, w: &Workload, adapted: AdaptedBinary) -> Binary {
         let targets = prefetch_targets(&adapted);
-        let mut program = adapted.program;
-        let key = (program.image == w.program.image).then(|| {
-            program.image = Vec::new();
-            format!(
-                "tune-gate {} entry={} next_tag={} targets={:?} funcs={:?}",
-                self.identity(w),
-                program.entry,
-                program.next_tag,
-                targets,
-                program.funcs
-            )
-        });
+        let program = adapted.program;
+        assert!(
+            Arc::ptr_eq(&program.image, &w.program.image),
+            "a binary shares its workload's image"
+        );
+        let key = format!(
+            "tune-gate {} entry={} next_tag={} targets={:?} funcs={:?}",
+            self.identity(w),
+            program.entry,
+            program.next_tag,
+            targets,
+            program.funcs
+        );
         Binary { key, program, targets }
     }
 
     /// Run the oracle gate on `b` with telemetry collected in the same
-    /// runs, once per distinct keyed binary; an unkeyed one is gated
-    /// uncached. A miss takes `runs` (in-order first) when the simulate
-    /// step took them, and simulates both models itself otherwise.
+    /// runs, once per distinct binary. A miss takes `runs` (in-order
+    /// first) when the simulate step took them, and simulates both
+    /// models itself otherwise.
     fn gate(
         &self,
         w: &Workload,
@@ -691,18 +682,13 @@ impl Tuner {
         mut runs: Option<[SimRun; 2]>,
         base: &BaselineSnapshots,
     ) -> Gate {
-        let mut compute = || {
-            let runs = runs.take().unwrap_or_else(|| {
-                [&self.config.io, &self.config.ooo].map(|cfg| b.run(w, base, cfg))
-            });
-            Gate::of(&b.program, base, runs)
+        let compute = || {
+            let runs = runs
+                .take()
+                .unwrap_or_else(|| [&self.config.io, &self.config.ooo].map(|cfg| b.run(base, cfg)));
+            (Gate::of(&b.program, base, runs), String::new())
         };
-        let gate = match &b.key {
-            None => compute(),
-            Some(key) => {
-                self.gates.get(&self.identity(w), key, |_| None, || (compute(), String::new()))
-            }
-        };
+        let gate = self.gates.get(&self.identity(w), &b.key, |_| None, compute);
         // Runs come only for a binary whose gate-memo probe missed, and
         // only this tuner fills that memory-only memo: while one thread
         // drives the tuner, as every caller does, they meet a miss here.
@@ -769,9 +755,9 @@ impl Tuner {
         let base = || base.unwrap_or_else(|| &own.get_or_init(|| self.inputs(w)).1);
 
         // Resolve: adapt what the candidate memo cannot answer, one job
-        // per option set (a job keeps no image past its adaptation), and
-        // number the distinct binaries. A probed entry is decoded once:
-        // the fold's `get` takes the probed value as its decoding.
+        // per option set, and number the distinct binaries. A probed
+        // entry is decoded once: the fold's `get` takes the probed value
+        // as its decoding.
         let keys: Vec<String> =
             menu.iter().map(|o| format!("tune-candidate {id} {}", o.fingerprint())).collect();
         let mut probed: Vec<Option<Candidate>> =
@@ -793,17 +779,14 @@ impl Tuner {
             // Simulate the binaries the gate memo lacks, two jobs each:
             // every out-of-order run, then every in-order one.
             let pending: Vec<usize> = (0..binaries.len())
-                .filter(|&i| {
-                    let key = binaries[i].key.as_ref();
-                    key.is_some_and(|key| self.gates.probe(&id, key, |_| None).is_none())
-                })
+                .filter(|&i| self.gates.probe(&id, &binaries[i].key, |_| None).is_none())
                 .collect();
             let jobs: Vec<(usize, &MachineConfig)> = [&self.config.ooo, &self.config.io]
                 .into_iter()
                 .flat_map(|cfg| pending.iter().map(move |&i| (i, cfg)))
                 .collect();
             let mut done = parallel::map_indexed(&jobs, self.config.workers, |_, &(i, cfg)| {
-                binaries[i].run(w, base, cfg)
+                binaries[i].run(base, cfg)
             })
             .into_iter();
             runs.resize_with(binaries.len(), || None);
@@ -1212,34 +1195,6 @@ mod tests {
         let budget = tuner.evaluate(&w, profile, base, &with(|o| o.emit.chain_budget = 256));
         assert_eq!(budget.plan_digest, default.plan_digest);
         assert_eq!(tuner.gate_stats(), MemoStats { hits: 3, disk_hits: 0, misses: 2 });
-    }
-
-    #[test]
-    fn a_binary_with_a_foreign_image_is_gated_uncached() {
-        let (tuner, w) = capped_mcf();
-        let inputs = tuner.inputs(&w);
-        let mut adapted = adapt(&tuner, &w, &AdaptOptions::default());
-        let targets = prefetch_targets(&adapted);
-        let own = tuner.gate(&w, &tuner.binary(&w, adapted.clone()), None, &inputs.1);
-        // Same code, every data word zero: all node pointers null.
-        for (_, word) in &mut adapted.program.image {
-            *word = 0;
-        }
-        let binary = tuner.binary(&w, adapted.clone());
-        assert!(binary.key.is_none(), "a foreign image has no gate key");
-        for _ in 0..2 {
-            let foreign = tuner.gate(&w, &binary, None, &inputs.1);
-            assert_ne!(foreign.io_telemetry, own.io_telemetry, "the image changes the run");
-            for (cfg, cycles, telemetry) in [
-                (&tuner.config.io, foreign.io_cycles, foreign.io_telemetry),
-                (&tuner.config.ooo, foreign.ooo_cycles, foreign.ooo_telemetry),
-            ] {
-                let (r, trace) = ssp_core::simulate_traced(&adapted.program, cfg, &targets);
-                assert_eq!(cycles, r.cycles);
-                assert_eq!(telemetry, TelemetrySummary::of(trace));
-            }
-        }
-        assert_eq!(tuner.gate_stats(), MemoStats { hits: 0, disk_hits: 0, misses: 1 });
     }
 
     #[test]
