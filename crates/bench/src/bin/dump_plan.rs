@@ -1,27 +1,21 @@
 //! Dump per-root slice plans and the adapted program for one benchmark.
 
 use ssp_bench::SEED;
-use ssp_core::{MachineConfig, PostPassTool};
-use ssp_slicing::{SliceOptions, Slicer};
+use ssp_core::{AdaptOptions, MachineConfig, PostPassTool};
+use ssp_slicing::Slicer;
 
 fn main() {
     let name = std::env::args().nth(1).expect("benchmark name");
     let w = ssp_workloads::by_name(&name, SEED).expect("known benchmark");
     let io = MachineConfig::in_order();
     let profile = ssp_core::profile(&w.program, &io);
-    let mut slicer = Slicer::new(&w.program, &profile, SliceOptions::default());
+    let opts = AdaptOptions::default();
+    let mut slicer = Slicer::new(&w.program, &profile, opts.min_block_count);
     let index = w.program.tag_index();
-    for tag in profile.delinquent_loads(0.9) {
+    for tag in profile.delinquent_loads(opts.coverage) {
         let root = index[&tag];
         println!("--- root {tag} at {root}: {}", w.program.inst(root).op);
-        match ssp_codegen::plan_for_load(
-            &mut slicer,
-            &w.program,
-            &profile,
-            &io,
-            root,
-            &Default::default(),
-        ) {
+        match ssp_codegen::plan_for_load(&mut slicer, &w.program, &profile, &io, root, &opts) {
             Err(e) => println!("    SLICE ERROR: {e}"),
             Ok(None) => println!("    NO PLAN"),
             Ok(Some(p)) => {

@@ -14,7 +14,7 @@
 
 use std::fmt::Write as _;
 
-use ssp_bench::{parallel, SEED};
+use ssp_bench::{json_escape, parallel, SEED};
 use ssp_core::{lint_binary, AdaptError, LintReport, MachineConfig, PostPassTool};
 
 /// One workload x machine-model lint outcome.
@@ -44,17 +44,6 @@ fn lint_combo(workload: &ssp_workloads::Workload, machine: &'static str) -> Comb
         Err(e) => ("error", None, Some(e.to_string())),
     };
     ComboResult { workload: workload.name.to_string(), machine, status, report, error }
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 fn to_json(results: &[ComboResult]) -> String {

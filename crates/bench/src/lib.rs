@@ -317,6 +317,25 @@ pub fn cell(v: f64) -> String {
     format!("{v:>8.2}")
 }
 
+/// Escape `s` for use inside a JSON string: quotes, backslashes and
+/// control characters (the reports and the daemon's error lines carry
+/// free text, such as a diagnostic or a request's bytes).
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -39,20 +39,6 @@ use ssp_sched::SpModel;
 use ssp_trigger::TriggerPoint;
 use std::collections::{BTreeSet, HashSet};
 
-/// Emission knobs.
-#[derive(Clone, Debug)]
-pub struct EmitOptions {
-    /// Chaining threads stop re-spawning after this many links (the
-    /// chain budget passed through the live-in buffer).
-    pub chain_budget: u64,
-}
-
-impl Default for EmitOptions {
-    fn default() -> Self {
-        EmitOptions { chain_budget: 512 }
-    }
-}
-
 /// What was emitted for one plan.
 #[derive(Clone, Debug)]
 pub struct EmittedSlice {
@@ -199,7 +185,8 @@ fn plan_body(prog: &Program, plan: &SlicePlan) -> BodyPlan {
 
 /// Emit the slice and stub blocks for `plan` into `prog` (phase 1: no
 /// existing block is modified, only new blocks appended). The stub's
-/// final branch is left to phase 2 ([`insert_triggers`]).
+/// final branch is left to phase 2 ([`insert_triggers`]). A chaining
+/// slice's chain stops re-spawning after at most `chain_budget` links.
 ///
 /// # Errors
 ///
@@ -207,7 +194,7 @@ fn plan_body(prog: &Program, plan: &SlicePlan) -> BodyPlan {
 pub fn emit_slice(
     prog: &mut Program,
     plan: &SlicePlan,
-    opts: &EmitOptions,
+    chain_budget: u64,
 ) -> Result<PendingStub, SkipReason> {
     if plan.sched.order.is_empty() {
         return Err(SkipReason::EmptySlice);
@@ -490,7 +477,7 @@ pub fn emit_slice(
         // Chain budget: roughly twice the expected remaining iterations,
         // clamped — chains self-terminate on the spawn condition, the
         // budget bounds predicted (ungated) chains and broken profiles.
-        let budget = ((plan.trip_count * 2.0) as u64).max(16).min(opts.chain_budget.max(1));
+        let budget = ((plan.trip_count * 2.0) as u64).max(16).min(chain_budget.max(1));
         stub.insts.push(fresh(prog, Op::Movi { dst: r_stub_tmp, imm: budget as i64 }));
         stub.insts
             .push(fresh(prog, Op::LibSt { slot: r_stub_slot, idx: budget_idx, src: r_stub_tmp }));

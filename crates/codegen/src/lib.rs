@@ -6,20 +6,22 @@
 //! selects a region and precomputation model ([`select`]), schedules the
 //! p-slice (via [`ssp_sched`]), places a trigger (via [`ssp_trigger`]),
 //! and rewrites the binary with stub and slice attachments ([`emit`]).
+//! [`AdaptOptions`] holds the eight values a caller turns, and each
+//! layer gets only the ones it reads.
 
 #![warn(missing_docs)]
 
 pub mod emit;
 pub mod select;
 
-pub use emit::{EmitOptions, EmittedSlice, PendingStub, SkipReason};
-pub use select::{plan_for_load, plan_for_load_traced, SelectOptions, SlicePlan};
+pub use emit::{EmittedSlice, PendingStub, SkipReason};
+pub use select::{plan_for_load, plan_for_load_traced, SlicePlan};
 
 use ssp_ir::verify::VerifyError;
 use ssp_ir::{InstTag, Program};
 use ssp_lint::{LintReport, PlanView};
 use ssp_sim::{MachineConfig, Profile};
-use ssp_slicing::{SliceOptions, Slicer};
+use ssp_slicing::Slicer;
 use ssp_trace::{Stopwatch, ToolTrace};
 use ssp_trigger::TriggerPoint;
 use std::fmt;
@@ -56,34 +58,62 @@ impl fmt::Display for AdaptError {
 
 impl std::error::Error for AdaptError {}
 
-/// Options for the whole adaptation.
+/// The eight values a caller (the `ssp-tune` menus, an ablation) turns.
+///
+/// The rest of the paper's method is fixed: slicing always prunes
+/// speculatively and follows control dependences (§3.1.2), the chaining
+/// scheduler always rotates loops and considers condition prediction
+/// (§3.2.1.1), and region selection uses [`select::CUTOFF_PCT`] and
+/// [`select::SMALL_TRIP_COUNT`] (§3.4.1). A `predict_threshold` above 1
+/// turns prediction off, because a branch's bias is at most 1.
 #[derive(Clone, Debug)]
 pub struct AdaptOptions {
     /// Fraction of total miss cycles the delinquent-load set must cover
     /// (the paper uses "at least 90% of the cache misses").
     pub coverage: f64,
-    /// Slicer knobs.
-    pub slice: SliceOptions,
-    /// Region/model selection knobs.
-    pub select: SelectOptions,
-    /// Emission knobs.
-    pub emit: EmitOptions,
+    /// Speculative slicing treats definitions and branches in blocks
+    /// the profile counts fewer than this many times as on unexecuted
+    /// paths (0 prunes nothing).
+    pub min_block_count: u64,
+    /// Stop walking outward after this many nesting levels ("we also
+    /// stop the traversal when it is nested several levels deep").
+    pub max_region_depth: usize,
+    /// Slices bigger than this are rejected ("to avoid a slice becoming
+    /// too big that often leads to wrong address calculations").
+    pub max_slice_size: usize,
+    /// Minimum estimated first-iteration slack for a plan to be worth
+    /// its trigger/flush overhead ("slices that contain large enough
+    /// slack", §3). Marginal slices whose speculative thread would run
+    /// neck-and-neck with the main thread are rejected.
+    pub min_slack: i64,
+    /// Force one model for ablation studies.
+    pub force_model: Option<ssp_sched::SpModel>,
+    /// Minimum bias (taken-ratio) for the chaining scheduler to predict
+    /// a spawn condition.
+    pub predict_threshold: f64,
+    /// Chaining threads stop re-spawning after this many links (the
+    /// chain budget passed through the live-in buffer).
+    pub chain_budget: u64,
 }
 
 impl Default for AdaptOptions {
     fn default() -> Self {
         AdaptOptions {
             coverage: 0.9,
-            slice: SliceOptions::default(),
-            select: SelectOptions::default(),
-            emit: EmitOptions::default(),
+            min_block_count: 1,
+            max_region_depth: 3,
+            max_slice_size: 64,
+            min_slack: 100,
+            force_model: None,
+            predict_threshold: 0.9,
+            chain_budget: 512,
         }
     }
 }
 
 impl AdaptOptions {
-    /// Versioned field-explicit canonical encoding of the full option
-    /// tree — the adaptation-side half of a cache key, alongside
+    /// Versioned field-explicit canonical encoding of the options — the
+    /// adaptation-side half of a cache key, alongside
     /// [`MachineConfig::fingerprint`] for the machine-side half.
     ///
     /// Two option sets that compare field-equal always fingerprint
@@ -93,41 +123,43 @@ impl AdaptOptions {
     /// tolerate). Floats are rendered with `Display`, whose
     /// shortest-round-trip output is pinned by the golden test below.
     ///
-    /// The full-struct destructuring (of every nested options struct
-    /// too) is deliberate: adding a knob anywhere in the tree breaks
-    /// this function at compile time, forcing the encoding — and the
-    /// `ssp-adapt-options` version, if the change is semantic — to be
+    /// The fixed behaviours still render, as `speculative=true`,
+    /// `control_deps=true`, `loop_rotation=true` and
+    /// `condition_prediction=true`, and the two selection constants
+    /// render their values: persisted keys keep their bytes, and an
+    /// edit to a constant changes the key by itself.
+    ///
+    /// The full-struct destructuring is deliberate: adding a knob
+    /// breaks this function at compile time, forcing the encoding — and
+    /// the `ssp-adapt-options` version, if the change is semantic — to be
     /// updated. This is what lets tuned and default plans coexist in the
     /// `ssp-bench`/`ssp-serve` caches: before this encoding existed,
     /// adapted results could only be keyed by workload+seed+machine, so
     /// non-default options could not participate in a stable key at all.
     pub fn fingerprint(&self) -> String {
-        let AdaptOptions { coverage, slice, select, emit } = self;
-        let ssp_slicing::SliceOptions { speculative, min_block_count, control_deps } = slice;
-        let SelectOptions {
-            cutoff_pct,
+        let AdaptOptions {
+            coverage,
+            min_block_count,
             max_region_depth,
             max_slice_size,
-            small_trip_count,
             min_slack,
             force_model,
-            sched,
-        } = select;
-        let ssp_sched::ScheduleOptions { loop_rotation, condition_prediction, predict_threshold } =
-            sched;
-        let EmitOptions { chain_budget } = emit;
+            predict_threshold,
+            chain_budget,
+        } = self;
+        let (cutoff_pct, small_trip_count) = (select::CUTOFF_PCT, select::SMALL_TRIP_COUNT);
         let force = match force_model {
             None => "none",
             Some(ssp_sched::SpModel::Basic) => "basic",
             Some(ssp_sched::SpModel::Chaining) => "chaining",
         };
         format!(
-            "ssp-adapt-options/1 coverage={coverage} speculative={speculative} \
-             min_block_count={min_block_count} control_deps={control_deps} \
+            "ssp-adapt-options/1 coverage={coverage} speculative=true \
+             min_block_count={min_block_count} control_deps=true \
              cutoff_pct={cutoff_pct} max_region_depth={max_region_depth} \
              max_slice_size={max_slice_size} small_trip_count={small_trip_count} \
-             min_slack={min_slack} force_model={force} loop_rotation={loop_rotation} \
-             condition_prediction={condition_prediction} predict_threshold={predict_threshold} \
+             min_slack={min_slack} force_model={force} loop_rotation=true \
+             condition_prediction=true predict_threshold={predict_threshold} \
              chain_budget={chain_budget}"
         )
     }
@@ -300,7 +332,7 @@ pub fn adapt_traced(
     }
     let index = prog.tag_index();
 
-    let mut slicer = Slicer::new(prog, profile, opts.slice.clone());
+    let mut slicer = Slicer::new(prog, profile, opts.min_block_count);
     let mut plans = Vec::new();
     for &tag in &report.delinquent {
         let Some(&root) = index.get(&tag) else {
@@ -313,7 +345,7 @@ pub fn adapt_traced(
             profile,
             mc,
             root,
-            &opts.select,
+            opts,
             trace.as_deref_mut(),
         );
         match plan {
@@ -350,7 +382,7 @@ pub fn adapt_traced(
         .map(|(plan, dirty)| {
             if dirty {
                 let slice = plan.slice.clone();
-                select::reschedule(&mut slicer, prog, profile, mc, &plan, slice, &opts.select)
+                select::reschedule(&mut slicer, prog, profile, mc, &plan, slice, opts)
             } else {
                 plan
             }
@@ -381,7 +413,7 @@ pub fn adapt_traced(
     let mut out = prog.clone();
     let mut work = Vec::new();
     for (plan, tp) in placed {
-        match emit::emit_slice(&mut out, &plan, &opts.emit) {
+        match emit::emit_slice(&mut out, &plan, opts.chain_budget) {
             Ok(mut pending) => {
                 pending.root_tags.extend(plan.extra_roots.iter().map(|&r| prog.inst(r).tag));
                 report.slices.push(EmittedSlice {
@@ -535,10 +567,10 @@ mod tests {
     fn adapt_options_fingerprint_separates_tuned_from_default() {
         let base = AdaptOptions::default();
         let mut tuned = base.clone();
-        tuned.emit.chain_budget = 3;
+        tuned.chain_budget = 3;
         assert_ne!(base.fingerprint(), tuned.fingerprint());
         let mut forced = base.clone();
-        forced.select.force_model = Some(ssp_sched::SpModel::Basic);
+        forced.force_model = Some(ssp_sched::SpModel::Basic);
         assert_ne!(base.fingerprint(), forced.fingerprint());
         assert_ne!(tuned.fingerprint(), forced.fingerprint());
         assert_eq!(base.fingerprint(), AdaptOptions::default().fingerprint());

@@ -7,56 +7,28 @@
 //! SP is greater than a threshold value", where the threshold is a
 //! cutoff percentage of the load's profiled miss cycles. If no region
 //! qualifies, the region with the largest reduction wins; inner regions
-//! are preferred on ties.
+//! are preferred on ties. The cutoff percentage and the trip count
+//! below which a loop gets basic SP are the fixed [`CUTOFF_PCT`] and
+//! [`SMALL_TRIP_COUNT`]; the tunable gates (region depth, slice size,
+//! slack floor, forced model) come from [`AdaptOptions`].
 
+use crate::AdaptOptions;
 use ssp_ir::loops::LoopId;
 use ssp_ir::{BlockId, FuncId, InstRef, Op, Program};
 use ssp_sched::{
     reduced_miss_cycles, schedule_basic, schedule_chaining, slack_basic, slack_chaining,
-    spawn_copy_latency, ScheduleOptions, ScheduledSlice, SpModel,
+    spawn_copy_latency, ScheduledSlice, SpModel,
 };
 use ssp_sim::{MachineConfig, Profile};
 use ssp_slicing::{RegionDepGraph, Slice, SliceError, Slicer};
 use ssp_trace::{Stopwatch, ToolTrace};
 
-/// Options controlling selection.
-#[derive(Clone, Debug)]
-pub struct SelectOptions {
-    /// Fraction of the load's miss cycles a region must recover to be
-    /// selected outright ("the cutoff percentage").
-    pub cutoff_pct: f64,
-    /// Stop walking outward after this many nesting levels ("we also
-    /// stop the traversal when it is nested several levels deep").
-    pub max_region_depth: usize,
-    /// Slices bigger than this are rejected ("to avoid a slice becoming
-    /// too big that often leads to wrong address calculations").
-    pub max_slice_size: usize,
-    /// Loops with fewer expected iterations use basic SP.
-    pub small_trip_count: f64,
-    /// Minimum estimated first-iteration slack for a plan to be worth
-    /// its trigger/flush overhead ("slices that contain large enough
-    /// slack", §3). Marginal slices whose speculative thread would run
-    /// neck-and-neck with the main thread are rejected.
-    pub min_slack: i64,
-    /// Force one model for ablation studies.
-    pub force_model: Option<SpModel>,
-    /// Scheduler knobs.
-    pub sched: ScheduleOptions,
-}
+/// Fraction of the load's miss cycles a region must recover to be
+/// selected outright ("the cutoff percentage").
+pub const CUTOFF_PCT: f64 = 0.10;
 
-impl Default for SelectOptions {
-    fn default() -> Self {
-        SelectOptions {
-            cutoff_pct: 0.10,
-            max_region_depth: 3,
-            max_slice_size: 64,
-            small_trip_count: 6.0,
-            min_slack: 100,
-            force_model: None,
-            sched: ScheduleOptions::default(),
-        }
-    }
-}
+/// Loops with fewer expected iterations use basic SP.
+pub const SMALL_TRIP_COUNT: f64 = 6.0;
 
 /// The chosen region/model/schedule for one delinquent load.
 #[derive(Clone, Debug)]
@@ -101,7 +73,7 @@ pub fn plan_for_load(
     profile: &Profile,
     mc: &MachineConfig,
     root: InstRef,
-    opts: &SelectOptions,
+    opts: &AdaptOptions,
 ) -> Result<Option<SlicePlan>, SliceError> {
     plan_for_load_traced(slicer, prog, profile, mc, root, opts, None)
 }
@@ -117,7 +89,7 @@ pub fn plan_for_load_traced(
     profile: &Profile,
     mc: &MachineConfig,
     root: InstRef,
-    opts: &SelectOptions,
+    opts: &AdaptOptions,
     mut trace: Option<&mut ToolTrace>,
 ) -> Result<Option<SlicePlan>, SliceError> {
     let fid = root.func;
@@ -187,7 +159,7 @@ pub fn plan_for_load_traced(
         }
         let region_height = g.critical_path(profile, prog, mc);
 
-        let chain = schedule_chaining(&sg, prog, profile, mc, &opts.sched);
+        let chain = schedule_chaining(&sg, prog, profile, mc, opts.predict_threshold);
         let basic = schedule_basic(&sg, prog, profile, mc);
         if let Some(t) = trace.as_deref_mut() {
             t.add_wall("sched", sw.map_or(0, |s| s.elapsed_nanos()));
@@ -217,10 +189,7 @@ pub fn plan_for_load_traced(
         let model = match opts.force_model {
             Some(m) => m,
             None => {
-                if cand.loop_id.is_none()
-                    || cand.trips < opts.small_trip_count
-                    || slack_b1 > slack_c1
-                {
+                if cand.loop_id.is_none() || cand.trips < SMALL_TRIP_COUNT || slack_b1 > slack_c1 {
                     SpModel::Basic
                 } else {
                     SpModel::Chaining
@@ -285,7 +254,7 @@ pub fn plan_for_load_traced(
             // outward for a bigger region.
             continue;
         }
-        let threshold = (opts.cutoff_pct * (avg_miss * trips) as f64) as u64;
+        let threshold = (CUTOFF_PCT * (avg_miss * trips) as f64) as u64;
         if reduced > threshold && reduced > 0 {
             // First (innermost) region clearing the cutoff wins.
             return Ok(Some(plan));
@@ -311,7 +280,7 @@ pub fn reschedule(
     mc: &MachineConfig,
     base: &SlicePlan,
     slice: Slice,
-    opts: &SelectOptions,
+    opts: &AdaptOptions,
 ) -> SlicePlan {
     let g = {
         let fa = slicer.analyses.get(prog, base.func);
@@ -330,7 +299,7 @@ pub fn reschedule(
     let region_height = g.critical_path(profile, prog, mc);
     let copy_cost = spawn_copy_latency(slice.live_in_count(), mc.lib_latency, mc.spawn_latency);
     let sched = match base.model {
-        SpModel::Chaining => schedule_chaining(&sg, prog, profile, mc, &opts.sched),
+        SpModel::Chaining => schedule_chaining(&sg, prog, profile, mc, opts.predict_threshold),
         SpModel::Basic => schedule_basic(&sg, prog, profile, mc),
     };
     let slack_1 = match sched.model {
@@ -344,7 +313,6 @@ pub fn reschedule(
 mod tests {
     use super::*;
     use ssp_ir::{CmpKind, Operand, ProgramBuilder, Reg};
-    use ssp_slicing::SliceOptions;
 
     /// The mcf-style loop with scattered pointers: chaining SP over the
     /// loop body should be chosen.
@@ -382,11 +350,10 @@ mod tests {
         let (prog, body, root) = pointer_chase();
         let mc = MachineConfig::in_order();
         let profile = ssp_sim::profile(&prog, &mc);
-        let mut slicer = Slicer::new(&prog, &profile, SliceOptions::default());
-        let plan =
-            plan_for_load(&mut slicer, &prog, &profile, &mc, root, &SelectOptions::default())
-                .expect("slicing succeeds")
-                .expect("a plan is found");
+        let mut slicer = Slicer::new(&prog, &profile, 1);
+        let plan = plan_for_load(&mut slicer, &prog, &profile, &mc, root, &AdaptOptions::default())
+            .expect("slicing succeeds")
+            .expect("a plan is found");
         assert_eq!(plan.model, SpModel::Chaining);
         assert!(plan.loop_id.is_some());
         assert!(plan.blocks.contains(&body));
@@ -401,8 +368,8 @@ mod tests {
         let (prog, _, root) = pointer_chase();
         let mc = MachineConfig::in_order();
         let profile = ssp_sim::profile(&prog, &mc);
-        let mut slicer = Slicer::new(&prog, &profile, SliceOptions::default());
-        let opts = SelectOptions {
+        let mut slicer = Slicer::new(&prog, &profile, 1);
+        let opts = AdaptOptions {
             force_model: Some(SpModel::Basic),
             min_slack: i64::MIN, // ablation mode: accept whatever basic SP gives
             ..Default::default()
@@ -416,9 +383,9 @@ mod tests {
         let (prog, body, _) = pointer_chase();
         let mc = MachineConfig::in_order();
         let profile = Profile::default(); // empty: load never profiled
-        let mut slicer = Slicer::new(&prog, &profile, SliceOptions::default());
+        let mut slicer = Slicer::new(&prog, &profile, 1);
         let root = InstRef { func: prog.entry, block: body, idx: 2 };
-        assert!(plan_for_load(&mut slicer, &prog, &profile, &mc, root, &SelectOptions::default())
+        assert!(plan_for_load(&mut slicer, &prog, &profile, &mc, root, &AdaptOptions::default())
             .unwrap()
             .is_none());
     }
@@ -428,8 +395,8 @@ mod tests {
         let (prog, _, root) = pointer_chase();
         let mc = MachineConfig::in_order();
         let profile = ssp_sim::profile(&prog, &mc);
-        let mut slicer = Slicer::new(&prog, &profile, SliceOptions::default());
-        let opts = SelectOptions { max_slice_size: 1, ..Default::default() };
+        let mut slicer = Slicer::new(&prog, &profile, 1);
+        let opts = AdaptOptions { max_slice_size: 1, ..Default::default() };
         assert!(plan_for_load(&mut slicer, &prog, &profile, &mc, root, &opts).unwrap().is_none());
     }
 }

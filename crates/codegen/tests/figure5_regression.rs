@@ -5,7 +5,7 @@
 
 use ssp_ir::{BlockId, CmpKind, InstRef, Operand, Program, ProgramBuilder, Reg};
 use ssp_sim::{simulate, MachineConfig};
-use ssp_slicing::{SliceOptions, Slicer};
+use ssp_slicing::Slicer;
 
 fn pointer_chase(n: u64) -> Program {
     let mut pb = ProgramBuilder::new();
@@ -40,7 +40,7 @@ fn schedule_matches_figure_5b() {
     let prog = pointer_chase(400);
     let mc = MachineConfig::in_order();
     let profile = ssp_sim::profile(&prog, &mc);
-    let mut slicer = Slicer::new(&prog, &profile, SliceOptions::default());
+    let mut slicer = Slicer::new(&prog, &profile, 1);
     let body = BlockId(1);
     let root = InstRef { func: prog.entry, block: body, idx: 2 };
     let plan =

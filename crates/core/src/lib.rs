@@ -69,18 +69,15 @@
 
 #![warn(missing_docs)]
 
-pub use ssp_codegen::{
-    lint_views, AdaptError, AdaptOptions, AdaptReport, EmitOptions, SelectOptions, SkipReason,
-};
+pub use ssp_codegen::{lint_views, AdaptError, AdaptOptions, AdaptReport, SkipReason};
 pub use ssp_ir::{Program, ProgramBuilder};
 pub use ssp_lint::{Diagnostic, LintReport};
-pub use ssp_sched::{ScheduleOptions, SpModel};
+pub use ssp_sched::SpModel;
 pub use ssp_sim::{
     profile, simulate, simulate_stepped, simulate_traced, speedup, CycleBreakdown, LoadStats,
     MachineConfig, MemoryMode, PipelineKind, Profile, SimResult, SimTrace, Timeliness,
     TimelinessCounts,
 };
-pub use ssp_slicing::SliceOptions;
 pub use ssp_trace::{PhaseSpan, Stopwatch, ToolTrace, TOOL_PHASES};
 
 /// Per-benchmark slice characteristics — one row of Table 2.
@@ -338,8 +335,7 @@ mod tests {
     #[test]
     fn options_are_respected() {
         let prog = chase(200);
-        let mut opts = AdaptOptions::default();
-        opts.select.force_model = Some(SpModel::Basic);
+        let opts = AdaptOptions { force_model: Some(SpModel::Basic), ..AdaptOptions::default() };
         let tool = PostPassTool::new(MachineConfig::in_order()).with_options(opts);
         let adapted = tool.run(&prog).unwrap();
         assert!(adapted.report.slices.iter().all(|s| s.model == SpModel::Basic));

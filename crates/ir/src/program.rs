@@ -296,6 +296,16 @@ impl Program {
         self.funcs.iter().map(Function::inst_count).sum()
     }
 
+    /// Whether the program marks a region of interest (a `roi.begin`
+    /// anywhere). Simulation and profiling then count statistics only
+    /// inside it; without one, the whole run counts.
+    pub fn has_roi(&self) -> bool {
+        self.funcs
+            .iter()
+            .flat_map(|f| &f.blocks)
+            .any(|b| b.insts.iter().any(|i| matches!(i.op, Op::RoiBegin)))
+    }
+
     /// Build a map from tag to location, for profile-driven analyses.
     /// Later duplicates (same tag emitted twice, which the verifier
     /// rejects) would overwrite earlier ones.

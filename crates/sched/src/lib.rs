@@ -8,8 +8,11 @@
 //! ([`schedule::rotate_loop`], [`schedule::predict_condition`]) reduce
 //! dependences; Tarjan SCCs ([`scc::SccPartition`]) tighten dependence
 //! cycles; forward list scheduling with maximum-cumulative-cost priority
-//! emits the order. [`slack`] implements the paper's slack equations and
-//! the reduced-miss-cycle objective that drives region selection.
+//! emits the order. The chaining scheduler always rotates and always
+//! considers prediction, as the paper's tool does; its one knob is the
+//! branch bias at which prediction fires ([`schedule_chaining`]).
+//! [`slack`] implements the paper's slack equations and the
+//! reduced-miss-cycle objective that drives region selection.
 
 #![warn(missing_docs)]
 
@@ -20,6 +23,6 @@ pub mod slack;
 pub use scc::SccPartition;
 pub use schedule::{
     branch_bias, node_heights, predict_condition, rotate_loop, schedule_basic, schedule_chaining,
-    ScheduleOptions, ScheduledSlice, SpModel,
+    ScheduledSlice, SpModel,
 };
 pub use slack::{reduced_miss_cycles, slack_basic, slack_chaining, spawn_copy_latency};

@@ -18,25 +18,6 @@ pub enum SpModel {
     Basic,
 }
 
-/// Scheduling knobs (the §3.2.1.1 dependence-reduction optimizations).
-#[derive(Clone, Debug)]
-pub struct ScheduleOptions {
-    /// Apply loop rotation to convert backward loop-carried dependences
-    /// into intra-iteration ones.
-    pub loop_rotation: bool,
-    /// Apply condition prediction to break the dependences leading to
-    /// the spawn condition when the branch is strongly biased.
-    pub condition_prediction: bool,
-    /// Minimum bias (taken-ratio) for a branch to be predicted.
-    pub predict_threshold: f64,
-}
-
-impl Default for ScheduleOptions {
-    fn default() -> Self {
-        ScheduleOptions { loop_rotation: true, condition_prediction: true, predict_threshold: 0.9 }
-    }
-}
-
 /// An execution slice: the ordered body of the generated prefetching loop.
 #[derive(Clone, Debug)]
 pub struct ScheduledSlice {
@@ -210,17 +191,19 @@ pub fn node_heights(
     h
 }
 
-/// Schedule a slice graph for chaining SP: SCC partition, whole-SCC
-/// emission with height priority, spawn point after the critical
-/// sub-slice (§3.2.1.2).
+/// Schedule a slice graph for chaining SP: loop rotation, condition
+/// prediction of a spawn condition whose bias is at least
+/// `predict_threshold` (a bias is at most 1, so a threshold above 1
+/// turns prediction off), SCC partition, whole-SCC emission with height
+/// priority, spawn point after the critical sub-slice (§3.2.1).
 pub fn schedule_chaining(
     g: &RegionDepGraph,
     prog: &Program,
     profile: &Profile,
     mc: &MachineConfig,
-    opts: &ScheduleOptions,
+    predict_threshold: f64,
 ) -> ScheduledSlice {
-    let (rotation, g) = if opts.loop_rotation { rotate_loop(g) } else { (0, g.clone()) };
+    let (rotation, mut g) = rotate_loop(g);
 
     // Critical set for a given graph: nodes in dependence cycles plus
     // producers of loop-carried *values* (they compute the next thread's
@@ -260,39 +243,36 @@ pub fn schedule_chaining(
     // targets. Predicting a cheap ALU condition only costs termination
     // hygiene for no slack gain.
     let mut predicted = None;
-    let mut g = g;
-    if opts.condition_prediction {
-        let branch = g
-            .nodes
-            .iter()
-            .enumerate()
-            .find(|(i, at)| {
-                matches!(prog.inst(**at).op, Op::BrCond { .. })
-                    && g.edges.iter().any(|e| e.from == *i && e.carried)
-            })
-            .map(|(i, _)| i);
-        if let Some(b) = branch {
-            let scc = SccPartition::new(&g);
-            let in_cycle = scc.is_cycle(scc.comp_of[b]);
-            let bias = branch_bias(prog, profile, g.nodes[b]).unwrap_or(0.0);
-            if in_cycle && bias >= opts.predict_threshold {
-                let pred_g = eliminate_dead(&predict_condition(&g, b), prog);
-                let crit_before = critical_set(&g);
-                let crit_after = critical_set(&pred_g);
-                let critical_loads = |g2: &RegionDepGraph, crit: &[bool]| {
-                    g2.nodes
-                        .iter()
-                        .enumerate()
-                        .filter(|(v, at)| crit[*v] && prog.inst(**at).op.is_load())
-                        .map(|(_, at)| *at)
-                        .collect::<HashSet<_>>()
-                };
-                let before = critical_loads(&g, &crit_before);
-                let after = critical_loads(&pred_g, &crit_after);
-                if after.len() < before.len() {
-                    predicted = Some(g.nodes[b]);
-                    g = pred_g;
-                }
+    let branch = g
+        .nodes
+        .iter()
+        .enumerate()
+        .find(|(i, at)| {
+            matches!(prog.inst(**at).op, Op::BrCond { .. })
+                && g.edges.iter().any(|e| e.from == *i && e.carried)
+        })
+        .map(|(i, _)| i);
+    if let Some(b) = branch {
+        let scc = SccPartition::new(&g);
+        let in_cycle = scc.is_cycle(scc.comp_of[b]);
+        let bias = branch_bias(prog, profile, g.nodes[b]).unwrap_or(0.0);
+        if in_cycle && bias >= predict_threshold {
+            let pred_g = eliminate_dead(&predict_condition(&g, b), prog);
+            let crit_before = critical_set(&g);
+            let crit_after = critical_set(&pred_g);
+            let critical_loads = |g2: &RegionDepGraph, crit: &[bool]| {
+                g2.nodes
+                    .iter()
+                    .enumerate()
+                    .filter(|(v, at)| crit[*v] && prog.inst(**at).op.is_load())
+                    .map(|(_, at)| *at)
+                    .collect::<HashSet<_>>()
+            };
+            let before = critical_loads(&g, &crit_before);
+            let after = critical_loads(&pred_g, &crit_after);
+            if after.len() < before.len() {
+                predicted = Some(g.nodes[b]);
+                g = pred_g;
             }
         }
     }
@@ -465,8 +445,7 @@ mod tests {
         let (prog, g, body) = figure3();
         let profile = Profile::default();
         let mc = MachineConfig::in_order();
-        let opts = ScheduleOptions { condition_prediction: false, ..Default::default() };
-        let s = schedule_chaining(&g, &prog, &profile, &mc, &opts);
+        let s = schedule_chaining(&g, &prog, &profile, &mc, 1.1);
         assert_eq!(s.model, SpModel::Chaining);
         assert_eq!(s.order.len(), 6);
         // Critical sub-slice {A, D, cmp, br} before the spawn; B and C
@@ -527,14 +506,8 @@ mod tests {
         profile.edge_freq.insert((prog.entry, body, body), 99);
         profile.edge_freq.insert((prog.entry, body, BlockId(2)), 1);
         let mc = MachineConfig::in_order();
-        let without = schedule_chaining(
-            &g,
-            &prog,
-            &profile,
-            &mc,
-            &ScheduleOptions { condition_prediction: false, ..Default::default() },
-        );
-        let with = schedule_chaining(&g, &prog, &profile, &mc, &ScheduleOptions::default());
+        let without = schedule_chaining(&g, &prog, &profile, &mc, 1.1);
+        let with = schedule_chaining(&g, &prog, &profile, &mc, 0.9);
         assert!(with.predicted.is_some(), "biased load-gated branch got predicted");
         assert!(
             with.critical.len() < without.critical.len(),
@@ -559,7 +532,7 @@ mod tests {
         profile.edge_freq.insert((prog.entry, body, body), 399);
         profile.edge_freq.insert((prog.entry, body, BlockId(2)), 1);
         let mc = MachineConfig::in_order();
-        let s = schedule_chaining(&g, &prog, &profile, &mc, &ScheduleOptions::default());
+        let s = schedule_chaining(&g, &prog, &profile, &mc, 0.9);
         assert!(s.predicted.is_none(), "no load freed: prediction skipped");
     }
 

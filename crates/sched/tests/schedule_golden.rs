@@ -14,9 +14,9 @@
 //! ```
 
 use ssp_ir::{BlockId, InstRef};
-use ssp_sched::{schedule_basic, schedule_chaining, ScheduleOptions, ScheduledSlice};
+use ssp_sched::{schedule_basic, schedule_chaining, ScheduledSlice};
 use ssp_sim::MachineConfig;
-use ssp_slicing::{RegionDepGraph, SliceOptions, Slicer};
+use ssp_slicing::{RegionDepGraph, Slicer};
 
 /// The fixed generator seed shared with the benchmark suite.
 const SEED: u64 = 2002;
@@ -29,7 +29,7 @@ fn snapshot(w: &ssp_workloads::Workload) -> String {
     let index = w.program.tag_index();
     let root: InstRef = index[&profile.delinquent_loads(0.9)[0]];
 
-    let mut slicer = Slicer::new(&w.program, &profile, SliceOptions::default());
+    let mut slicer = Slicer::new(&w.program, &profile, 1);
     let blocks: Vec<BlockId> = {
         let fa = slicer.analyses.get(&w.program, root.func);
         let l = fa.loops.innermost(root.block).expect("delinquent load sits in a loop");
@@ -43,7 +43,7 @@ fn snapshot(w: &ssp_workloads::Workload) -> String {
     let keep: std::collections::HashSet<_> = slice.insts.iter().copied().collect();
     let sg = graph.induced(&keep);
 
-    let chaining = schedule_chaining(&sg, &w.program, &profile, &mc, &ScheduleOptions::default());
+    let chaining = schedule_chaining(&sg, &w.program, &profile, &mc, 0.9);
     let basic = schedule_basic(&sg, &w.program, &profile, &mc);
 
     let mut out = String::new();

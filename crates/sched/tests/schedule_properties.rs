@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use ssp_ir::{CmpKind, InstRef, Program, ProgramBuilder, Reg};
-use ssp_sched::{schedule_basic, schedule_chaining, ScheduleOptions};
+use ssp_sched::{schedule_basic, schedule_chaining};
 use ssp_sim::{MachineConfig, Profile};
 use ssp_slicing::{Analyses, RegionDepGraph};
 
@@ -79,7 +79,7 @@ proptest! {
         let g = graph_of(&prog, body);
         let profile = Profile::default();
         let mc = MachineConfig::in_order();
-        let s = schedule_chaining(&g, &prog, &profile, &mc, &ScheduleOptions::default());
+        let s = schedule_chaining(&g, &prog, &profile, &mc, 0.9);
         // Order is a subset-permutation of the region (prediction may
         // prune) with no duplicates.
         let mut seen = std::collections::HashSet::new();

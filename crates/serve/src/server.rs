@@ -32,7 +32,7 @@ use crate::protocol::{parse_line, Request};
 use crate::store::{CaseEntry, TuneEntry, WorkloadEntry};
 use ssp_bench::cache::Memo;
 use ssp_bench::persist::Store;
-use ssp_bench::{parallel, suite_row_json, SEED};
+use ssp_bench::{json_escape, parallel, suite_row_json, SEED};
 use ssp_core::{AdaptOptions, MachineConfig};
 use ssp_fuzz::oracle::{run_case, OracleConfig};
 use ssp_fuzz::spec::CaseSpec;
@@ -326,24 +326,6 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
         Some(s) => s,
         None => payload.downcast_ref::<String>().map_or("(no message)", String::as_str),
     }
-}
-
-/// Minimal JSON string escaping for error text (the only response field
-/// that can carry arbitrary request bytes).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -377,9 +377,6 @@ impl<'a> Engine<'a> {
         // The main thread starts at the program entry with SP set.
         threads[0].pc = Some(decode.entry(prog.entry).expect("the entry function exists"));
         threads[0].rf.write(conv::SP, 0x7FFF_FF00_0000);
-        let has_roi = prog.iter_funcs().any(|(_, f)| {
-            f.blocks.iter().any(|b| b.insts.iter().any(|i| matches!(i.op, Op::RoiBegin)))
-        });
         Engine {
             decode,
             mode: opts.mode,
@@ -392,7 +389,7 @@ impl<'a> Engine<'a> {
             threads,
             cycle: 0,
             in_roi: false,
-            has_roi,
+            has_roi: prog.has_roi(),
             result: SimResult::default(),
             load_stats: vec![LoadStats::default(); decode.load_tags().len()],
             fu_used: [0; 4],

@@ -134,10 +134,7 @@ pub fn profile(prog: &Program, cfg: &MachineConfig) -> Profile {
     let mut pc = InstRef { func: prog.entry, block: entry_block, idx: 0 };
     let mut out = Profile::default();
 
-    let has_roi = prog.iter_funcs().any(|(_, f)| {
-        f.blocks.iter().any(|b| b.insts.iter().any(|i| matches!(i.op, Op::RoiBegin)))
-    });
-    let mut in_roi = !has_roi;
+    let mut in_roi = !prog.has_roi();
 
     let mut t: u64 = 0;
     let limit: u64 = 500_000_000;

@@ -4,7 +4,10 @@
 //! the minimal instruction sequences that produce delinquent-load
 //! addresses — using context-sensitive interprocedural analysis with
 //! slice summaries ([`summary`]), profile-driven speculative slicing, and
-//! region-based slice growth ([`slicer`]). The dependence graphs the
+//! region-based slice growth ([`slicer`]). Slicing always prunes
+//! speculatively and always follows control dependences, as the paper's
+//! tool does; its one knob is the profiled block count below which a
+//! path counts as unexecuted ([`Slicer::new`]). The dependence graphs the
 //! scheduler consumes are built by [`depgraph`].
 
 #![warn(missing_docs)]
@@ -16,5 +19,5 @@ pub mod summary;
 
 pub use analysis::{Analyses, FuncAnalyses};
 pub use depgraph::{latency_of, latency_of_at, DepEdge, DepKind, RegionDepGraph};
-pub use slicer::{Slice, SliceError, SliceOptions, Slicer};
+pub use slicer::{Slice, SliceError, Slicer};
 pub use summary::{Summaries, Summary};

@@ -4,6 +4,8 @@
 //! computes the p-slice: the minimal instruction set producing the load's
 //! address, restricted to the region. Values defined outside the region
 //! become *live-ins*, to be copied through the live-in buffer at spawn.
+//! The slice always follows control dependences, so a loop slice keeps
+//! its loop condition and branch and can run as a loop of its own.
 //!
 //! Three refinements from the paper are implemented:
 //!
@@ -11,10 +13,12 @@
 //!   into the callee via [`crate::summary::Summaries`] with matched
 //!   parameter bindings, avoiding the unrealizable-path imprecision of
 //!   Weiser-style slicing.
-//! * **Speculative (control-flow) slicing** — block profiles filter out
-//!   definitions on unexecuted paths, and the profiled dynamic call graph
-//!   resolves indirect calls; both shrink slices at a (profiled) risk of
-//!   wrong addresses, which SSP tolerates by construction.
+//! * **Speculative (control-flow) slicing**, always on (§3.1.2) — block
+//!   profiles filter out definitions and branches in blocks run fewer
+//!   than `min_block_count` times ([`Slicer::new`]), and the profiled
+//!   dynamic call graph resolves indirect calls; both shrink slices at a
+//!   (profiled) risk of wrong addresses, which SSP tolerates by
+//!   construction.
 //! * **Region-based growth** — the slice is computed against an explicit
 //!   block set; the region walker (§3.4.1) re-slices against successively
 //!   larger regions until the slack is big enough.
@@ -47,25 +51,6 @@ impl fmt::Display for SliceError {
 }
 
 impl std::error::Error for SliceError {}
-
-/// Knobs for the slicer.
-#[derive(Clone, Debug)]
-pub struct SliceOptions {
-    /// Enable control-flow speculative slicing (profile pruning).
-    pub speculative: bool,
-    /// Definitions in blocks executed fewer than this many times are
-    /// treated as on unexecuted paths (speculative mode only).
-    pub min_block_count: u64,
-    /// Follow control dependences into the slice (needed for executable
-    /// loop slices; disable for pure value slices).
-    pub control_deps: bool,
-}
-
-impl Default for SliceOptions {
-    fn default() -> Self {
-        SliceOptions { speculative: true, min_block_count: 1, control_deps: true }
-    }
-}
 
 /// A p-slice: the precomputation content for one delinquent load.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -117,13 +102,22 @@ pub struct Slicer<'p> {
     /// Analysis cache (public so co-operating passes can share it).
     pub analyses: Analyses,
     summaries: Summaries,
-    opts: SliceOptions,
+    min_block_count: u64,
 }
 
 impl<'p> Slicer<'p> {
-    /// Create a slicer for `prog` with profile feedback.
-    pub fn new(prog: &'p Program, profile: &'p ssp_sim::Profile, opts: SliceOptions) -> Self {
-        Slicer { prog, profile, analyses: Analyses::new(), summaries: Summaries::new(), opts }
+    /// Create a slicer for `prog` with profile feedback. Definitions and
+    /// controlling branches in blocks the profile counts fewer than
+    /// `min_block_count` times are treated as on unexecuted paths and
+    /// pruned (0 prunes nothing).
+    pub fn new(prog: &'p Program, profile: &'p ssp_sim::Profile, min_block_count: u64) -> Self {
+        Slicer {
+            prog,
+            profile,
+            analyses: Analyses::new(),
+            summaries: Summaries::new(),
+            min_block_count,
+        }
     }
 
     /// The program being sliced.
@@ -183,9 +177,7 @@ impl<'p> Slicer<'p> {
                     continue;
                 }
                 // Speculative slicing: ignore defs on unexecuted paths.
-                if self.opts.speculative
-                    && self.profile.block_count(fid, d.at.block) < self.opts.min_block_count
-                {
+                if self.profile.block_count(fid, d.at.block) < self.min_block_count {
                     slice.pruned += 1;
                     continue;
                 }
@@ -194,7 +186,7 @@ impl<'p> Slicer<'p> {
                     Op::Call { callee, .. } if r == conv::RV => {
                         self.descend(d.at, callee, &mut slice, &mut work);
                     }
-                    Op::CallInd { .. } if r == conv::RV && self.opts.speculative => {
+                    Op::CallInd { .. } if r == conv::RV => {
                         // Resolve via the dynamic call graph; take the
                         // most frequent profiled target.
                         let target = self
@@ -268,9 +260,6 @@ impl<'p> Slicer<'p> {
         slice: &mut Slice,
         work: &mut Vec<(InstRef, Reg)>,
     ) {
-        if !self.opts.control_deps {
-            return;
-        }
         let fid = at.func;
         let func = self.prog.func(fid);
         let cdep_blocks: Vec<BlockId> = {
@@ -281,9 +270,7 @@ impl<'p> Slicer<'p> {
             if !region.contains(&cb) {
                 continue;
             }
-            if self.opts.speculative
-                && self.profile.block_count(fid, cb) < self.opts.min_block_count
-            {
+            if self.profile.block_count(fid, cb) < self.min_block_count {
                 slice.pruned += 1;
                 continue;
             }
@@ -351,7 +338,7 @@ mod tests {
     fn slice_excludes_non_address_computation() {
         let (prog, body, root) = mcf_like();
         let profile = run_profile(&prog);
-        let mut s = Slicer::new(&prog, &profile, SliceOptions::default());
+        let mut s = Slicer::new(&prog, &profile, 1);
         let slice = s.slice_in_region(root, &[body]).unwrap();
         let idxs: Vec<usize> =
             slice.insts.iter().filter(|r| r.block == body).map(|r| r.idx).collect();
@@ -369,32 +356,13 @@ mod tests {
     fn live_ins_are_region_inputs() {
         let (prog, body, root) = mcf_like();
         let profile = run_profile(&prog);
-        let mut s = Slicer::new(&prog, &profile, SliceOptions::default());
+        let mut s = Slicer::new(&prog, &profile, 1);
         let slice = s.slice_in_region(root, &[body]).unwrap();
         // arc and k flow in from outside the loop.
         assert!(slice.live_ins.contains(&Reg(64)), "arc is a live-in");
         assert!(slice.live_ins.contains(&Reg(65)), "K is a live-in");
         assert!(!slice.live_ins.contains(&Reg(69)), "sum is not address-relevant");
         assert!(!slice.interprocedural());
-    }
-
-    #[test]
-    fn value_slice_without_control_deps_is_smaller() {
-        let (prog, body, root) = mcf_like();
-        let profile = run_profile(&prog);
-        let mut with = Slicer::new(&prog, &profile, SliceOptions::default());
-        let full = with.slice_in_region(root, &[body]).unwrap();
-        let mut without = Slicer::new(
-            &prog,
-            &profile,
-            SliceOptions { control_deps: false, ..SliceOptions::default() },
-        );
-        let value_only = without.slice_in_region(root, &[body]).unwrap();
-        assert!(value_only.size() < full.size());
-        // Pure value slice: A, B, D (arc chain) + root.
-        let idxs: Vec<usize> =
-            value_only.insts.iter().filter(|r| r.block == body).map(|r| r.idx).collect();
-        assert!(!idxs.contains(&5), "loop condition excluded from value slice");
     }
 
     #[test]
@@ -431,13 +399,9 @@ mod tests {
         let root = InstRef { func: prog.entry, block: join, idx: 0 };
         let region = [body, cold, join];
 
-        let mut spec = Slicer::new(&prog, &profile, SliceOptions::default());
+        let mut spec = Slicer::new(&prog, &profile, 1);
         let spec_slice = spec.slice_in_region(root, &region).unwrap();
-        let mut stat = Slicer::new(
-            &prog,
-            &profile,
-            SliceOptions { speculative: false, ..SliceOptions::default() },
-        );
+        let mut stat = Slicer::new(&prog, &profile, 0);
         let stat_slice = stat.slice_in_region(root, &region).unwrap();
 
         assert!(spec_slice.pruned > 0, "cold def was pruned");
@@ -481,7 +445,7 @@ mod tests {
         let prog = pb.finish(main_id);
         let profile = run_profile(&prog);
         let root = InstRef { func: main_id, block: body, idx: 3 };
-        let mut s = Slicer::new(&prog, &profile, SliceOptions::default());
+        let mut s = Slicer::new(&prog, &profile, 1);
         let slice = s.slice_in_region(root, &[body]).unwrap();
         assert!(slice.interprocedural(), "slice crosses into advance()");
         assert_eq!(slice.callee_insts.len(), 1, "the callee's load");
@@ -496,7 +460,7 @@ mod tests {
     fn non_load_root_is_a_typed_error() {
         let (prog, body, _) = mcf_like();
         let profile = run_profile(&prog);
-        let mut s = Slicer::new(&prog, &profile, SliceOptions::default());
+        let mut s = Slicer::new(&prog, &profile, 1);
         // idx 0 is `mov t, arc` — not a load.
         let root = InstRef { func: prog.entry, block: body, idx: 0 };
         let err = s.slice_in_region(root, &[body]).unwrap_err();

@@ -183,7 +183,7 @@ mod tests {
     use super::*;
     use ssp_ir::{CmpKind, Operand, ProgramBuilder, Reg};
     use ssp_sim::MachineConfig;
-    use ssp_slicing::{Analyses, SliceOptions, Slicer};
+    use ssp_slicing::{Analyses, Slicer};
 
     /// The mcf-like loop; the trigger must land right after `arc`'s
     /// in-loop update (the last live-in producer), i.e. per iteration.
@@ -211,7 +211,7 @@ mod tests {
         let prog = pb.finish_with(main);
         let profile = ssp_sim::profile(&prog, &MachineConfig::in_order());
         let root = InstRef { func: prog.entry, block: body, idx: 2 };
-        let mut slicer = Slicer::new(&prog, &profile, SliceOptions::default());
+        let mut slicer = Slicer::new(&prog, &profile, 1);
         let slice = slicer.slice_in_region(root, &[body]).unwrap();
         let mut an = Analyses::new();
         let fa = an.get(&prog, prog.entry);
@@ -244,7 +244,7 @@ mod tests {
         let prog = pb.finish_with(main);
         let profile = ssp_sim::profile(&prog, &MachineConfig::in_order());
         let root = InstRef { func: prog.entry, block: mid, idx: 0 };
-        let mut slicer = Slicer::new(&prog, &profile, SliceOptions::default());
+        let mut slicer = Slicer::new(&prog, &profile, 1);
         let slice = slicer.slice_in_region(root, &[mid]).unwrap();
         assert!(slice.live_ins.contains(&a));
         let mut an = Analyses::new();

@@ -229,60 +229,57 @@ fn budget_ladder(b: u64) -> Vec<u64> {
 
 fn enable_menu(o: &AdaptOptions) -> Vec<(String, AdaptOptions)> {
     vec![
-        mv(o, "min_slack=0", |o| o.select.min_slack = 0),
-        mv(o, "min_slack=-1000", |o| o.select.min_slack = -1000),
+        mv(o, "min_slack=0", |o| o.min_slack = 0),
+        mv(o, "min_slack=-1000", |o| o.min_slack = -1000),
         mv(o, "coverage=0.99", |o| o.coverage = 0.99),
-        mv(o, "max_slice_size=128", |o| o.select.max_slice_size = 128),
-        mv(o, "max_region_depth=5", |o| o.select.max_region_depth = 5),
-        mv(o, "force_model=basic", |o| o.select.force_model = Some(SpModel::Basic)),
-        mv(o, "force_model=chaining", |o| o.select.force_model = Some(SpModel::Chaining)),
+        mv(o, "max_slice_size=128", |o| o.max_slice_size = 128),
+        mv(o, "max_region_depth=5", |o| o.max_region_depth = 5),
+        mv(o, "force_model=basic", |o| o.force_model = Some(SpModel::Basic)),
+        mv(o, "force_model=chaining", |o| o.force_model = Some(SpModel::Chaining)),
     ]
 }
 
 fn hoist_menu(o: &AdaptOptions) -> Vec<(String, AdaptOptions)> {
     let mut v = Vec::new();
-    let b = (o.emit.chain_budget * 2).min(4096);
-    if b > o.emit.chain_budget {
-        v.push(mv(o, &format!("chain_budget={b}"), |o| o.emit.chain_budget = b));
+    let b = (o.chain_budget * 2).min(4096);
+    if b > o.chain_budget {
+        v.push(mv(o, &format!("chain_budget={b}"), |o| o.chain_budget = b));
     }
-    if o.select.max_region_depth < 8 {
-        let d = o.select.max_region_depth + 1;
-        v.push(mv(o, &format!("max_region_depth={d}"), |o| o.select.max_region_depth = d));
+    if o.max_region_depth < 8 {
+        let d = o.max_region_depth + 1;
+        v.push(mv(o, &format!("max_region_depth={d}"), |o| o.max_region_depth = d));
     }
-    v.push(mv(o, "predict_threshold=0.7", |o| o.select.sched.predict_threshold = 0.7));
-    if !o.select.sched.loop_rotation {
-        v.push(mv(o, "loop_rotation=true", |o| o.select.sched.loop_rotation = true));
-    }
-    v.push(mv(o, "force_model=chaining", |o| o.select.force_model = Some(SpModel::Chaining)));
+    v.push(mv(o, "predict_threshold=0.7", |o| o.predict_threshold = 0.7));
+    v.push(mv(o, "force_model=chaining", |o| o.force_model = Some(SpModel::Chaining)));
     v
 }
 
 fn prune_menu(o: &AdaptOptions) -> Vec<(String, AdaptOptions)> {
     let mut v = Vec::new();
-    for b in budget_ladder(o.emit.chain_budget) {
-        v.push(mv(o, &format!("chain_budget={b}"), |o| o.emit.chain_budget = b));
+    for b in budget_ladder(o.chain_budget) {
+        v.push(mv(o, &format!("chain_budget={b}"), |o| o.chain_budget = b));
     }
     v.push(mv(o, "coverage=0.7", |o| o.coverage = 0.7));
-    v.push(mv(o, "force_model=basic", |o| o.select.force_model = Some(SpModel::Basic)));
-    v.push(mv(o, "predict_threshold=1.1", |o| o.select.sched.predict_threshold = 1.1));
-    v.push(mv(o, "min_block_count=8", |o| o.slice.min_block_count = 8));
-    v.push(mv(o, "max_slice_size=32", |o| o.select.max_slice_size = 32));
+    v.push(mv(o, "force_model=basic", |o| o.force_model = Some(SpModel::Basic)));
+    v.push(mv(o, "predict_threshold=1.1", |o| o.predict_threshold = 1.1));
+    v.push(mv(o, "min_block_count=8", |o| o.min_block_count = 8));
+    v.push(mv(o, "max_slice_size=32", |o| o.max_slice_size = 32));
     v
 }
 
 fn recover_menu(o: &AdaptOptions) -> Vec<(String, AdaptOptions)> {
     let mut v = vec![
         mv(o, "coverage=0.99", |o| o.coverage = 0.99),
-        mv(o, "min_slack=0", |o| o.select.min_slack = 0),
-        mv(o, "force_model=basic", |o| o.select.force_model = Some(SpModel::Basic)),
+        mv(o, "min_slack=0", |o| o.min_slack = 0),
+        mv(o, "force_model=basic", |o| o.force_model = Some(SpModel::Basic)),
     ];
-    if o.select.max_region_depth < 8 {
-        let d = o.select.max_region_depth + 1;
-        v.push(mv(o, &format!("max_region_depth={d}"), |o| o.select.max_region_depth = d));
+    if o.max_region_depth < 8 {
+        let d = o.max_region_depth + 1;
+        v.push(mv(o, &format!("max_region_depth={d}"), |o| o.max_region_depth = d));
     }
-    let b = o.emit.chain_budget / 2;
+    let b = o.chain_budget / 2;
     if b >= 1 {
-        v.push(mv(o, &format!("chain_budget={b}"), |o| o.emit.chain_budget = b));
+        v.push(mv(o, &format!("chain_budget={b}"), |o| o.chain_budget = b));
     }
     v
 }
@@ -1069,6 +1066,36 @@ mod tests {
     }
 
     #[test]
+    fn every_move_changes_only_the_field_its_label_names() {
+        let point = AdaptOptions {
+            chain_budget: 4,
+            force_model: Some(SpModel::Basic),
+            predict_threshold: 1.1,
+            ..AdaptOptions::default()
+        };
+        let signals =
+            [Signal::Noop, Signal::MostlyLate, Signal::MostlyEarlyUseless, Signal::TimelyCapped];
+        for cur in [AdaptOptions::default(), point] {
+            let cur_fp = cur.fingerprint();
+            for signal in signals {
+                for regressing in [false, true] {
+                    for (label, o) in moves_for(signal, &cur, regressing) {
+                        let fp = o.fingerprint();
+                        assert!(fp.split(' ').any(|t| t == label), "{label} is not in {fp}");
+                        let changed: Vec<&str> = cur_fp
+                            .split(' ')
+                            .zip(fp.split(' '))
+                            .filter(|(was, now)| was != now)
+                            .map(|(_, now)| now)
+                            .collect();
+                        assert_eq!(changed, [label.as_str()], "{label} from {cur_fp}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn eval_roundtrips_through_the_codec() {
         let e = Eval {
             adapt_error: None,
@@ -1181,8 +1208,8 @@ mod tests {
         assert!(default.clean() && default.emitting(), "{default:?}");
         for opts in [
             with(|o| o.coverage = 0.99),
-            with(|o| o.select.max_slice_size = 128),
-            with(|o| o.select.min_slack = 0),
+            with(|o| o.max_slice_size = 128),
+            with(|o| o.min_slack = 0),
         ] {
             let e = tuner.evaluate(&w, profile, base, &opts);
             assert_eq!((e.io_cycles, e.ooo_cycles), (default.io_cycles, default.ooo_cycles));
@@ -1192,7 +1219,7 @@ mod tests {
 
         // A smaller chain budget keeps the plan, and so its digest, but
         // the stubs load a different budget: a new binary, its own run.
-        let budget = tuner.evaluate(&w, profile, base, &with(|o| o.emit.chain_budget = 256));
+        let budget = tuner.evaluate(&w, profile, base, &with(|o| o.chain_budget = 256));
         assert_eq!(budget.plan_digest, default.plan_digest);
         assert_eq!(tuner.gate_stats(), MemoStats { hits: 3, disk_hits: 0, misses: 2 });
     }

@@ -83,17 +83,23 @@ impl fmt::Display for WorkloadError {
 
 impl std::error::Error for WorkloadError {}
 
+/// A benchmark's builder: its program, expanded from a seed.
+type Builder = fn(u64) -> Workload;
+
+/// Every benchmark's name and builder, in the paper's order.
+const BUILDERS: [(&str, Builder); 7] = [
+    ("em3d", em3d::build),
+    ("health", health::build),
+    ("mst", mst::build),
+    ("treeadd.df", treeadd::build_df),
+    ("treeadd.bf", treeadd::build_bf),
+    ("mcf", mcf::build),
+    ("vpr", vpr::build),
+];
+
 /// The full seven-benchmark suite of §4.1, in the paper's order.
 pub fn suite(seed: u64) -> Vec<Workload> {
-    vec![
-        em3d::build(seed),
-        health::build(seed),
-        mst::build(seed),
-        treeadd::build_df(seed),
-        treeadd::build_bf(seed),
-        mcf::build(seed),
-        vpr::build(seed),
-    ]
+    BUILDERS.iter().map(|(_, build)| build(seed)).collect()
 }
 
 /// Benchmark names accepted by [`by_name`], in the paper's order.
@@ -101,16 +107,10 @@ pub const NAMES: [&str; 7] = ["em3d", "health", "mst", "treeadd.df", "treeadd.bf
 
 /// Look up one benchmark by name; the returned program is verified.
 pub fn by_name(name: &str, seed: u64) -> Result<Workload, WorkloadError> {
-    let w = match name {
-        "em3d" => em3d::build(seed),
-        "health" => health::build(seed),
-        "mst" => mst::build(seed),
-        "treeadd.df" => treeadd::build_df(seed),
-        "treeadd.bf" => treeadd::build_bf(seed),
-        "mcf" => mcf::build(seed),
-        "vpr" => vpr::build(seed),
-        _ => return Err(WorkloadError::UnknownName(name.to_owned())),
+    let Some((_, build)) = BUILDERS.iter().find(|(n, _)| *n == name) else {
+        return Err(WorkloadError::UnknownName(name.to_owned()));
     };
+    let w = build(seed);
     match ssp_ir::verify::verify(&w.program) {
         Ok(()) => Ok(w),
         Err(error) => Err(WorkloadError::Verify { name: w.name, error }),

@@ -6,7 +6,7 @@
 //! cargo run --release --example tune_tool
 //! ```
 
-use ssp_core::{simulate, AdaptOptions, MachineConfig, PostPassTool, ScheduleOptions, SpModel};
+use ssp_core::{simulate, AdaptOptions, MachineConfig, PostPassTool, SpModel};
 
 fn run_with(w: &ssp_workloads::Workload, machine: &MachineConfig, opts: AdaptOptions) -> f64 {
     let tool = PostPassTool::new(machine.clone()).with_options(opts);
@@ -24,16 +24,17 @@ fn main() {
     println!("treeadd.bf on the in-order model:");
     println!("  default tool              : {:.2}x", run_with(&w, &machine, default.clone()));
 
+    // A branch's bias is at most 1, so a threshold above 1 never predicts.
     let mut no_pred = default.clone();
-    no_pred.select.sched = ScheduleOptions { condition_prediction: false, ..Default::default() };
+    no_pred.predict_threshold = 1.1;
     println!(
         "  without condition predict : {:.2}x   (the queue-growth condition keeps the loads critical)",
         run_with(&w, &machine, no_pred)
     );
 
     let mut basic = default.clone();
-    basic.select.force_model = Some(SpModel::Basic);
-    basic.select.min_slack = i64::MIN;
+    basic.force_model = Some(SpModel::Basic);
+    basic.min_slack = i64::MIN;
     println!(
         "  forced basic SP           : {:.2}x   (one sequential prefetch thread)",
         run_with(&w, &machine, basic)
@@ -41,7 +42,7 @@ fn main() {
 
     for budget in [4, 16, 64, 512] {
         let mut b = default.clone();
-        b.emit.chain_budget = budget;
+        b.chain_budget = budget;
         println!("  chain budget {budget:>4}         : {:.2}x", run_with(&w, &machine, b));
     }
 }

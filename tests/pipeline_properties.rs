@@ -99,8 +99,7 @@ fn every_workload_and_model_lints_clean() {
     for w in ssp_workloads::suite(2002) {
         for model in [SpModel::Chaining, SpModel::Basic] {
             for mc in [MachineConfig::in_order(), MachineConfig::out_of_order()] {
-                let mut opts = AdaptOptions::default();
-                opts.select.force_model = Some(model);
+                let opts = AdaptOptions { force_model: Some(model), ..AdaptOptions::default() };
                 let tool = PostPassTool::new(mc).with_options(opts);
                 // The in-pipeline gate already rejects lint-dirty output,
                 // so success means clean; re-lint anyway to check the
