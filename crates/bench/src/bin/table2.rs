@@ -11,14 +11,18 @@ fn main() {
         "benchmark", "slices", "interproc", "avg size", "avg live-in"
     );
     let ws = ssp_workloads::suite(SEED);
-    let rows = parallel::map_indexed(&ws, parallel::threads(), |_, w| {
+    let reports = parallel::map_indexed(&ws, parallel::threads(), |_, w| {
         let tool = PostPassTool::new(MachineConfig::in_order());
-        tool.run(&w.program).expect("adaptation succeeds").characteristics(w.name)
+        tool.run(&w.program).expect("adaptation succeeds").report
     });
-    for c in rows {
+    for (w, r) in ws.iter().zip(reports) {
         println!(
             "{:<12} {:>8} {:>16} {:>12.1} {:>12.1}",
-            c.name, c.slices, c.interprocedural, c.average_size, c.average_live_ins
+            w.name,
+            r.slice_count(),
+            r.interprocedural_count(),
+            r.average_size(),
+            r.average_live_ins()
         );
     }
     println!();

@@ -32,9 +32,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::persist::{decode, encode, fnv64, Store};
+use crate::persist::{decode, encode, Store};
 use ssp_core::{simulate, MachineConfig, SimResult};
-use ssp_ir::Program;
+use ssp_ir::{fnv64, Program};
 use ssp_workloads::Workload;
 
 /// In-memory shard count of every [`Memo`].
@@ -258,13 +258,7 @@ impl Memo<SimResult> {
 /// disjoint; baseline keys render exactly as they did before adapted
 /// entries existed, so older stores stay warm.
 fn sim_key(kind: &str, w: &Workload, adaptation: &str, config: &str) -> String {
-    format!(
-        "{kind} name={} seed={} next_tag={} image_len={} {adaptation}{config}",
-        w.name,
-        w.seed,
-        w.program.next_tag,
-        w.program.image.len(),
-    )
+    format!("{kind} {} {adaptation}{config}", w.identity())
 }
 
 /// The process-default simulation memo behind the free functions.

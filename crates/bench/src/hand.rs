@@ -18,7 +18,8 @@
 //! same stub/trigger machinery as the tool so the comparison isolates
 //! slice quality.
 
-use ssp_codegen::emit::{insert_triggers, PendingStub};
+use ssp_codegen::emit::insert_triggers;
+use ssp_codegen::EmittedSlice;
 use ssp_ir::reg::conv;
 use ssp_ir::{AluKind, Block, BlockId, CmpKind, FuncId, Inst, Op, Operand, Program, Reg};
 use ssp_sched::SpModel;
@@ -113,18 +114,17 @@ pub fn adapt_mcf(prog: &Program) -> Program {
         ops.push((0, Op::Spawn { entry: entry_s, slot: rs }));
         // Resume branch appended by insert_triggers.
     });
-    let pending = PendingStub {
-        func: fid,
+    let slice = EmittedSlice {
+        root_tags: Vec::new(),
+        trigger: TriggerPoint { func: fid, block: cont, after: Some(0) },
         stub,
         slice_entry: entry_s,
+        model: SpModel::Chaining,
         live_ins: vec![arc, k],
         slice_len: 12,
         interprocedural: false,
-        model: SpModel::Chaining,
-        root_tags: Vec::new(),
     };
-    let point = TriggerPoint { func: fid, block: cont, after: Some(0) };
-    insert_triggers(&mut out, vec![(point, pending)]);
+    insert_triggers(&mut out, &[slice]);
     ssp_ir::verify::verify(&out).expect("hand mcf verifies");
     ssp_ir::verify::verify_speculative(&out).expect("hand mcf slice is store-free");
     out
@@ -197,19 +197,18 @@ pub fn adapt_health(prog: &Program) -> Program {
         ops.push((0, Op::LibSt { slot: rs, idx: 2, src: rt }));
         ops.push((0, Op::Spawn { entry: entry_s, slot: rs }));
     });
-    let pending = PendingStub {
-        func: fid,
+    let slice = EmittedSlice {
+        root_tags: Vec::new(),
+        // Trigger right after the worklist pop advances headp (idx 1).
+        trigger: TriggerPoint { func: fid, block: child_l, after: Some(1) },
         stub,
         slice_entry: entry_s,
+        model: SpModel::Chaining,
         live_ins: vec![headp, tailp],
         slice_len: 10,
         interprocedural: true,
-        model: SpModel::Chaining,
-        root_tags: Vec::new(),
     };
-    // Trigger right after the worklist pop advances headp (idx 1).
-    let point = TriggerPoint { func: fid, block: child_l, after: Some(1) };
-    insert_triggers(&mut out, vec![(point, pending)]);
+    insert_triggers(&mut out, &[slice]);
     ssp_ir::verify::verify(&out).expect("hand health verifies");
     ssp_ir::verify::verify_speculative(&out).expect("hand health slice is store-free");
     out

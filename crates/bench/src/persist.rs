@@ -45,7 +45,7 @@
 //! the tuner), so one group's entries live together.
 
 use ssp_core::SimResult;
-use ssp_ir::InstTag;
+use ssp_ir::{fnv64, InstTag};
 use ssp_sim::{CycleBreakdown, LoadStats};
 use std::fmt::{self, Write as _};
 use std::fs;
@@ -56,18 +56,6 @@ use std::str::FromStr;
 /// Version header of the on-disk store (the `FORMAT` file and the first
 /// line of every entry).
 pub const STORE_FORMAT: &str = "ssp-serve-store/1";
-
-/// 64-bit FNV-1a hash of a string — the store's key-to-filename map and
-/// the shard selector. Stable by construction (pure arithmetic on
-/// bytes), unlike `std`'s `DefaultHasher`, which is randomly seeded.
-pub fn fnv64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Why a persisted payload could not be decoded.
 #[derive(Clone, PartialEq, Eq, Debug)]

@@ -35,31 +35,11 @@
 use crate::select::SlicePlan;
 use ssp_ir::reg::{conv, NUM_REGS};
 use ssp_ir::{Block, BlockId, CmpKind, FuncId, Inst, InstRef, InstTag, Op, Operand, Program, Reg};
+use ssp_lint::EmittedSlice;
 use ssp_sched::SpModel;
 use ssp_trigger::TriggerPoint;
+use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashSet};
-
-/// What was emitted for one plan.
-#[derive(Clone, Debug)]
-pub struct EmittedSlice {
-    /// Tags of the delinquent loads this slice covers.
-    pub root_tags: Vec<InstTag>,
-    /// The trigger location used.
-    pub trigger: TriggerPoint,
-    /// Stub block id.
-    pub stub: BlockId,
-    /// Slice entry block id.
-    pub slice_entry: BlockId,
-    /// Precomputation model.
-    pub model: SpModel,
-    /// Live-in registers copied at spawn.
-    pub live_ins: Vec<Reg>,
-    /// Instructions in the emitted slice body (excluding live-in copies
-    /// and spawn machinery).
-    pub slice_len: usize,
-    /// Whether callee instructions were inlined.
-    pub interprocedural: bool,
-}
 
 /// Why a plan could not be emitted.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -184,9 +164,10 @@ fn plan_body(prog: &Program, plan: &SlicePlan) -> BodyPlan {
 }
 
 /// Emit the slice and stub blocks for `plan` into `prog` (phase 1: no
-/// existing block is modified, only new blocks appended). The stub's
-/// final branch is left to phase 2 ([`insert_triggers`]). A chaining
-/// slice's chain stops re-spawning after at most `chain_budget` links.
+/// existing block is modified, only new blocks appended) and return the
+/// slice's record. Phase 2 ([`insert_triggers`]) inserts the `chk.c` at
+/// `trigger` and the stub's final branch. A chaining slice's chain stops
+/// re-spawning after at most `chain_budget` links.
 ///
 /// # Errors
 ///
@@ -194,8 +175,9 @@ fn plan_body(prog: &Program, plan: &SlicePlan) -> BodyPlan {
 pub fn emit_slice(
     prog: &mut Program,
     plan: &SlicePlan,
+    trigger: TriggerPoint,
     chain_budget: u64,
-) -> Result<PendingStub, SkipReason> {
+) -> Result<EmittedSlice, SkipReason> {
     if plan.sched.order.is_empty() {
         return Err(SkipReason::EmptySlice);
     }
@@ -276,16 +258,8 @@ pub fn emit_slice(
             entry.insts.push(fresh(prog, Op::LibFree { slot: conv::SLOT }));
             // Critical sub-slice.
             let mut gate_pred: Option<(Reg, bool)> = None;
-            for (pos, bi) in body.insts.iter().enumerate().take(plan.sched.spawn_pos) {
-                emit_body_inst(
-                    prog,
-                    plan,
-                    bi,
-                    pos,
-                    &mut entry.insts,
-                    &mut gate_pred,
-                    &mut slice_len,
-                );
+            for bi in body.insts.iter().take(plan.sched.spawn_pos) {
+                emit_body_inst(prog, plan, bi, &mut entry.insts, &mut gate_pred, &mut slice_len);
             }
             // Gate: chain budget, AND the spawn condition when the latch
             // was computed pre-spawn (unpredicted).
@@ -351,16 +325,8 @@ pub fn emit_slice(
                 None => {
                     let mut cont = Block { insts: Vec::new(), attachment: true };
                     let mut gate2: Option<(Reg, bool)> = None;
-                    for (pos, bi) in body.insts.iter().enumerate().skip(plan.sched.spawn_pos) {
-                        emit_body_inst(
-                            prog,
-                            plan,
-                            bi,
-                            pos,
-                            &mut cont.insts,
-                            &mut gate2,
-                            &mut slice_len,
-                        );
+                    for bi in body.insts.iter().skip(plan.sched.spawn_pos) {
+                        emit_body_inst(prog, plan, bi, &mut cont.insts, &mut gate2, &mut slice_len);
                     }
                     cont.insts.push(fresh(prog, Op::KillThread));
                     new_blocks.push(cont);
@@ -387,7 +353,6 @@ pub fn emit_slice(
                                 prog,
                                 plan,
                                 bi,
-                                plan.sched.spawn_pos + i,
                                 &mut cont.insts,
                                 &mut unused_gate,
                                 &mut slice_len,
@@ -409,7 +374,6 @@ pub fn emit_slice(
                                 prog,
                                 plan,
                                 bi,
-                                plan.sched.spawn_pos + i,
                                 &mut workb.insts,
                                 &mut unused_gate,
                                 &mut slice_len,
@@ -439,8 +403,8 @@ pub fn emit_slice(
 
             let mut lp = Block { insts: Vec::new(), attachment: true };
             let mut gate_pred: Option<(Reg, bool)> = None;
-            for (pos, bi) in body.insts.iter().enumerate() {
-                emit_body_inst(prog, plan, bi, pos, &mut lp.insts, &mut gate_pred, &mut slice_len);
+            for bi in &body.insts {
+                emit_body_inst(prog, plan, bi, &mut lp.insts, &mut gate_pred, &mut slice_len);
             }
             match gate_pred {
                 Some((pred, true)) => {
@@ -488,15 +452,16 @@ pub fn emit_slice(
 
     prog.func_mut(fid).blocks.extend(new_blocks);
 
-    Ok(PendingStub {
-        func: fid,
+    let roots = std::iter::once(plan.root).chain(plan.extra_roots.iter().copied());
+    Ok(EmittedSlice {
+        root_tags: roots.map(|at| prog.inst(at).tag).collect(),
+        trigger,
         stub: stub_blk,
         slice_entry: entry_blk,
+        model: plan.model,
         live_ins,
         slice_len,
         interprocedural: body.interprocedural,
-        model: plan.model,
-        root_tags: vec![prog.inst(plan.root).tag],
     })
 }
 
@@ -505,7 +470,6 @@ fn emit_body_inst(
     prog: &mut Program,
     plan: &SlicePlan,
     bi: &BodyInst,
-    pos: usize,
     out: &mut Vec<Inst>,
     gate_pred: &mut Option<(Reg, bool)>,
     slice_len: &mut usize,
@@ -535,40 +499,19 @@ fn emit_body_inst(
             *slice_len += 1;
         }
         BodyInst::Latch { pred, continue_on_true } => {
-            let _ = pos;
             *gate_pred = Some((*pred, *continue_on_true));
         }
         BodyInst::Skip => {}
     }
 }
 
-/// A stub awaiting its resume branch (phase 2).
-#[derive(Clone, Debug)]
-pub struct PendingStub {
-    /// Function everything lives in.
-    pub func: FuncId,
-    /// Stub block (no terminator yet).
-    pub stub: BlockId,
-    /// Slice entry block.
-    pub slice_entry: BlockId,
-    /// Live-in registers in slot order.
-    pub live_ins: Vec<Reg>,
-    /// Emitted slice body length.
-    pub slice_len: usize,
-    /// Whether callee code was inlined.
-    pub interprocedural: bool,
-    /// Model emitted.
-    pub model: SpModel,
-    /// Root tags covered.
-    pub root_tags: Vec<InstTag>,
-}
-
-/// Phase 2 helper: insert the `chk.c` trigger at `point`, splitting the
-/// block so the stub can branch back to the resume point (Figure 7's
-/// layout). Triggers must be inserted in descending `(block, position)`
-/// order so earlier splits do not invalidate later positions;
-/// [`insert_triggers`] handles the ordering.
-fn insert_trigger(prog: &mut Program, point: &TriggerPoint, pending: &PendingStub) {
+/// Phase 2 helper: insert `slice`'s `chk.c` at its trigger point,
+/// splitting the block so the stub can branch back to the resume point
+/// (Figure 7's layout). Triggers must be inserted in descending
+/// `(block, position)` order so earlier splits do not invalidate later
+/// positions; [`insert_triggers`] handles the ordering.
+fn insert_trigger(prog: &mut Program, slice: &EmittedSlice) {
+    let point = &slice.trigger;
     let fid = point.func;
     let split_at = point.after.map_or(0, |i| i + 1);
     let cont_blk = BlockId(prog.func(fid).blocks.len() as u32);
@@ -577,7 +520,7 @@ fn insert_trigger(prog: &mut Program, point: &TriggerPoint, pending: &PendingStu
     debug_assert!(!tail.is_empty(), "trigger split must leave a terminator in the tail");
     let was_attachment = func.block(point.block).attachment;
     func.blocks.push(Block { insts: tail, attachment: was_attachment });
-    let chk = Inst::new(InstTag(0), Op::ChkC { stub: pending.stub });
+    let chk = Inst::new(InstTag(0), Op::ChkC { stub: slice.stub });
     let br = Inst::new(InstTag(0), Op::Br { target: cont_blk });
     let block = &mut prog.func_mut(fid).blocks[point.block.index()].insts;
     block.push(chk);
@@ -591,24 +534,22 @@ fn insert_trigger(prog: &mut Program, point: &TriggerPoint, pending: &PendingStu
     block[n - 1].tag = t2;
     // Stub resumes at the split-off tail.
     let t3 = prog.fresh_tag();
-    prog.func_mut(fid).blocks[pending.stub.index()]
+    prog.func_mut(fid).blocks[slice.stub.index()]
         .insts
         .push(Inst::new(t3, Op::Br { target: cont_blk }));
 }
 
-/// Insert all triggers, ordering by descending position so splits never
-/// invalidate pending positions.
-pub fn insert_triggers(prog: &mut Program, work: Vec<(TriggerPoint, PendingStub)>) {
-    let mut work = work;
-    work.sort_by(|a, b| {
-        (b.0.func, b.0.block, b.0.after.map_or(-1, |i| i as i64)).cmp(&(
-            a.0.func,
-            a.0.block,
-            a.0.after.map_or(-1, |i| i as i64),
-        ))
+/// Insert every slice's trigger, ordering by descending position so
+/// splits never invalidate pending positions (a stable sort: slices
+/// sharing a position keep their order, and so their tags).
+pub fn insert_triggers(prog: &mut Program, slices: &[EmittedSlice]) {
+    let mut order: Vec<&EmittedSlice> = slices.iter().collect();
+    order.sort_by_key(|s| {
+        let TriggerPoint { func, block, after } = s.trigger;
+        Reverse((func, block, after.map_or(-1, |i| i as i64)))
     });
-    for (point, pending) in &work {
-        insert_trigger(prog, point, pending);
+    for slice in order {
+        insert_trigger(prog, slice);
     }
 }
 

@@ -8,18 +8,25 @@
 //! and rewrites the binary with stub and slice attachments ([`emit`]).
 //! [`AdaptOptions`] holds the eight values a caller turns, and each
 //! layer gets only the ones it reads.
+//!
+//! Each emitted slice is one [`EmittedSlice`] record (defined in
+//! `ssp-lint`, re-exported here), from emission through trigger
+//! insertion, the lint gate, [`AdaptReport::plan_digest`] and Table 2.
+//! The gate's lint is the only lint of a binary: a dirty one is
+//! [`AdaptError::Lint`].
 
 #![warn(missing_docs)]
 
 pub mod emit;
 pub mod select;
 
-pub use emit::{EmittedSlice, PendingStub, SkipReason};
+pub use emit::SkipReason;
 pub use select::{plan_for_load, plan_for_load_traced, SlicePlan};
+pub use ssp_lint::EmittedSlice;
 
 use ssp_ir::verify::VerifyError;
 use ssp_ir::{InstTag, Program};
-use ssp_lint::{LintReport, PlanView};
+use ssp_lint::LintReport;
 use ssp_sim::{MachineConfig, Profile};
 use ssp_slicing::Slicer;
 use ssp_trace::{Stopwatch, ToolTrace};
@@ -247,13 +254,7 @@ impl AdaptReport {
             };
             text.push_str(&format!(" skip{}={reason}", tag.0));
         }
-        // FNV-1a, 64-bit.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in text.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        format!("{h:016x}")
+        format!("{:016x}", ssp_ir::fnv64(&text))
     }
 
     /// Number of interprocedural slices.
@@ -276,23 +277,6 @@ impl AdaptReport {
         }
         self.slices.iter().map(|s| s.live_ins.len() as f64).sum::<f64>() / self.slices.len() as f64
     }
-}
-
-/// The linter's view of a report's emitted slices — the plan facts
-/// `ssp_lint::lint` verifies the adapted binary against.
-pub fn lint_views(report: &AdaptReport) -> Vec<PlanView> {
-    report
-        .slices
-        .iter()
-        .map(|s| PlanView {
-            root_tags: s.root_tags.clone(),
-            trigger: s.trigger,
-            stub: s.stub,
-            slice_entry: s.slice_entry,
-            model: s.model,
-            live_ins: s.live_ins.clone(),
-        })
-        .collect()
 }
 
 /// Adapt `prog` for software-based speculative precomputation.
@@ -411,32 +395,16 @@ pub fn adapt_traced(
     // Phase 1: append slice + stub blocks. Phase 2: insert triggers.
     let sw = trace.is_some().then(Stopwatch::start);
     let mut out = prog.clone();
-    let mut work = Vec::new();
     for (plan, tp) in placed {
-        match emit::emit_slice(&mut out, &plan, opts.chain_budget) {
-            Ok(mut pending) => {
-                pending.root_tags.extend(plan.extra_roots.iter().map(|&r| prog.inst(r).tag));
-                report.slices.push(EmittedSlice {
-                    root_tags: pending.root_tags.clone(),
-                    trigger: tp,
-                    stub: pending.stub,
-                    slice_entry: pending.slice_entry,
-                    model: pending.model,
-                    live_ins: pending.live_ins.clone(),
-                    slice_len: pending.slice_len,
-                    interprocedural: pending.interprocedural,
-                });
-                work.push((tp, pending));
-            }
-            Err(reason) => {
-                report.skipped.push((prog.inst(plan.root).tag, reason));
-            }
+        match emit::emit_slice(&mut out, &plan, tp, opts.chain_budget) {
+            Ok(slice) => report.slices.push(slice),
+            Err(reason) => report.skipped.push((prog.inst(plan.root).tag, reason)),
         }
     }
-    emit::insert_triggers(&mut out, work);
+    emit::insert_triggers(&mut out, &report.slices);
 
     emit::verify_emitted(&out).map_err(AdaptError::EmitVerify)?;
-    let lint_report = ssp_lint::lint(prog, &out, profile, &lint_views(&report));
+    let lint_report = ssp_lint::lint(prog, &out, profile, &report.slices);
     if !lint_report.is_clean() {
         return Err(AdaptError::Lint(lint_report));
     }

@@ -69,7 +69,7 @@
 
 #![warn(missing_docs)]
 
-pub use ssp_codegen::{lint_views, AdaptError, AdaptOptions, AdaptReport, SkipReason};
+pub use ssp_codegen::{AdaptError, AdaptOptions, AdaptReport, SkipReason};
 pub use ssp_ir::{Program, ProgramBuilder};
 pub use ssp_lint::{Diagnostic, LintReport};
 pub use ssp_sched::SpModel;
@@ -80,21 +80,6 @@ pub use ssp_sim::{
 };
 pub use ssp_trace::{PhaseSpan, Stopwatch, ToolTrace, TOOL_PHASES};
 
-/// Per-benchmark slice characteristics — one row of Table 2.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SliceCharacteristics {
-    /// Benchmark/program name.
-    pub name: String,
-    /// Number of p-slices emitted.
-    pub slices: usize,
-    /// How many are interprocedural.
-    pub interprocedural: usize,
-    /// Average slice size in instructions.
-    pub average_size: f64,
-    /// Average number of live-in values.
-    pub average_live_ins: f64,
-}
-
 /// The output of the post-pass tool.
 #[derive(Clone, Debug)]
 pub struct AdaptedBinary {
@@ -104,19 +89,6 @@ pub struct AdaptedBinary {
     pub report: AdaptReport,
     /// The profile it worked from.
     pub profile: Profile,
-}
-
-impl AdaptedBinary {
-    /// Summarize as a Table-2 row.
-    pub fn characteristics(&self, name: &str) -> SliceCharacteristics {
-        SliceCharacteristics {
-            name: name.to_owned(),
-            slices: self.report.slice_count(),
-            interprocedural: self.report.interprocedural_count(),
-            average_size: self.report.average_size(),
-            average_live_ins: self.report.average_live_ins(),
-        }
-    }
 }
 
 /// The post-pass compilation tool (Figure 1): profile feedback in,
@@ -203,16 +175,14 @@ impl PostPassTool {
 /// Re-run the static SSP linter over an already-adapted binary.
 ///
 /// [`PostPassTool::run`] already gates its output on a clean lint (a
-/// diagnostic surfaces as [`AdaptError::Lint`]); this helper is for
-/// harnesses that want the report itself — the `ssp-bench` `lint`
-/// binary and the fuzz oracle's static/dynamic cross-check.
+/// diagnostic surfaces as [`AdaptError::Lint`]), so on an `Ok` result
+/// this always returns a clean report, and no program in the workspace
+/// calls it. `perfbench/tracer` times the lint layer of a request with
+/// it, re-running the lint on the same inputs (`perfbench/README.md`),
+/// and the `pipeline_properties` tests check that it agrees with the
+/// gate.
 pub fn lint_binary(original: &Program, adapted: &AdaptedBinary) -> LintReport {
-    ssp_lint::lint(
-        original,
-        &adapted.program,
-        &adapted.profile,
-        &ssp_codegen::lint_views(&adapted.report),
-    )
+    ssp_lint::lint(original, &adapted.program, &adapted.profile, &adapted.report.slices)
 }
 
 /// Map every prefetching instruction of the adapted binary — the loads
@@ -272,9 +242,7 @@ mod tests {
         let tool = PostPassTool::new(MachineConfig::in_order());
         let adapted = tool.run(&prog).unwrap();
         assert!(adapted.report.slice_count() >= 1);
-        let ch = adapted.characteristics("chase");
-        assert_eq!(ch.slices, adapted.report.slice_count());
-        assert!(ch.average_size > 0.0);
+        assert!(adapted.report.average_size() > 0.0);
         let base = simulate(&prog, tool.machine());
         let ssp = simulate(&adapted.program, tool.machine());
         assert!(ssp.cycles < base.cycles, "base={} ssp={}", base.cycles, ssp.cycles);

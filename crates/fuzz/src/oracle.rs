@@ -5,9 +5,9 @@
 //! machine models ([`MachineConfig::in_order`] and
 //! [`MachineConfig::out_of_order`]), asserting the adaptation is
 //! semantically transparent. The adapted binary goes through one gate,
-//! [`check_adapted_with`] against the program's [`baseline_snapshots`];
-//! the `ssp-tune` auto-tuner runs every candidate plan through the same
-//! gate, as a [`gated_run`] per model and [`check_runs`]. The checks:
+//! a [`gated_run`] per model and [`check_runs`] against the program's
+//! [`baseline_snapshots`]; the `ssp-tune` auto-tuner runs every
+//! candidate plan through the same gate. The checks:
 //!
 //! * identical final architectural state — registers the original
 //!   program mentions, the memory image, and the trap status;
@@ -18,8 +18,9 @@
 //!   flight at the end, and no stub is reachable from more than one
 //!   static trigger;
 //! * static/dynamic agreement — a dynamic invariant violation on a
-//!   binary the `ssp-lint` static verifier passed clean is reported as
-//!   a `lint-blind-spot` meta-bug in its own right (`run_case` only);
+//!   binary the `ssp-lint` gate inside adaptation passed clean is
+//!   reported as a `lint-blind-spot` meta-bug in its own right
+//!   (`run_case` only);
 //! * engine agreement — each of the case's four simulations is also
 //!   replayed on the stepped (fast-forward-disabled) engine, and any
 //!   difference in statistics or architectural snapshot is an
@@ -224,8 +225,7 @@ fn check_single_trigger(adapted: &Program, out: &mut Vec<Violation>) {
 /// The architectural-equivalence half of the per-model checks: trap
 /// status, tag-filtered commit stream, mentioned registers, memory
 /// digest. Meaningless when the baseline hit the cycle cap (the baseline
-/// never reached its final state), so [`check_adapted_with`] skips it
-/// there.
+/// never reached its final state), so [`check_runs`] skips it there.
 fn check_equivalence(
     model: &str,
     base: &ArchSnapshot,
@@ -401,22 +401,10 @@ pub fn check_adapted(
     io: &MachineConfig,
     ooo: &MachineConfig,
 ) -> (Vec<Violation>, SimResult, SimResult) {
-    let (violations, [a_io, a_ooo]) = check_adapted_with(adapted, base, io, ooo);
-    (violations, a_io.result, a_ooo.result)
-}
-
-/// [`check_adapted`], returning each model's whole [`SimRun`] (in-order
-/// first): [`gated_run`] on each model, then [`check_runs`]. A caller
-/// that schedules the two simulations itself, or collects telemetry in
-/// them (the `ssp-tune` optimizer), calls those two.
-pub fn check_adapted_with(
-    adapted: &Program,
-    base: &BaselineSnapshots,
-    io: &MachineConfig,
-    ooo: &MachineConfig,
-) -> (Vec<Violation>, [SimRun; 2]) {
     let runs = [io, ooo].map(|cfg| gated_run(adapted, base, cfg, None));
-    (check_runs(adapted, base, &runs), runs)
+    let violations = check_runs(adapted, base, &runs);
+    let [a_io, a_ooo] = runs;
+    (violations, a_io.result, a_ooo.result)
 }
 
 /// One model's simulation of the gate: `adapted` on `cfg`, with the
@@ -438,9 +426,11 @@ pub fn gated_run(
     )
 }
 
-/// The checks of [`check_adapted_with`] on runs already taken: `runs`
-/// holds `adapted`'s [`gated_run`] on the in-order and then the
-/// out-of-order model. The static checks read only `adapted`'s code.
+/// The checks of [`check_adapted`] on runs already taken: `runs` holds
+/// `adapted`'s [`gated_run`] on the in-order and then the out-of-order
+/// model, so a caller that schedules the two simulations itself, or
+/// collects telemetry in them (the `ssp-tune` optimizer), checks them
+/// here. The static checks read only `adapted`'s code.
 pub fn check_runs(
     adapted: &Program,
     base: &BaselineSnapshots,
@@ -466,9 +456,9 @@ pub fn check_runs(
 /// Run the full differential check for one case: generate the program,
 /// take its [`baseline_snapshots`], adapt it once against the in-order
 /// profile (as the paper does), and gate that one binary on both models
-/// with [`check_adapted_with`]. Each of the four runs is also replayed
-/// on the stepped engine, and a dynamic violation of an invariant the
-/// static linter claims to prove is cross-checked against `ssp-lint`.
+/// with a [`gated_run`] each and [`check_runs`]. Each of the four runs is
+/// also replayed on the stepped engine, and a dynamic violation of an
+/// invariant the static linter claims to prove is a linter blind spot.
 pub fn run_case(spec: &CaseSpec, ocfg: &OracleConfig) -> CaseResult {
     let prog = match gen::generate(spec) {
         Ok(p) => p,
@@ -498,7 +488,8 @@ pub fn run_case(spec: &CaseSpec, ocfg: &OracleConfig) -> CaseResult {
         Ok(a) => a,
         Err(e) => return CaseResult::failed(spec, "adapt-error", e.to_string()),
     };
-    let (mut violations, runs) = check_adapted_with(&adapted.program, &base, &io, &ooo);
+    let runs = [&io, &ooo].map(|cfg| gated_run(&adapted.program, &base, cfg, None));
+    let mut violations = check_runs(&adapted.program, &base, &runs);
     for ((model, cfg), run) in models.into_iter().zip(&runs) {
         let snap = run.snapshot.as_ref().expect("snapshot requested");
         let fast = (&run.result, snap);
@@ -507,14 +498,13 @@ pub fn run_case(spec: &CaseSpec, ocfg: &OracleConfig) -> CaseResult {
 
     // Cross-check static vs dynamic verdicts: every invariant the
     // `ssp-lint` static verifier claims to prove also has a dynamic
-    // detector in the gate. A dynamic violation of one of those on a
-    // binary the linter passed means a linter blind spot — itself a
-    // reported meta-bug (the reverse direction is covered by the adapt
-    // gate: a dirty lint never reaches simulation).
+    // detector in the gate. The adaptation above returned, so its lint
+    // gate passed this binary clean (a dirty lint is `AdaptError::Lint`,
+    // reported as `adapt-error`, and never reaches simulation). A dynamic
+    // violation of one of those invariants is therefore a linter blind
+    // spot — itself a reported meta-bug.
     const LINTED_KINDS: [&str; 4] = ["store-in-slice", "multi-trigger", "spec-store", "spawn-leak"];
-    if violations.iter().any(|v| LINTED_KINDS.contains(&v.kind))
-        && ssp_core::lint_binary(&prog, &adapted).is_clean()
-    {
+    if violations.iter().any(|v| LINTED_KINDS.contains(&v.kind)) {
         violations.push(Violation {
             kind: "lint-blind-spot",
             detail: "dynamic SSP invariant violation on a binary the static linter passed clean"

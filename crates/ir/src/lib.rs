@@ -59,5 +59,8 @@ pub mod verify;
 
 pub use builder::{BlockCursor, FunctionBuilder, ProgramBuilder};
 pub use inst::{AluKind, CmpKind, FAluKind, Inst, InstTag, Op, Operand, MAX_USES};
-pub use program::{Block, BlockId, FuncId, Function, Image, InstRef, Program, WordHasher, WordMap};
+pub use program::{
+    fnv64, fnv64_word, Block, BlockId, FuncId, Function, Image, InstRef, Program, WordHasher,
+    WordMap, FNV64_OFFSET,
+};
 pub use reg::{conv, Reg};

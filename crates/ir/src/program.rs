@@ -173,6 +173,34 @@ impl Hasher for WordHasher {
 /// A map keyed by word address, hashed with [`WordHasher`].
 pub type WordMap<V> = HashMap<u64, V, BuildHasherDefault<WordHasher>>;
 
+/// The 64-bit FNV-1a offset basis: the hash of no bytes, and the start
+/// of every [`fnv64_word`] chain.
+pub const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// The 64-bit FNV-1a hash of `s`'s bytes. Unlike `std`'s randomly seeded
+/// `DefaultHasher` it is the same in every process and rustc version,
+/// so names derived from it are stable: the store's file and shard
+/// names, the memo's shards and the plan digest.
+#[inline]
+pub fn fnv64(s: &str) -> u64 {
+    s.bytes().fold(FNV64_OFFSET, |h, b| (h ^ u64::from(b)).wrapping_mul(FNV64_PRIME))
+}
+
+/// One FNV-1a step over the eight bytes of `word`, least significant
+/// first: `h` continued as if those bytes followed what it hashed. The
+/// simulator's commit and memory digests chain it once per committed
+/// instruction and per word; `#[inline]` lets it inline across crates.
+#[inline]
+pub fn fnv64_word(h: u64, word: u64) -> u64 {
+    let mut h = h;
+    for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
+        h = (h ^ ((word >> shift) & 0xFF)).wrapping_mul(FNV64_PRIME);
+    }
+    h
+}
+
 /// A program's initialized data (like a `.data` section): 64-bit words
 /// at 8-byte-aligned addresses, each in a slot numbered by first
 /// appearance. The address→slot index is built once and shared; a
@@ -327,6 +355,16 @@ mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
     use crate::reg::Reg;
+
+    #[test]
+    fn fnv64_matches_the_published_vectors() {
+        assert_eq!(fnv64(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv64("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv64("foobar"), 0x8594_4171_f739_67e8);
+        // The word step hashes a word's bytes as the string hash would.
+        let word = u64::from_le_bytes(*b"abcdefgh");
+        assert_eq!(fnv64_word(FNV64_OFFSET, word), fnv64("abcdefgh"));
+    }
 
     #[test]
     fn func_id_value_roundtrip() {

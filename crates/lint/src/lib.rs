@@ -26,10 +26,12 @@
 //!   fresh tags on every synthesized instruction, and no stub write to a
 //!   register the main thread still reads at the resume point.
 //!
-//! The pipeline runs the linter as a post-emit gate (see
-//! `ssp_codegen::adapt`), the `lint` binary in `ssp-bench` reports over
-//! the workload suite as deterministic JSON, and the fuzz oracle
-//! cross-checks static verdicts against dynamic violations. [`mutate`]
+//! [`lint`] reads the adapted binary and the [`EmittedSlice`] records the
+//! code generator returns for it. The pipeline runs it once per binary,
+//! as a post-emit gate (see `ssp_codegen::adapt`): the `lint` binary in
+//! `ssp-bench` reports that gate's verdict over the workload suite as
+//! deterministic JSON, and the fuzz oracle reports a dynamic violation
+//! of an invariant the gate proved as a linter blind spot. [`mutate`]
 //! seeds known defects into adapted programs so tests can prove each
 //! check actually kills its mutant class.
 
@@ -50,12 +52,13 @@ use ssp_trigger::TriggerPoint;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
-/// The linter's view of one emitted slice — the adaptation-plan facts it
-/// verifies the binary against. Mirrors `ssp_codegen::EmittedSlice`
-/// (re-stated here so the code generator can depend on the linter).
+/// What the tool emitted for one p-slice (§3.3–§3.4, Figure 7): the
+/// slice blocks, the stub that copies live-ins and spawns, and the
+/// `chk.c` trigger. The code generator returns one per slice, Table 2
+/// counts them, and [`lint`] verifies the adapted binary against them.
 #[derive(Clone, Debug)]
-pub struct PlanView {
-    /// Tags of the delinquent loads the slice covers.
+pub struct EmittedSlice {
+    /// Tags of the delinquent loads this slice covers.
     pub root_tags: Vec<InstTag>,
     /// Where the trigger was placed (original-program coordinates; the
     /// block id is stable across the trigger split).
@@ -68,6 +71,11 @@ pub struct PlanView {
     pub model: SpModel,
     /// Live-in registers in buffer-slot order.
     pub live_ins: Vec<Reg>,
+    /// Instructions in the emitted slice body (excluding live-in copies
+    /// and spawn machinery).
+    pub slice_len: usize,
+    /// Whether callee instructions were inlined.
+    pub interprocedural: bool,
 }
 
 /// One statically detected invariant violation.
@@ -270,7 +278,7 @@ impl fmt::Display for DiagKind {
 /// One diagnostic, attributed to the slice plan that failed the check.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Diagnostic {
-    /// Index of the offending slice in the plan list passed to [`lint`].
+    /// Index of the offending slice in the slice list passed to [`lint`].
     pub slice: usize,
     /// Function the slice lives in.
     pub func: FuncId,
@@ -335,7 +343,8 @@ struct FuncCtx {
     exposed_main: HashMap<BlockId, Vec<Reg>>,
 }
 
-/// Statically verify the SSP invariants of `adapted` against its plan.
+/// Statically verify the SSP invariants of `adapted` against the
+/// `slices` emitted into it.
 ///
 /// `original` supplies the tag bound (tags at or above
 /// `original.next_tag` are synthesized) and the pre-adaptation block
@@ -345,14 +354,14 @@ pub fn lint(
     original: &Program,
     adapted: &Program,
     profile: &Profile,
-    plans: &[PlanView],
+    slices: &[EmittedSlice],
 ) -> LintReport {
     let mut report = LintReport::default();
     let tag_bound = original.next_tag;
     let index = adapted.tag_index();
     let mut ctxs: HashMap<FuncId, FuncCtx> = HashMap::new();
 
-    for (si, plan) in plans.iter().enumerate() {
+    for (si, plan) in slices.iter().enumerate() {
         let fid = plan.trigger.func;
         let diag = |kind: DiagKind| Diagnostic { slice: si, func: fid, kind };
         let func = adapted.func(fid);
@@ -650,7 +659,12 @@ fn entry_copy_prefix(func: &ssp_ir::Function, entry: BlockId) -> Vec<(u8, Reg)> 
 
 /// Check the copy prefix against the plan's live-in layout: word `i`
 /// loads `live_ins[i]`, chaining adds exactly one budget word after.
-fn check_live_in_layout(plan: &PlanView, prefix: &[(u8, Reg)], report: &mut LintReport, si: usize) {
+fn check_live_in_layout(
+    plan: &EmittedSlice,
+    prefix: &[(u8, Reg)],
+    report: &mut LintReport,
+    si: usize,
+) {
     let n = plan.live_ins.len();
     let expect_len = n + usize::from(plan.model == SpModel::Chaining);
     let mut problem: Option<String> = None;
@@ -682,7 +696,7 @@ fn check_live_in_layout(plan: &PlanView, prefix: &[(u8, Reg)], report: &mut Lint
 /// last. Returns the resume target when the tail is intact.
 fn check_stub_shape(
     func: &ssp_ir::Function,
-    plan: &PlanView,
+    plan: &EmittedSlice,
     report: &mut LintReport,
     si: usize,
 ) -> Option<BlockId> {
@@ -735,7 +749,7 @@ fn check_stub_shape(
 /// stored word this bounds runahead by the spawn counter.
 fn check_chain_bounded(
     func: &ssp_ir::Function,
-    plan: &PlanView,
+    plan: &EmittedSlice,
     copy_prefix: &[(u8, Reg)],
     spawn_block: BlockId,
     report: &mut LintReport,

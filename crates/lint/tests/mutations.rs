@@ -9,7 +9,7 @@
 
 use ssp_codegen::{adapt, AdaptOptions};
 use ssp_ir::{CmpKind, Operand, Program, ProgramBuilder, Reg};
-use ssp_lint::{lint, mutate, LintReport, PlanView};
+use ssp_lint::{lint, mutate, EmittedSlice, LintReport};
 use ssp_sim::{MachineConfig, Profile};
 
 /// Pointer chase over scattered nodes: adapts to one chaining slice.
@@ -43,7 +43,7 @@ struct Fixture {
     original: Program,
     profile: Profile,
     adapted: Program,
-    plans: Vec<PlanView>,
+    plans: Vec<EmittedSlice>,
 }
 
 fn fixture() -> Fixture {
@@ -53,8 +53,7 @@ fn fixture() -> Fixture {
     let (adapted, report) =
         adapt(&original, &profile, &mc, &AdaptOptions::default()).expect("fixture adapts clean");
     assert!(report.slice_count() >= 1, "fixture emits a slice");
-    let plans = ssp_codegen::lint_views(&report);
-    Fixture { original, profile, adapted, plans }
+    Fixture { original, profile, adapted, plans: report.slices }
 }
 
 impl Fixture {
@@ -64,7 +63,7 @@ impl Fixture {
 
     /// Apply one mutation to the first slice and assert the linter
     /// reports the expected diagnostic code.
-    fn kills(&self, mutator: impl FnOnce(&mut Program, &PlanView), code: &str) {
+    fn kills(&self, mutator: impl FnOnce(&mut Program, &EmittedSlice), code: &str) {
         let mut mutated = self.adapted.clone();
         mutator(&mut mutated, &self.plans[0]);
         let report = self.relint(&mutated);

@@ -5,7 +5,7 @@
 //! its words (8 bytes each, 35–65 KB on the suite) and keeps the few words
 //! a run writes outside the image in a small map of its own.
 
-use ssp_ir::{Image, WordMap};
+use ssp_ir::{fnv64_word, Image, WordMap, FNV64_OFFSET};
 use std::sync::Arc;
 
 /// Sparse simulated memory. Word-granular (8 bytes); unaligned accesses
@@ -62,8 +62,6 @@ impl Memory {
     /// regardless of which zeros were ever explicitly stored and of the
     /// tables' iteration order, which is therefore never observable.
     pub fn digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x100_0000_01b3;
         let image = self.image.slots().map(|(addr, slot)| (addr, self.words[slot]));
         let outside = self.outside.iter().map(|(&addr, &val)| (addr, val));
         let mut acc = 0u64;
@@ -71,13 +69,7 @@ impl Memory {
             if val == 0 {
                 continue;
             }
-            let mut h = FNV_OFFSET;
-            for v in [addr, val] {
-                for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
-                    h = (h ^ ((v >> shift) & 0xFF)).wrapping_mul(FNV_PRIME);
-                }
-            }
-            acc ^= h;
+            acc ^= fnv64_word(fnv64_word(FNV64_OFFSET, addr), val);
         }
         acc
     }

@@ -14,7 +14,7 @@
 //! hook is a single untaken branch, so the untraced cycle loop is
 //! unchanged.
 
-use ssp_ir::InstTag;
+use ssp_ir::{fnv64_word, InstTag, FNV64_OFFSET};
 
 /// How a simulation ended, from the main thread's point of view.
 ///
@@ -47,17 +47,6 @@ impl TrapKind {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv_step(h: u64, v: u64) -> u64 {
-    let mut h = h;
-    for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
-        h = (h ^ ((v >> shift) & 0xFF)).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// The engine-side recorder behind [`crate::simulate_snapshot`].
 #[derive(Clone, Debug)]
 pub(crate) struct SnapshotRec {
@@ -77,7 +66,7 @@ impl SnapshotRec {
     pub(crate) fn new(tag_bound: u32) -> Self {
         SnapshotRec {
             tag_bound,
-            commit_digest: FNV_OFFSET,
+            commit_digest: FNV64_OFFSET,
             commit_len: 0,
             spec_store_attempts: 0,
             spec_kills: 0,
@@ -88,7 +77,7 @@ impl SnapshotRec {
     #[inline]
     pub(crate) fn record_commit(&mut self, tag: InstTag) {
         if tag.0 < self.tag_bound {
-            self.commit_digest = fnv_step(self.commit_digest, u64::from(tag.0));
+            self.commit_digest = fnv64_word(self.commit_digest, u64::from(tag.0));
             self.commit_len += 1;
         }
     }

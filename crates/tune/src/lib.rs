@@ -609,14 +609,7 @@ impl Tuner {
     }
 
     fn identity(&self, w: &Workload) -> String {
-        format!(
-            "name={} seed={} next_tag={} image_len={} {}",
-            w.name,
-            w.seed,
-            w.program.next_tag,
-            w.program.image.len(),
-            self.machines,
-        )
+        format!("{} {}", w.identity(), self.machines)
     }
 
     /// `w`'s profile and baseline snapshots, computed once per workload

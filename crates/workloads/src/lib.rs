@@ -52,6 +52,22 @@ pub struct Workload {
     pub program: Program,
 }
 
+impl Workload {
+    /// The workload's part of every simulation and tuner key:
+    /// `name=<name> seed=<seed> next_tag=<n> image_len=<words>`. The
+    /// builders are deterministic, so name and seed pin the program; the
+    /// tag bound and image length ride along as a cheap integrity check.
+    pub fn identity(&self) -> String {
+        format!(
+            "name={} seed={} next_tag={} image_len={}",
+            self.name,
+            self.seed,
+            self.program.next_tag,
+            self.program.image.len()
+        )
+    }
+}
+
 /// Why a workload lookup failed.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum WorkloadError {
@@ -139,6 +155,15 @@ mod tests {
             assert_eq!(w.program, again.program, "{} deterministic", w.name);
         }
         assert_eq!(by_name("nope", 1).unwrap_err(), WorkloadError::UnknownName("nope".to_owned()));
+    }
+
+    /// The identity is part of every persisted simulation and tuner key,
+    /// so a change to its text re-keys every store.
+    #[test]
+    fn identity_text_is_pinned() {
+        // 2002 is the experiments' default seed (`ssp_bench::SEED`).
+        let w = by_name("mcf", 2002).unwrap();
+        assert_eq!(w.identity(), "name=mcf seed=2002 next_tag=30 image_len=5524");
     }
 
     #[test]

@@ -15,11 +15,14 @@ fn main() {
 
     let tool = PostPassTool::new(io.clone());
     let adapted = tool.run(&w.program).expect("adaptation succeeds");
-    let c = adapted.characteristics(w.name);
-    println!("== {} ==", c.name);
+    let r = &adapted.report;
+    println!("== {} ==", w.name);
     println!(
         "slices {} (interprocedural {}), avg size {:.1}, avg live-ins {:.1}",
-        c.slices, c.interprocedural, c.average_size, c.average_live_ins
+        r.slice_count(),
+        r.interprocedural_count(),
+        r.average_size(),
+        r.average_live_ins()
     );
 
     for (label, machine) in [("in-order", &io), ("out-of-order", &ooo)] {
