@@ -25,16 +25,12 @@ use ssp_ir::{AluKind, Block, BlockId, CmpKind, FuncId, Inst, Op, Operand, Progra
 use ssp_sched::SpModel;
 use ssp_trigger::TriggerPoint;
 
-fn push_block(
-    prog: &mut Program,
-    fid: FuncId,
-    mut make: impl FnMut(&mut Vec<(u32, Op)>),
-) -> BlockId {
-    let mut ops: Vec<(u32, Op)> = Vec::new();
+fn push_block(prog: &mut Program, fid: FuncId, mut make: impl FnMut(&mut Vec<Op>)) -> BlockId {
+    let mut ops = Vec::new();
     make(&mut ops);
     let insts = ops
         .into_iter()
-        .map(|(_, op)| {
+        .map(|op| {
             let t = prog.fresh_tag();
             Inst::new(t, op)
         })
@@ -71,47 +67,47 @@ pub fn adapt_mcf(prog: &Program) -> Program {
     let n0 = out.func(fid).blocks.len() as u32;
     let (entry_s, spawn_s, work_s) = (BlockId(n0), BlockId(n0 + 1), BlockId(n0 + 2));
     push_block(&mut out, fid, |ops| {
-        ops.push((0, Op::LibLd { dst: a, slot: conv::SLOT, idx: 0 }));
-        ops.push((0, Op::LibLd { dst: kk, slot: conv::SLOT, idx: 1 }));
-        ops.push((0, Op::LibLd { dst: cnt, slot: conv::SLOT, idx: 2 }));
-        ops.push((0, Op::LibFree { slot: conv::SLOT }));
-        ops.push((0, Op::Alu { kind: AluKind::Add, dst: a2, a, b: Operand::Imm(64) }));
-        ops.push((0, Op::Alu { kind: AluKind::Add, dst: a4, a, b: Operand::Imm(128) }));
-        ops.push((0, Op::Cmp { kind: CmpKind::Lt, dst: p, a: a4, b: Operand::Reg(kk) }));
-        ops.push((0, Op::Cmp { kind: CmpKind::Gt, dst: c, a: cnt, b: Operand::Imm(0) }));
-        ops.push((0, Op::Alu { kind: AluKind::And, dst: p, a: p, b: Operand::Reg(c) }));
-        ops.push((0, Op::BrCond { pred: p, if_true: spawn_s, if_false: work_s }));
+        ops.push(Op::LibLd { dst: a, slot: conv::SLOT, idx: 0 });
+        ops.push(Op::LibLd { dst: kk, slot: conv::SLOT, idx: 1 });
+        ops.push(Op::LibLd { dst: cnt, slot: conv::SLOT, idx: 2 });
+        ops.push(Op::LibFree { slot: conv::SLOT });
+        ops.push(Op::Alu { kind: AluKind::Add, dst: a2, a, b: Operand::Imm(64) });
+        ops.push(Op::Alu { kind: AluKind::Add, dst: a4, a, b: Operand::Imm(128) });
+        ops.push(Op::Cmp { kind: CmpKind::Lt, dst: p, a: a4, b: Operand::Reg(kk) });
+        ops.push(Op::Cmp { kind: CmpKind::Gt, dst: c, a: cnt, b: Operand::Imm(0) });
+        ops.push(Op::Alu { kind: AluKind::And, dst: p, a: p, b: Operand::Reg(c) });
+        ops.push(Op::BrCond { pred: p, if_true: spawn_s, if_false: work_s });
     });
     push_block(&mut out, fid, |ops| {
-        ops.push((0, Op::Alu { kind: AluKind::Sub, dst: cnt, a: cnt, b: Operand::Imm(1) }));
-        ops.push((0, Op::LibAlloc { dst: s2 }));
-        ops.push((0, Op::LibSt { slot: s2, idx: 0, src: a4 }));
-        ops.push((0, Op::LibSt { slot: s2, idx: 1, src: kk }));
-        ops.push((0, Op::LibSt { slot: s2, idx: 2, src: cnt }));
-        ops.push((0, Op::Spawn { entry: entry_s, slot: s2 }));
-        ops.push((0, Op::Br { target: work_s }));
+        ops.push(Op::Alu { kind: AluKind::Sub, dst: cnt, a: cnt, b: Operand::Imm(1) });
+        ops.push(Op::LibAlloc { dst: s2 });
+        ops.push(Op::LibSt { slot: s2, idx: 0, src: a4 });
+        ops.push(Op::LibSt { slot: s2, idx: 1, src: kk });
+        ops.push(Op::LibSt { slot: s2, idx: 2, src: cnt });
+        ops.push(Op::Spawn { entry: entry_s, slot: s2 });
+        ops.push(Op::Br { target: work_s });
     });
     push_block(&mut out, fid, |ops| {
         // Prefetch both potentials of this arc and the next one.
-        ops.push((0, Op::Ld { dst: t1, base: a, off: 0 }));
-        ops.push((0, Op::Lfetch { base: t1, off: 0 }));
-        ops.push((0, Op::Ld { dst: h1, base: a, off: 8 }));
-        ops.push((0, Op::Lfetch { base: h1, off: 0 }));
-        ops.push((0, Op::Ld { dst: t2, base: a2, off: 0 }));
-        ops.push((0, Op::Lfetch { base: t2, off: 0 }));
-        ops.push((0, Op::Ld { dst: h2, base: a2, off: 8 }));
-        ops.push((0, Op::Lfetch { base: h2, off: 0 }));
-        ops.push((0, Op::KillThread));
+        ops.push(Op::Ld { dst: t1, base: a, off: 0 });
+        ops.push(Op::Lfetch { base: t1, off: 0 });
+        ops.push(Op::Ld { dst: h1, base: a, off: 8 });
+        ops.push(Op::Lfetch { base: h1, off: 0 });
+        ops.push(Op::Ld { dst: t2, base: a2, off: 0 });
+        ops.push(Op::Lfetch { base: t2, off: 0 });
+        ops.push(Op::Ld { dst: h2, base: a2, off: 8 });
+        ops.push(Op::Lfetch { base: h2, off: 0 });
+        ops.push(Op::KillThread);
     });
     // Stub: copy {arc, K}, chain budget; spawn.
     let (rs, rt) = (Reg(112), Reg(113));
     let stub = push_block(&mut out, fid, |ops| {
-        ops.push((0, Op::LibAlloc { dst: rs }));
-        ops.push((0, Op::LibSt { slot: rs, idx: 0, src: arc }));
-        ops.push((0, Op::LibSt { slot: rs, idx: 1, src: k }));
-        ops.push((0, Op::Movi { dst: rt, imm: 4000 }));
-        ops.push((0, Op::LibSt { slot: rs, idx: 2, src: rt }));
-        ops.push((0, Op::Spawn { entry: entry_s, slot: rs }));
+        ops.push(Op::LibAlloc { dst: rs });
+        ops.push(Op::LibSt { slot: rs, idx: 0, src: arc });
+        ops.push(Op::LibSt { slot: rs, idx: 1, src: k });
+        ops.push(Op::Movi { dst: rt, imm: 4000 });
+        ops.push(Op::LibSt { slot: rs, idx: 2, src: rt });
+        ops.push(Op::Spawn { entry: entry_s, slot: rs });
         // Resume branch appended by insert_triggers.
     });
     let slice = EmittedSlice {
@@ -157,45 +153,45 @@ pub fn adapt_health(prog: &Program) -> Program {
     let n0 = out.func(fid).blocks.len() as u32;
     let (entry_s, spawn_s, work_s) = (BlockId(n0), BlockId(n0 + 1), BlockId(n0 + 2));
     push_block(&mut out, fid, |ops| {
-        ops.push((0, Op::LibLd { dst: hp, slot: conv::SLOT, idx: 0 }));
-        ops.push((0, Op::LibLd { dst: tp, slot: conv::SLOT, idx: 1 }));
-        ops.push((0, Op::LibLd { dst: cnt, slot: conv::SLOT, idx: 2 }));
-        ops.push((0, Op::LibFree { slot: conv::SLOT }));
-        ops.push((0, Op::Alu { kind: AluKind::Add, dst: hp2, a: hp, b: Operand::Imm(8) }));
+        ops.push(Op::LibLd { dst: hp, slot: conv::SLOT, idx: 0 });
+        ops.push(Op::LibLd { dst: tp, slot: conv::SLOT, idx: 1 });
+        ops.push(Op::LibLd { dst: cnt, slot: conv::SLOT, idx: 2 });
+        ops.push(Op::LibFree { slot: conv::SLOT });
+        ops.push(Op::Alu { kind: AluKind::Add, dst: hp2, a: hp, b: Operand::Imm(8) });
         // Stale tail bound: conservative chain stop.
-        ops.push((0, Op::Cmp { kind: CmpKind::Lt, dst: p, a: hp2, b: Operand::Reg(tp) }));
-        ops.push((0, Op::Cmp { kind: CmpKind::Gt, dst: c, a: cnt, b: Operand::Imm(0) }));
-        ops.push((0, Op::Alu { kind: AluKind::And, dst: p, a: p, b: Operand::Reg(c) }));
-        ops.push((0, Op::BrCond { pred: p, if_true: spawn_s, if_false: work_s }));
+        ops.push(Op::Cmp { kind: CmpKind::Lt, dst: p, a: hp2, b: Operand::Reg(tp) });
+        ops.push(Op::Cmp { kind: CmpKind::Gt, dst: c, a: cnt, b: Operand::Imm(0) });
+        ops.push(Op::Alu { kind: AluKind::And, dst: p, a: p, b: Operand::Reg(c) });
+        ops.push(Op::BrCond { pred: p, if_true: spawn_s, if_false: work_s });
     });
     push_block(&mut out, fid, |ops| {
-        ops.push((0, Op::Alu { kind: AluKind::Sub, dst: cnt, a: cnt, b: Operand::Imm(1) }));
-        ops.push((0, Op::LibAlloc { dst: s2 }));
-        ops.push((0, Op::LibSt { slot: s2, idx: 0, src: hp2 }));
-        ops.push((0, Op::LibSt { slot: s2, idx: 1, src: tp }));
-        ops.push((0, Op::LibSt { slot: s2, idx: 2, src: cnt }));
-        ops.push((0, Op::Spawn { entry: entry_s, slot: s2 }));
-        ops.push((0, Op::Br { target: work_s }));
+        ops.push(Op::Alu { kind: AluKind::Sub, dst: cnt, a: cnt, b: Operand::Imm(1) });
+        ops.push(Op::LibAlloc { dst: s2 });
+        ops.push(Op::LibSt { slot: s2, idx: 0, src: hp2 });
+        ops.push(Op::LibSt { slot: s2, idx: 1, src: tp });
+        ops.push(Op::LibSt { slot: s2, idx: 2, src: cnt });
+        ops.push(Op::Spawn { entry: entry_s, slot: s2 });
+        ops.push(Op::Br { target: work_s });
     });
     push_block(&mut out, fid, |ops| {
         // The hand trick: inline check_patients' pointer chase across the
         // call boundary, three patients deep, plus the village lines.
-        ops.push((0, Op::Ld { dst: v, base: hp, off: 0 })); // village ptr
-        ops.push((0, Op::Lfetch { base: v, off: 0 })); // children line
-        ops.push((0, Op::Ld { dst: ph, base: v, off: 32 })); // patients head
-        ops.push((0, Op::Ld { dst: p1, base: ph, off: 0 })); // patient 1 (line: next+time)
-        ops.push((0, Op::Ld { dst: p2, base: p1, off: 0 })); // patient 2
-        ops.push((0, Op::Lfetch { base: p2, off: 0 })); // patient 3
-        ops.push((0, Op::KillThread));
+        ops.push(Op::Ld { dst: v, base: hp, off: 0 }); // village ptr
+        ops.push(Op::Lfetch { base: v, off: 0 }); // children line
+        ops.push(Op::Ld { dst: ph, base: v, off: 32 }); // patients head
+        ops.push(Op::Ld { dst: p1, base: ph, off: 0 }); // patient 1 (line: next+time)
+        ops.push(Op::Ld { dst: p2, base: p1, off: 0 }); // patient 2
+        ops.push(Op::Lfetch { base: p2, off: 0 }); // patient 3
+        ops.push(Op::KillThread);
     });
     let (rs, rt) = (Reg(111), Reg(112));
     let stub = push_block(&mut out, fid, |ops| {
-        ops.push((0, Op::LibAlloc { dst: rs }));
-        ops.push((0, Op::LibSt { slot: rs, idx: 0, src: headp }));
-        ops.push((0, Op::LibSt { slot: rs, idx: 1, src: tailp }));
-        ops.push((0, Op::Movi { dst: rt, imm: 800 }));
-        ops.push((0, Op::LibSt { slot: rs, idx: 2, src: rt }));
-        ops.push((0, Op::Spawn { entry: entry_s, slot: rs }));
+        ops.push(Op::LibAlloc { dst: rs });
+        ops.push(Op::LibSt { slot: rs, idx: 0, src: headp });
+        ops.push(Op::LibSt { slot: rs, idx: 1, src: tailp });
+        ops.push(Op::Movi { dst: rt, imm: 800 });
+        ops.push(Op::LibSt { slot: rs, idx: 2, src: rt });
+        ops.push(Op::Spawn { entry: entry_s, slot: rs });
     });
     let slice = EmittedSlice {
         root_tags: Vec::new(),

@@ -207,9 +207,13 @@ pub fn run_suite(ws: &[Workload]) -> Vec<BenchmarkRun> {
 ///
 /// Two phases, each an indexed fan-out: first every workload is adapted
 /// (profile + slice + codegen are independent per binary), then all
-/// `4 × N` simulations run as one task list. Results are reassembled by
-/// workload index, so output order and every statistic match a serial
-/// run exactly; with `workers == 1` this *is* the serial run.
+/// `4 × N` simulations run as one task list, longest kind first: the
+/// adapted binaries out-of-order, then in-order, then the baselines
+/// out-of-order and in-order. The long runs start first and the short
+/// ones fill in behind them, so one workload on two workers waits only
+/// for its adapted out-of-order run. Results are put back by workload
+/// and kind, so output order and every statistic match a serial run
+/// exactly; with `workers == 1` this *is* the serial run.
 pub fn run_suite_configured(
     ws: &[Workload],
     opts: &AdaptOptions,
@@ -225,26 +229,27 @@ pub fn run_suite_configured(
     });
     let opts_fp = opts.fingerprint();
     let tool_fp = io.fingerprint();
-    // All simulations of the suite, flattened: workload-major, with the
-    // four machine/binary combinations of `BenchmarkRun` per workload.
-    let tasks: Vec<(usize, u8)> =
-        (0..ws.len()).flat_map(|wi| (0..4u8).map(move |k| (wi, k))).collect();
+    // All simulations of the suite, kind-major, kind `k` being field `k`
+    // of `[base_io, ssp_io, base_ooo, ssp_ooo]`.
+    let tasks: Vec<(usize, usize)> =
+        [3, 1, 2, 0].into_iter().flat_map(|k| (0..ws.len()).map(move |wi| (wi, k))).collect();
     let sims = parallel::map_indexed(&tasks, workers, |_, &(wi, k)| match k {
         0 => cache::baseline(&ws[wi], io),
         1 => cache::adapted(&ws[wi], &opts_fp, &tool_fp, &adapted[wi].program, io),
         2 => cache::baseline(&ws[wi], ooo),
         _ => cache::adapted(&ws[wi], &opts_fp, &tool_fp, &adapted[wi].program, ooo),
     });
-    let mut sims = sims.into_iter();
+    let mut by_kind: Vec<[Option<SimResult>; 4]> = ws.iter().map(|_| Default::default()).collect();
+    for (&(wi, k), sim) in tasks.iter().zip(sims) {
+        by_kind[wi][k] = Some(sim);
+    }
     ws.iter()
         .zip(adapted)
-        .map(|(w, a)| BenchmarkRun {
-            name: w.name,
-            base_io: sims.next().expect("four results per workload"),
-            ssp_io: sims.next().expect("four results per workload"),
-            base_ooo: sims.next().expect("four results per workload"),
-            ssp_ooo: sims.next().expect("four results per workload"),
-            report: a.report,
+        .zip(by_kind)
+        .map(|((w, a), sims)| {
+            let [base_io, ssp_io, base_ooo, ssp_ooo] =
+                sims.map(|s| s.expect("four results per workload"));
+            BenchmarkRun { name: w.name, base_io, ssp_io, base_ooo, ssp_ooo, report: a.report }
         })
         .collect()
 }

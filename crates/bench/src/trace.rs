@@ -105,10 +105,11 @@ pub fn trace_rows(ws: &[Workload]) -> Vec<TraceRow> {
 
 /// [`trace_rows`] against explicit options/machines/worker count.
 ///
-/// Two indexed fan-outs, mirroring [`crate::run_suite_configured`]:
-/// first every workload's traced adaptation with the in-order tool (the
+/// Two indexed fan-outs, as in [`crate::run_suite_configured`]: first
+/// every workload's traced adaptation with the in-order tool (the
 /// paper shares one enhanced binary across both models), then all
-/// `4 × N` simulations (baseline and traced-SSP on each model). Results
+/// `4 × N` simulations (baseline and traced-SSP on each model),
+/// workload-major. Results
 /// are reassembled by workload index, so rows — and therefore
 /// [`render_json`] output — are identical to a serial run.
 pub fn trace_rows_configured(

@@ -117,3 +117,38 @@ fn a_run_copies_only_its_image_words() {
     assert_eq!(memory.footprint_words(), words);
     assert!(peak <= 8 * words + 64, "{peak} bytes of heap for an image of {words} words");
 }
+
+#[test]
+fn every_default_adapted_simulation_peaks_under_420_kb_of_heap() {
+    // A lone workload request runs its simulations two at a time, so
+    // each one's heap is what the second worker costs. The largest is
+    // treeadd.bf out-of-order, at about 390 KB; cache pools that
+    // double and event queues that outgrow the ROB reached 590 KB.
+    const BOUND: usize = 420 << 10;
+    let io = MachineConfig::in_order();
+    for name in ssp_workloads::NAMES {
+        let w = ssp_workloads::by_name(name, ssp_bench::SEED).expect("a suite name");
+        let adapted = PostPassTool::new(io.clone()).run(&w.program).expect("adaptation succeeds");
+        for cfg in [MachineConfig::in_order(), MachineConfig::out_of_order()] {
+            let (_, peak) = peak_of(|| simulate(&adapted.program, &cfg));
+            let model = cfg.pipeline;
+            assert!(peak <= BOUND, "{name} {model:?}: {peak} bytes of heap at peak");
+        }
+    }
+}
+
+#[test]
+fn a_scatter_shuffle_takes_17_bits_a_slot() {
+    // An 8 MB span of 64-byte slots, the workloads' largest: a `u32`
+    // per slot took 4 bytes a slot; 16 bits plus one in a bitset take
+    // 2.125.
+    let (span, count) = (8u64 << 20, 5_000usize);
+    let slots = (span / 64) as f64;
+    let mut rng = ssp_workloads::layout::rng_for("scatter", 1);
+    let (scatter, peak) = peak_of(|| {
+        ssp_workloads::layout::Scatter::new(ssp_workloads::layout::HEAP, span, 64, count, &mut rng)
+    });
+    assert_eq!(scatter.remaining(), count);
+    let bound = 2.2 * slots + 8.0 * count as f64;
+    assert!(peak as f64 <= bound, "{peak} bytes of heap at peak, bound {bound}");
+}

@@ -211,6 +211,10 @@ pub struct Image {
     slots: WordMap<usize>,
     /// Each slot's initial value.
     words: Vec<u64>,
+    /// The lowest and highest word address held (both 0 while empty):
+    /// [`Image::slot`] answers an address outside them without a probe.
+    lo: u64,
+    hi: u64,
 }
 
 impl Image {
@@ -225,14 +229,25 @@ impl Image {
             Entry::Occupied(e) => self.words[*e.get()] = value,
             Entry::Vacant(e) => {
                 e.insert(self.words.len());
+                (self.lo, self.hi) = match self.words.is_empty() {
+                    true => (addr, addr),
+                    false => (self.lo.min(addr), self.hi.max(addr)),
+                };
                 self.words.push(value);
             }
         }
     }
 
     /// The slot of the word at the aligned address `addr`, if the image
-    /// holds it.
+    /// holds it. An address outside the image's lowest and highest word
+    /// (a stack slot, a queue the program builds at run time) costs one
+    /// compare, not a probe of the index.
+    #[inline]
     pub fn slot(&self, addr: u64) -> Option<usize> {
+        // One unsigned compare tests `lo <= addr <= hi`.
+        if addr.wrapping_sub(self.lo) > self.hi - self.lo {
+            return None;
+        }
         self.slots.get(&addr).copied()
     }
 

@@ -137,15 +137,15 @@ impl Server {
     pub fn handle_batch(&self, input: &str) -> String {
         let requests: Vec<_> = input.lines().filter_map(parse_line).collect();
         self.requests.fetch_add(requests.len() as u64, Ordering::Relaxed);
-        // A tune request fans its candidates over the workers its batch
-        // leaves idle: a lone tune frame gets them all, a full batch
-        // one each, so the daemon never runs more than `workers`
-        // simulations at once. Tune answers do not depend on it.
-        let tune_workers = (self.config.workers / requests.len().max(1)).max(1);
+        // A workload or tune request fans its simulations over the
+        // workers its batch leaves idle: a lone frame gets them all, a
+        // full batch one each, so the daemon never runs more than
+        // `workers` simulations at once. No answer depends on it.
+        let share = (self.config.workers / requests.len().max(1)).max(1);
         let responses = parallel::map_indexed(&requests, self.config.workers, |_, req| {
             let answer = catch_unwind(AssertUnwindSafe(|| match req {
-                Ok(Request::Workload(name)) => Ok(self.respond_workload(name)),
-                Ok(Request::Tune(name)) => Ok(self.respond_tune(name, tune_workers)),
+                Ok(Request::Workload(name)) => Ok(self.respond_workload(name, share)),
+                Ok(Request::Tune(name)) => Ok(self.respond_tune(name, share)),
                 Ok(Request::Case(spec)) => Ok(self.respond_case(spec)),
                 Err(e) => Err(e.to_string()),
             }));
@@ -204,7 +204,7 @@ impl Server {
         )
     }
 
-    fn respond_workload(&self, name: &str) -> String {
+    fn respond_workload(&self, name: &str, workers: usize) -> String {
         self.workloads.fetch_add(1, Ordering::Relaxed);
         let key = format!(
             "workload name={name} seed={} io={} ooo={} opts={}",
@@ -214,12 +214,18 @@ impl Server {
         self.memo.get(&self.io_fp, &key, decode, || {
             let w = ssp_workloads::by_name(name, self.config.seed)
                 .expect("parse_line admits only known workload names");
-            let run = ssp_bench::run_benchmark_configured(
-                &w,
+            // The four simulations run longest first on `workers`
+            // threads, so on two the request waits for build, profile,
+            // adapt and the adapted out-of-order run, and the other
+            // three overlap that run on the second worker.
+            let run = ssp_bench::run_suite_configured(
+                std::slice::from_ref(&w),
                 &AdaptOptions::default(),
                 &self.config.io,
                 &self.config.ooo,
-            );
+                workers,
+            )
+            .remove(0);
             let entry = WorkloadEntry {
                 name: name.to_owned(),
                 seed: self.config.seed,

@@ -11,8 +11,8 @@
 //! configs, so these entries can never pollute a real store.
 
 use ssp_bench::persist::Store;
-use ssp_bench::{run_benchmark_configured, suite_row_json, SEED};
-use ssp_core::{AdaptOptions, MachineConfig};
+use ssp_bench::{run_benchmark_configured, suite_row_json, BenchmarkRun, SEED};
+use ssp_core::{simulate, AdaptOptions, MachineConfig, PostPassTool};
 use ssp_fuzz::oracle::{run_case, OracleConfig};
 use ssp_fuzz::spec::CaseSpec;
 use ssp_serve::{read_frame, write_frame, Server, ServerConfig};
@@ -50,6 +50,17 @@ fn batch() -> String {
     b
 }
 
+/// The response line of a workload request that `run` answers.
+fn workload_line(run: &BenchmarkRun) -> String {
+    format!(
+        "{{\"kind\": \"workload\", \"row\": {}, \"plan_digest\": \"{}\", \"slices\": {}, \"skipped\": {}}}\n",
+        suite_row_json(&run.suite_row()),
+        run.report.plan_digest(),
+        run.report.slices.len(),
+        run.report.skipped.len(),
+    )
+}
+
 /// Build the expected response lines straight from the one-shot APIs,
 /// duplicating the daemon's render format on purpose: the test must
 /// fail if either side drifts.
@@ -58,13 +69,7 @@ fn expected_responses(cfg: &ServerConfig) -> String {
     for name in ssp_workloads::NAMES {
         let w = ssp_workloads::by_name(name, cfg.seed).expect("suite name");
         let run = run_benchmark_configured(&w, &AdaptOptions::default(), &cfg.io, &cfg.ooo);
-        out.push_str(&format!(
-            "{{\"kind\": \"workload\", \"row\": {}, \"plan_digest\": \"{}\", \"slices\": {}, \"skipped\": {}}}\n",
-            suite_row_json(&run.suite_row()),
-            run.report.plan_digest(),
-            run.report.slices.len(),
-            run.report.skipped.len(),
-        ));
+        out.push_str(&workload_line(&run));
     }
     let w = ssp_workloads::by_name(TUNED, cfg.seed).expect("suite name");
     let tuner = Tuner::new(TuneConfig {
@@ -126,6 +131,41 @@ fn a_lone_tune_frame_answers_the_same_at_any_worker_count() {
     assert!(answers[0].starts_with("{\"kind\": \"tune\""), "a tune answer: {}", answers[0]);
     assert_eq!(answers[0], answers[1], "1 vs 2 workers");
     assert_eq!(answers[0], answers[2], "1 vs 4 workers");
+}
+
+#[test]
+fn a_lone_workload_frame_answers_the_same_at_any_worker_count() {
+    // In the batch above each workload request gets one worker; alone
+    // in its batch, it runs its four simulations on every worker. The
+    // simulations memoize through the process-wide memo, so only the
+    // first server to ask simulates: a seed no other test here uses
+    // keeps them from asking first, the four-worker server asks before
+    // the others, and its answer is checked against the four
+    // simulations run serially here, outside the memo.
+    let seed = SEED + 1;
+    let config = |workers| ServerConfig { seed, ..capped_config(workers) };
+    for name in ssp_workloads::NAMES {
+        let frame = format!("{name}\n");
+        let answers = [4, 2, 1].map(|w| {
+            let server = Server::new(config(w));
+            (server.handle_batch(&frame), server.report_json())
+        });
+        let cfg = config(1);
+        let w = ssp_workloads::by_name(name, seed).expect("suite name");
+        let a = PostPassTool::new(cfg.io.clone()).run(&w.program).expect("adaptation succeeds");
+        let serial = BenchmarkRun {
+            name: w.name,
+            base_io: simulate(&w.program, &cfg.io),
+            ssp_io: simulate(&a.program, &cfg.io),
+            base_ooo: simulate(&w.program, &cfg.ooo),
+            ssp_ooo: simulate(&a.program, &cfg.ooo),
+            report: a.report,
+        };
+        let (response, report) = &answers[0];
+        assert_eq!(*response, workload_line(&serial), "{name}: 4 workers vs a serial run");
+        assert_eq!(answers[1], answers[0], "{name}: 2 vs 4 workers ({report})");
+        assert_eq!(answers[2], answers[0], "{name}: 1 vs 4 workers ({report})");
+    }
 }
 
 #[test]

@@ -100,10 +100,12 @@ pub(crate) struct Thread {
     /// Fast-engine event queue: reservation-station leave times
     /// (`start_at`) of dispatched instructions that were still waiting
     /// for operands when they entered the ROB. Times only move forward,
-    /// so entries at or before the present are popped lazily on query
-    /// and each dispatch is amortised O(log RS) instead of the O(ROB)
-    /// occupancy rescan the stepped oracle performs. Maintained only by
-    /// the fast engine; the stepped twin keeps the scans.
+    /// so entries at or before the present are popped lazily, on query
+    /// and before a push (which keeps each of the three queues no longer
+    /// than the ROB), and each dispatch is amortised O(log RS) instead
+    /// of the O(ROB) occupancy rescan the stepped oracle performs.
+    /// Maintained only by the fast engine; the stepped twin keeps the
+    /// scans.
     pub(crate) rs_waiting: BinaryHeap<Reverse<u64>>,
     /// Fast-engine event queue: `(complete_at, hit)` of every dispatched
     /// load, in program order. The front (after lazily dropping
@@ -205,14 +207,20 @@ impl Thread {
     /// cannot commit before it completes, so a queue entry never
     /// outlives its ROB entry observably).
     pub(crate) fn has_miss_fast(&mut self, now: u64) -> bool {
+        self.pop_completed_misses(now);
+        !self.missload_q.is_empty()
+            || self.outstanding.iter().any(|&(r, h)| r > now && h.is_l1_miss())
+    }
+
+    /// Drop the miss completions at or before `now` from the front of
+    /// the monotone miss queue.
+    fn pop_completed_misses(&mut self, now: u64) {
         while let Some(&c) = self.missload_q.front() {
             if c > now {
                 break;
             }
             self.missload_q.pop_front();
         }
-        !self.missload_q.is_empty()
-            || self.outstanding.iter().any(|&(r, h)| r > now && h.is_l1_miss())
     }
 
     /// Number of dispatched instructions still waiting for operands
@@ -1004,20 +1012,31 @@ impl<'a> Engine<'a> {
             let now = self.cycle;
             let fast = self.fast();
             let t = &mut self.threads[tid];
+            t.rob.push_back(RobEntry { start_at, complete_at, is_load, hit });
             if fast {
+                // Drop what every query would drop at `now` before each
+                // push, so a queue no query reads for a while stays no
+                // longer than the ROB. Time only moves forward: no
+                // answer changes. `issue_thread`'s occupancy query has
+                // already pruned `rs_waiting` at `now`.
                 if start_at > now {
                     t.rs_waiting.push(Reverse(start_at));
+                    debug_assert!(t.rs_waiting.len() <= t.rob.len(), "RS queue outgrew the ROB");
                 }
-                if is_load {
-                    if let Some(h) = hit {
-                        t.loads_q.push_back((complete_at, h));
-                        if h.is_l1_miss() {
-                            t.missload_q.push_back(complete_at);
-                        }
+                if let (true, Some(h)) = (is_load, hit) {
+                    t.first_outstanding_load(now);
+                    t.loads_q.push_back((complete_at, h));
+                    debug_assert!(t.loads_q.len() <= t.rob.len(), "load queue outgrew the ROB");
+                    if h.is_l1_miss() {
+                        t.pop_completed_misses(now);
+                        t.missload_q.push_back(complete_at);
+                        debug_assert!(
+                            t.missload_q.len() <= t.rob.len(),
+                            "miss queue outgrew the ROB"
+                        );
                     }
                 }
             }
-            t.rob.push_back(RobEntry { start_at, complete_at, is_load, hit });
         }
     }
 

@@ -27,7 +27,8 @@ pub struct Memory {
 
 impl Memory {
     /// A run's memory, starting as `image`. A read or write of an image
-    /// word is one probe of the image's index.
+    /// word is one probe of the image's index; one outside the image's
+    /// lowest and highest word probes only the outside map.
     pub fn new(image: Arc<Image>) -> Self {
         Memory { words: image.words().into(), image, outside: Box::default() }
     }
@@ -271,6 +272,10 @@ mod tests {
                 (0..rng.below(48)).map(|_| (word(&mut rng), value(&mut rng))).collect();
             let mut m = Memory::new(image(&pairs));
             let mut r = Reference::new(&pairs);
+            // The image's lowest and highest word (an empty image has
+            // none: every address is outside it).
+            let lo = pairs.iter().map(|p| p.0).min().unwrap_or(0x4180);
+            let hi = pairs.iter().map(|p| p.0).max().unwrap_or(0x4180);
             for step in 0..200 {
                 let addr = match (rng.below(2), pairs.is_empty()) {
                     (0, false) => pairs[rng.below(pairs.len() as u64) as usize].0,
@@ -281,10 +286,24 @@ mod tests {
                     m.write(addr, val);
                     r.0.insert(addr & !7, val);
                 }
+                // Just below, inside or just above the image's range:
+                // the range check must pass the first and last to the
+                // outside map and the middle one to the index.
+                let edge = match rng.below(3) {
+                    0 => lo - 8 * (1 + rng.below(4)),
+                    1 => lo + 8 * rng.below((hi - lo) / 8 + 1),
+                    _ => hi + 8 * (1 + rng.below(4)),
+                } + rng.below(8);
+                if rng.below(2) == 0 {
+                    let val = value(&mut rng);
+                    m.write(edge, val);
+                    r.0.insert(edge & !7, val);
+                }
                 let other = word(&mut rng);
                 let at = format!("case {case} step {step} address {addr:#x}");
                 assert_eq!(m.read(addr), r.read(addr), "{at}");
                 assert_eq!(m.read(other), r.read(other), "{at} (read of {other:#x})");
+                assert_eq!(m.read(edge), r.read(edge), "{at} (read of {edge:#x})");
                 assert_eq!(m.footprint_words(), r.0.len(), "{at}");
                 assert_eq!(m.digest(), r.digest(), "{at}");
             }

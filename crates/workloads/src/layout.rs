@@ -26,23 +26,45 @@ pub struct Scatter {
     next: usize,
 }
 
+/// The most slots a [`Scatter`] span may hold: a shuffled slot index is
+/// 17 bits, as many as an 8 MB span of 64-byte slots needs.
+const MAX_SLOTS: u64 = 1 << 17;
+
 impl Scatter {
     /// Create the allocator.
     ///
     /// # Panics
     ///
     /// Panics if the span cannot hold `count` slots or holds more than
-    /// `u32::MAX`, or if `slot_size` is not a multiple of 8.
+    /// 2^17 (131,072), or if `slot_size` is not a multiple of 8.
     pub fn new(base: u64, span: u64, slot_size: u64, count: usize, rng: &mut Rng) -> Self {
         assert_eq!(slot_size % 8, 0, "slot size must be word aligned");
         let capacity = span / slot_size;
         assert!(capacity >= count as u64, "span too small: {capacity} slots < {count}");
-        // `u32` indices halve the shuffle's footprint (an 8 MB span of
-        // 64-byte slots is 131,072 entries); the draws are the same.
-        let capacity = u32::try_from(capacity).expect("slot count fits in u32");
-        let mut idx: Vec<u32> = (0..capacity).collect();
-        rng.shuffle(&mut idx);
-        let slots = idx.into_iter().take(count).map(|i| base + u64::from(i) * slot_size).collect();
+        assert!(capacity <= MAX_SLOTS, "span holds {capacity} slots, more than 2^17");
+        let capacity = capacity as usize;
+        // Each slot index is its low 16 bits in `low` plus its high bit
+        // in the bitset `high`: an 8 MB span of 64-byte slots takes
+        // 272 KB to shuffle instead of a `u32` per slot's 512 KB. The
+        // shuffle makes the draws and swaps a slice of indices would, so
+        // the permutation is the same.
+        let mut low: Vec<u16> = (0..capacity).map(|i| i as u16).collect();
+        let mut high = vec![0u64; capacity.div_ceil(64)];
+        for i in 1 << 16..capacity {
+            high[i / 64] |= 1 << (i % 64);
+        }
+        let bit = |high: &[u64], i: usize| high[i / 64] >> (i % 64) & 1;
+        rng.shuffle_by(capacity, |i, j| {
+            low.swap(i, j);
+            // Swap the high bits without a branch: flip both where
+            // they differ.
+            let flip = bit(&high, i) ^ bit(&high, j);
+            high[i / 64] ^= flip << (i % 64);
+            high[j / 64] ^= flip << (j % 64);
+        });
+        let slots = (0..count)
+            .map(|k| base + (u64::from(low[k]) | bit(&high, k) << 16) * slot_size)
+            .collect();
         Scatter { slots, next: 0 }
     }
 
@@ -113,10 +135,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "slot count fits in u32")]
+    #[should_panic(expected = "span holds 131073 slots, more than 2^17")]
     fn scatter_rejects_a_span_beyond_u32_slot_indices() {
         let mut rng = rng_for("z", 1);
-        let _ = Scatter::new(HEAP, 1 << 40, 64, 1, &mut rng);
+        let _ = Scatter::new(HEAP, (MAX_SLOTS + 1) * 64, 64, 1, &mut rng);
     }
 
     #[test]

@@ -55,9 +55,16 @@ impl Rng {
 
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
+        self.shuffle_by(slice.len(), |i, j| slice.swap(i, j));
+    }
+
+    /// Fisher–Yates shuffle of `len` items held however the caller
+    /// likes: `swap(i, j)` exchanges items `i` and `j` (possibly equal).
+    /// Makes the same draws and swaps as [`Rng::shuffle`].
+    pub(crate) fn shuffle_by(&mut self, len: usize, mut swap: impl FnMut(usize, usize)) {
+        for i in (1..len).rev() {
             let j = self.below(i as u64 + 1) as usize;
-            slice.swap(i, j);
+            swap(i, j);
         }
     }
 }
