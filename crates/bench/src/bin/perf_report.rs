@@ -1,6 +1,6 @@
 //! `perf_report`: machine-readable performance snapshot of the harness.
 //!
-//! Emits one JSON object (`ssp-perf-report/5`) on stdout:
+//! Emits one JSON object (`ssp-perf-report/6`) on stdout:
 //!   - `engine`: wall time of simulating the workload suite with the
 //!     fast engine vs. the stepped engine, per machine model and per
 //!     binary class (baseline / SSP-adapted), with a bit-identity check
@@ -17,7 +17,8 @@
 //!     cached denominators with the suite),
 //!   - `cache`: process-wide baseline-cache hit/miss counters.
 //!
-//! Timings are min-of-5 so one scheduler hiccup cannot distort a row.
+//! Timings are min-of-5, the fast and stepped repetitions of a row
+//! alternating, so one scheduler hiccup cannot distort a row.
 //! The JSON is hand-rolled (no serde dependency); run with
 //! `cargo run --release -p ssp-bench --bin perf_report`.
 //!
@@ -57,18 +58,11 @@ struct EngineRow {
     windows: WindowStats,
 }
 
-/// Min-of-`reps` wall time of `f` (first return value), plus whatever
-/// `f` returned on the last repetition.
-fn min_secs<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut best = f64::MAX;
-    let mut last = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let r = f();
-        best = best.min(t0.elapsed().as_secs_f64());
-        last = Some(r);
-    }
-    (best, last.expect("reps >= 1"))
+/// Wall time of one call of `f`, and what it returned.
+fn timed<R>(f: impl FnOnce() -> R) -> (f64, R) {
+    let t0 = Instant::now();
+    let r = f();
+    (t0.elapsed().as_secs_f64(), r)
 }
 
 fn engine_row(
@@ -77,10 +71,17 @@ fn engine_row(
     progs: &[&Program],
     cfg: &MachineConfig,
 ) -> EngineRow {
-    let (fast_forward_seconds, runs) =
-        min_secs(5, || progs.iter().map(|p| simulate_windowed(p, cfg)).collect::<Vec<_>>());
-    let (stepped_seconds, stepped) =
-        min_secs(5, || progs.iter().map(|p| simulate_stepped(p, cfg)).collect::<Vec<_>>());
+    // Min-of-5 per mode, the fast and stepped repetitions alternating,
+    // so a host stall costs each mode one repetition rather than all
+    // five of one mode.
+    let (mut fast_forward_seconds, mut stepped_seconds) = (f64::MAX, f64::MAX);
+    let (mut runs, mut stepped) = (Vec::new(), Vec::new());
+    for _ in 0..5 {
+        let (secs, r) = timed(|| progs.iter().map(|p| simulate_windowed(p, cfg)).collect());
+        (fast_forward_seconds, runs) = (fast_forward_seconds.min(secs), r);
+        let (secs, r) = timed(|| progs.iter().map(|p| simulate_stepped(p, cfg)).collect());
+        (stepped_seconds, stepped) = (stepped_seconds.min(secs), r);
+    }
     // Where did the fast engine's cycles go? Every run records its
     // window statistics, so the timed runs answer that too.
     let mut windows = WindowStats::default();
@@ -124,11 +125,13 @@ fn hist_json(h: &[u64]) -> String {
 fn windows_json(w: &WindowStats) -> String {
     format!(
         concat!(
-            "{{\"busy_windows\": {}, \"busy_cycles\": {}, \"stepped_cycles\": {}, ",
-            "\"busy_len_hist\": {}}}"
+            "{{\"busy_windows\": {}, \"busy_cycles\": {}, \"spec_windows\": {}, ",
+            "\"spec_cycles\": {}, \"stepped_cycles\": {}, \"busy_len_hist\": {}}}"
         ),
         w.busy_windows,
         w.busy_cycles,
+        w.spec_windows,
+        w.spec_cycles,
         w.stepped_cycles,
         hist_json(&w.busy_len_hist),
     )
@@ -153,7 +156,7 @@ fn render(digest: bool, report: &Report) -> String {
         out.push('\n');
     };
     line("{".into());
-    line("  \"schema\": \"ssp-perf-report/5\",".into());
+    line("  \"schema\": \"ssp-perf-report/6\",".into());
     line(format!("  \"seed\": {SEED},"));
     if !digest {
         line(format!("  \"workers\": {workers},"));

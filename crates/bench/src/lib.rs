@@ -157,7 +157,7 @@ impl SuiteRow {
 }
 
 /// Render one suite row as a single-line JSON object — the canonical
-/// row shape of `ssp-perf-report/5`'s `suite.rows` and of the daemon's
+/// row shape of `ssp-perf-report/6`'s `suite.rows` and of the daemon's
 /// workload responses. `regression` is true when either machine model
 /// regressed; the per-model split stays in [`SuiteRow`] (and on
 /// stderr via [`SuiteRow::warnings`]).

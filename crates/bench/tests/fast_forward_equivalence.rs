@@ -113,6 +113,34 @@ fn window_accounting_holds_on_adapted_binaries_and_corpus() {
 }
 
 #[test]
+fn adapted_suite_takes_speculative_issuer_windows_on_both_models() {
+    // In the paper's chaining SP a slice runs while the main thread
+    // stalls on a miss; the fast engine runs those cycles as windows
+    // with the slice as the one issuer. Pin that the regime fires on the
+    // default adapted suite, so it cannot go silently dead.
+    let adapted: Vec<_> = ssp_workloads::suite(ssp_bench::SEED)
+        .iter()
+        .map(|w| PostPassTool::new(MachineConfig::in_order()).run(&w.program).expect("adapts"))
+        .collect();
+    for (model, cfg) in machines(120_000) {
+        let mut stats = ssp_sim::WindowStats::default();
+        let mut cycles = 0;
+        for a in &adapted {
+            let (r, w) = simulate_windowed(&a.program, &cfg);
+            stats.merge(&w);
+            cycles += r.total_cycles;
+        }
+        assert!(stats.spec_windows > 0, "{model}: no speculative-issuer window ({stats:?})");
+        assert!(
+            stats.spec_cycles * 10 >= cycles,
+            "{model}: speculative-issuer windows ran {} of {cycles} cycles, under a tenth",
+            stats.spec_cycles
+        );
+        assert!(stats.busy_windows > stats.spec_windows, "{model}: no main-issuer window");
+    }
+}
+
+#[test]
 fn corpus_programs_match_stepped_engine_with_digests_and_traps() {
     let specs = ssp_fuzz::corpus::parse(CORPUS).expect("corpus parses");
     assert!(specs.len() >= 8, "seed corpus present");

@@ -38,8 +38,7 @@ use crate::telemetry::Telemetry;
 use crate::window::Issuers;
 use ssp_ir::reg::{conv, NUM_REGS};
 use ssp_ir::{FuncId, Op, Program};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Why a thread could not issue/dispatch this cycle.
@@ -81,56 +80,201 @@ pub(crate) struct RobEntry {
     pub(crate) hit: Option<HitWhere>,
 }
 
+const EMPTY_ROB_ENTRY: RobEntry =
+    RobEntry { start_at: 0, complete_at: 0, is_load: false, hit: None };
+
+/// A thread's reorder buffer: its dispatched entries in program order,
+/// in a fixed power-of-two ring sized from `rob_entries` at engine
+/// construction. Dispatch stalls on a full ROB, so a push never finds
+/// the ring full, and the cycle loop never allocates.
 #[derive(Clone, Debug)]
+pub(crate) struct Rob {
+    slots: Box<[RobEntry]>,
+    /// Ring index of the oldest entry.
+    head: usize,
+    len: usize,
+}
+
+impl Rob {
+    /// An empty ROB with room for at least `entries` entries.
+    fn new(entries: usize) -> Self {
+        let cap = entries.next_power_of_two();
+        Rob { slots: vec![EMPTY_ROB_ENTRY; cap].into_boxed_slice(), head: 0, len: 0 }
+    }
+
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    #[inline]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The oldest entry, the next to commit.
+    #[inline]
+    pub(crate) fn front(&self) -> Option<&RobEntry> {
+        (self.len > 0).then(|| &self.slots[self.head])
+    }
+
+    #[inline]
+    fn push_back(&mut self, e: RobEntry) {
+        let mask = self.slots.len() - 1;
+        debug_assert!(self.len <= mask, "ROB ring overflow");
+        self.slots[(self.head + self.len) & mask] = e;
+        self.len += 1;
+    }
+
+    #[inline]
+    fn pop_front(&mut self) {
+        debug_assert!(self.len > 0, "pop from an empty ROB");
+        self.head = (self.head + 1) & (self.slots.len() - 1);
+        self.len -= 1;
+    }
+
+    fn clear(&mut self) {
+        self.head = 0;
+        self.len = 0;
+    }
+
+    /// The entries, oldest first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &RobEntry> {
+        let mask = self.slots.len() - 1;
+        (0..self.len).map(move |i| &self.slots[(self.head + i) & mask])
+    }
+}
+
+/// Fast-engine reservation-station buffer: the leave times (`start_at`)
+/// of dispatched instructions that were still waiting for operands when
+/// they entered the ROB, unordered, with their minimum cached. Times
+/// only move forward, so entries at or before the present are dropped
+/// lazily, in one branch-free pass over at most `rs_entries` times, and
+/// only when a query needs it: the full test while the buffer is full,
+/// the next-leave query once the cached minimum has passed. Dispatch
+/// stalls while the station is full, and every dispatch is preceded by
+/// the full test, so the buffer never holds more than `rs_entries`.
+/// Maintained only by the fast engine; the stepped twin keeps the
+/// O(ROB) occupancy rescan.
+#[derive(Clone, Debug)]
+pub(crate) struct RsWaiting {
+    /// The times, in `times[..len]`; the buffer has `rs_entries` slots.
+    times: Box<[u64]>,
+    len: usize,
+    /// The earliest time in `times[..len]`; `u64::MAX` when it is empty.
+    min: u64,
+}
+
+impl RsWaiting {
+    fn new(entries: usize) -> Self {
+        RsWaiting { times: vec![0; entries].into_boxed_slice(), len: 0, min: u64::MAX }
+    }
+
+    /// Drop the times at or before `now`.
+    fn prune(&mut self, now: u64) {
+        if self.min <= now {
+            let (mut kept, mut min) = (0, u64::MAX);
+            for i in 0..self.len {
+                let t = self.times[i];
+                self.times[kept] = t;
+                let keep = t > now;
+                kept += usize::from(keep);
+                min = min.min(if keep { t } else { u64::MAX });
+            }
+            self.len = kept;
+            self.min = min;
+        }
+    }
+
+    /// Whether at least `entries` instructions still wait for operands
+    /// at `now`: the reservation station is full. Stale times are
+    /// dropped only when the buffer holds `entries` times, since fewer
+    /// cannot fill it.
+    #[inline]
+    pub(crate) fn full(&mut self, now: u64, entries: usize) -> bool {
+        if self.len < entries {
+            return false;
+        }
+        self.prune(now);
+        self.len >= entries
+    }
+
+    /// The earliest leave time after `now`, if any instruction waits.
+    #[inline]
+    pub(crate) fn next_after(&mut self, now: u64) -> Option<u64> {
+        self.prune(now);
+        (self.min != u64::MAX).then_some(self.min)
+    }
+
+    /// Add a leave time; the station must not be full.
+    #[inline]
+    fn push(&mut self, t: u64) {
+        self.times[self.len] = t;
+        self.len += 1;
+        self.min = self.min.min(t);
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+        self.min = u64::MAX;
+    }
+}
+
+/// One hardware thread context. `#[repr(C)]` keeps the fields in the
+/// order written, so the scalars every cycle reads (`pc`,
+/// `fetch_ready`, `blocked_until`) share the first cache line and a
+/// field added later moves no field before it.
+#[derive(Clone, Debug)]
+#[repr(C)]
 pub(crate) struct Thread {
-    pub(crate) rf: RegFile,
     /// Flat index into the [`DecodedProgram`] of the next instruction;
     /// `None` for a free context.
     pub(crate) pc: Option<u32>,
-    /// Flat return addresses.
-    pub(crate) call_stack: Vec<u32>,
-    pub(crate) sb: Scoreboard,
     pub(crate) fetch_ready: u64,
+    /// Fast-engine wakeup cache: a proven lower bound on the next cycle
+    /// this thread could issue, set when an issue attempt stalls on an
+    /// event with a known time ([`Engine::spec_blocked_until`]; for the
+    /// main thread, its next event, before which its stall payload is
+    /// constant too). While `blocked_until > cycle` the scheduler skips
+    /// the thread with one compare instead of re-deriving the stall
+    /// from the scoreboard or occupancy queues every cycle, and the
+    /// entry proof reads it as the thread's bound. The bound stays valid
+    /// while the thread sleeps because everything it waits on is
+    /// thread-local and monotone: its scoreboard and queues are written
+    /// only by its own dispatch, and ready/completion times never move.
+    /// Maintained only by the fast engine; the stepped oracle re-derives
+    /// every stall.
+    pub(crate) blocked_until: u64,
     pub(crate) speculative: bool,
     pub(crate) insts: u64,
     pub(crate) owned_slot: Option<u64>,
-    pub(crate) rob: VecDeque<RobEntry>,
-    /// In-order bookkeeping: outstanding load misses `(ready_at, level)`.
-    pub(crate) outstanding: Vec<(u64, HitWhere)>,
-    /// Fast-engine event queue: reservation-station leave times
-    /// (`start_at`) of dispatched instructions that were still waiting
-    /// for operands when they entered the ROB. Times only move forward,
-    /// so entries at or before the present are popped lazily, on query
-    /// and before a push (which keeps each of the three queues no longer
-    /// than the ROB), and each dispatch is amortised O(log RS) instead
-    /// of the O(ROB) occupancy rescan the stepped oracle performs.
-    /// Maintained only by the fast engine; the stepped twin keeps the
-    /// scans.
-    pub(crate) rs_waiting: BinaryHeap<Reverse<u64>>,
+    pub(crate) rob: Rob,
+    /// Fast-engine reservation-station occupancy, O(1) per dispatch
+    /// instead of the O(ROB) rescan the stepped oracle performs.
+    pub(crate) rs_waiting: RsWaiting,
     /// Fast-engine event queue: `(complete_at, hit)` of every dispatched
     /// load, in program order. The front (after lazily dropping
-    /// completed entries) is the oldest outstanding load — the
-    /// reservation-station stall payload.
+    /// completed entries, on query and before a push, which keeps the
+    /// queue no longer than the ROB) is the oldest outstanding load —
+    /// the reservation-station stall payload.
     pub(crate) loads_q: VecDeque<(u64, HitWhere)>,
     /// Fast-engine event queue: completion times of dispatched loads
     /// that missed L1, in program order; non-empty after lazy popping
     /// means a miss is outstanding (the Figure-10 `cache_exec` test).
     pub(crate) missload_q: VecDeque<u64>,
-    /// Fast-engine wakeup cache: a proven lower bound on the next cycle
-    /// this thread could issue, set when an issue attempt stalls on an
-    /// event with a known time ([`Engine::spec_blocked_until`]). While
-    /// `blocked_until > cycle` the scheduler skips the thread with one
-    /// compare instead of re-deriving the stall from the scoreboard or
-    /// occupancy queues every cycle. The bound stays valid while the
-    /// thread sleeps because everything it waits on is thread-local and
-    /// monotone: its scoreboard and queues are written only by its own
-    /// dispatch, and ready/completion times never move. Maintained only
-    /// by the fast engine; the stepped oracle re-derives every stall.
-    pub(crate) blocked_until: u64,
+    /// In-order bookkeeping: outstanding load misses `(ready_at, level)`.
+    pub(crate) outstanding: Vec<(u64, HitWhere)>,
+    /// Flat return addresses.
+    pub(crate) call_stack: Vec<u32>,
+    pub(crate) sb: Scoreboard,
+    pub(crate) rf: RegFile,
 }
 
 impl Thread {
-    fn new() -> Self {
+    /// A free context whose ROB and reservation-station buffer are sized
+    /// from `cfg`: allocated once, never grown.
+    fn new(cfg: &MachineConfig) -> Self {
+        let ooo = cfg.pipeline == PipelineKind::OutOfOrder;
         Thread {
             rf: RegFile::new(),
             pc: None,
@@ -140,9 +284,9 @@ impl Thread {
             speculative: false,
             insts: 0,
             owned_slot: None,
-            rob: VecDeque::new(),
+            rob: Rob::new(if ooo { cfg.rob_entries } else { 0 }),
             outstanding: Vec::new(),
-            rs_waiting: BinaryHeap::new(),
+            rs_waiting: RsWaiting::new(if ooo { cfg.rs_entries } else { 0 }),
             loads_q: VecDeque::new(),
             missload_q: VecDeque::new(),
             blocked_until: 0,
@@ -223,18 +367,6 @@ impl Thread {
         }
     }
 
-    /// Number of dispatched instructions still waiting for operands
-    /// (reservation-station occupancy), via the monotone event queue.
-    pub(crate) fn rs_waiting_count(&mut self, now: u64) -> usize {
-        while let Some(&Reverse(t)) = self.rs_waiting.peek() {
-            if t > now {
-                break;
-            }
-            self.rs_waiting.pop();
-        }
-        self.rs_waiting.len()
-    }
-
     /// The oldest dispatched load still outstanding at `now`, via the
     /// monotone event queue: `(complete_at, hit)`.
     pub(crate) fn first_outstanding_load(&mut self, now: u64) -> Option<(u64, HitWhere)> {
@@ -254,6 +386,7 @@ impl Thread {
 /// reaches it. `from == to` is one cycle's commit phase; a longer span
 /// replays the commits of cycles no one observed (a skip, or a blocked
 /// context's share of a busy window).
+#[inline]
 fn drain_thread(t: &mut Thread, width: usize, from: u64, to: u64) {
     let mut at_cycle = from;
     let mut used = 0usize;
@@ -283,7 +416,7 @@ struct StepOutcome {
     /// The program halted this cycle.
     halt: bool,
     /// Instructions issued across the contexts allowed to issue. Zero
-    /// in a main-only cycle means the whole machine is gated on known
+    /// in a window cycle means the whole machine is gated on known
     /// future timestamps, which is exactly when the clock may jump.
     issued: usize,
     /// The main thread's stall classification (`None` when it issued or
@@ -309,33 +442,38 @@ enum Flow {
 const FU_RING_MIN: usize = 64;
 
 /// The simulation engine, built and run only by [`simulate_with`].
+///
+/// `#[repr(C)]` keeps the fields in the order written: the scalars and
+/// handles every cycle reads come first, the large per-run state after
+/// them, so a field added later moves no hot field. The
+/// `engine_layout_is_pinned` test fails when a change moves one.
+#[repr(C)]
 pub(crate) struct Engine<'a> {
-    /// The decoded program: every instruction the engine fetches, by
-    /// flat index. Borrowed, so an entry stays usable across `&mut self`
-    /// calls.
-    pub(crate) decode: &'a DecodedProgram,
+    pub(crate) cycle: u64,
     /// How the clock advances. [`SimMode::Fast`] and
     /// [`SimMode::Crosschecked`] run busy windows on the incremental
     /// event queues; [`SimMode::Stepped`] keeps the original O(ROB)
     /// scans as the semantic oracle.
     pub(crate) mode: SimMode,
-    pub(crate) cfg: &'a MachineConfig,
-    pub(crate) mem: Memory,
-    pub(crate) lib: LiveInBuffer,
-    pub(crate) hier: Hierarchy,
-    pub(crate) gshare: Gshare,
-    pub(crate) btb: Btb,
-    pub(crate) threads: Vec<Thread>,
-    pub(crate) cycle: u64,
     pub(crate) in_roi: bool,
     /// Whether the program contains ROI markers at all; if not, the whole
     /// run is the region of interest.
     pub(crate) has_roi: bool,
-    pub(crate) result: SimResult,
-    /// Per-load statistics of the run, one row per
-    /// [`DecodedProgram::load_tags`] entry; folded into
-    /// `result.loads` when the run ends.
-    pub(crate) load_stats: Vec<LoadStats>,
+    /// Fast-engine cache of the main thread's stall classification while
+    /// it sleeps (`blocked_until > cycle`) on an in-order source stall
+    /// or a full out-of-order ROB or reservation station. The payload is
+    /// stable for the whole sleep: the cached wakeup is the thread's
+    /// next event ([`Engine::thread_event_fast`]), and everything the
+    /// classification reads (its scoreboard, ROB head and load queue)
+    /// is written only by its own dispatch and commit.
+    pub(crate) main_sleep_stall: Option<StallReason>,
+    pub(crate) rr_next: usize,
+    pub(crate) cfg: &'a MachineConfig,
+    /// The decoded program: every instruction the engine fetches, by
+    /// flat index. Borrowed, so an entry stays usable across `&mut self`
+    /// calls.
+    pub(crate) decode: &'a DecodedProgram,
+    pub(crate) threads: Vec<Thread>,
     /// Per-cycle FU use (in-order); OOO books into `fu_ring`.
     pub(crate) fu_used: [usize; 4],
     pub(crate) fu_limits: [usize; 4],
@@ -346,8 +484,6 @@ pub(crate) struct Engine<'a> {
     /// are zeroed as the clock passes them ([`Engine::advance_fu_ring`]).
     pub(crate) fu_ring: Vec<[u16; 4]>,
     pub(crate) fu_ring_base: u64,
-    pub(crate) rr_next: usize,
-    pub(crate) stride: Option<StridePrefetcher>,
     /// Structured-trace collector, present only when
     /// [`SimOptions::telemetry`] asks for it. `None` (the default) keeps
     /// every telemetry hook to a single branch — no allocation, no time
@@ -358,17 +494,20 @@ pub(crate) struct Engine<'a> {
     /// discipline as `telemetry`: `None` keeps every hook to a single
     /// branch.
     pub(crate) snap: Option<Box<SnapshotRec>>,
+    pub(crate) stride: Option<StridePrefetcher>,
+    /// Per-load statistics of the run, one row per
+    /// [`DecodedProgram::load_tags`] entry; folded into
+    /// `result.loads` when the run ends.
+    pub(crate) load_stats: Vec<LoadStats>,
     /// How the run's cycles split between busy windows and stepped
     /// cycles; never feeds back into timing.
     pub(crate) windows: WindowStats,
-    /// Fast-engine cache of the main thread's stall classification while
-    /// it sleeps on an in-order source stall (`blocked_until > cycle`).
-    /// The payload is stable for the whole sleep: the thread's
-    /// scoreboard is written only by its own execution, so the first
-    /// unready source — and the cache level that produced it — cannot
-    /// change before the cached wakeup, which is exactly that source's
-    /// ready time.
-    pub(crate) main_sleep_stall: Option<StallReason>,
+    pub(crate) result: SimResult,
+    pub(crate) mem: Memory,
+    pub(crate) lib: LiveInBuffer,
+    pub(crate) gshare: Gshare,
+    pub(crate) btb: Btb,
+    pub(crate) hier: Hierarchy,
 }
 
 impl<'a> Engine<'a> {
@@ -381,7 +520,7 @@ impl<'a> Engine<'a> {
         opts: SimOptions<'_>,
     ) -> Self {
         let mem = Memory::new(Arc::clone(&prog.image));
-        let mut threads = vec![Thread::new(); cfg.num_contexts];
+        let mut threads = vec![Thread::new(cfg); cfg.num_contexts];
         // The main thread starts at the program entry with SP set.
         threads[0].pc = Some(decode.entry(prog.entry).expect("the entry function exists"));
         threads[0].rf.write(conv::SP, 0x7FFF_FF00_0000);
@@ -418,7 +557,7 @@ impl<'a> Engine<'a> {
     ///
     /// Each turn of the loop runs the entry proof ([`Engine::issuers`])
     /// and then either one cycle in which every context may issue, or a
-    /// busy window in which the main thread issues alone up to a proven
+    /// busy window in which one context issues alone up to a proven
     /// horizon ([`Engine::run_window`]). Both run the one cycle
     /// protocol, [`Engine::step_cycle`]. Under [`SimMode::Stepped`]
     /// every turn is one all-contexts cycle: the oracle the equivalence
@@ -437,7 +576,7 @@ impl<'a> Engine<'a> {
                     self.cycle += 1;
                     halt
                 }
-                Issuers::MainUntil(horizon) => self.run_window(horizon),
+                Issuers::Alone { tid, horizon } => self.run_window(tid, horizon),
             };
         }
         self.result.halted = halted;
@@ -446,73 +585,66 @@ impl<'a> Engine<'a> {
         self.result.loads = rows.filter(|(_, s)| s.accesses > 0).map(|(&t, &s)| (t, s)).collect();
     }
 
-    /// Run a busy window: main-only cycles from the current one up to
-    /// `horizon`, before which every speculative context is proven
-    /// blocked. Returns whether the program halted.
+    /// Run a busy window: cycles in which context `tid` issues alone,
+    /// from the current one up to `horizon`, before which every other
+    /// context is proven blocked and the main thread's stall
+    /// classification is constant. Returns whether the program halted.
     ///
     /// The window closes at its horizon, on a spawn (which activates a
-    /// context the entry proof does not cover), or after the halting
-    /// cycle, so it always covers at least one cycle. After a
-    /// cycle in which the main thread issued nothing, the clock jumps
-    /// to its next event ([`Engine::skip_to_main_event`]). The blocked
-    /// contexts' OOO commits, which nothing observes mid-window, are
-    /// replayed in one pass at exit.
-    fn run_window(&mut self, horizon: u64) -> bool {
+    /// context the entry proof does not cover), when the issuer is
+    /// killed, or after the halting cycle, so it always covers at least
+    /// one cycle. After a cycle in which the issuer issued nothing, the
+    /// clock jumps to its next event ([`Engine::skip_to_event`]). The
+    /// other contexts' OOO commits, which nothing observes mid-window,
+    /// are replayed in one pass at exit.
+    fn run_window(&mut self, tid: usize, horizon: u64) -> bool {
         let entry = self.cycle;
         let spawned = self.result.threads_spawned;
         let mut halted = false;
         while self.cycle < horizon {
-            let step = self.step_cycle(Issuers::MainUntil(horizon));
+            let step = self.step_cycle(Issuers::Alone { tid, horizon });
             self.cycle += 1;
             if step.halt {
                 halted = true;
                 break;
             }
             if step.issued == 0 {
-                self.skip_to_main_event(step.main_stall, horizon);
-            } else if self.result.threads_spawned != spawned {
+                self.skip_to_event(tid, step.main_stall, horizon);
+            } else if self.result.threads_spawned != spawned || !self.threads[tid].active() {
                 break;
             }
         }
         if self.cfg.pipeline == PipelineKind::OutOfOrder {
             let (width, last) = (self.commit_width(), self.cycle - 1);
-            for t in &mut self.threads[1..] {
-                drain_thread(t, width, entry, last);
+            for (i, t) in self.threads.iter_mut().enumerate() {
+                if i != tid {
+                    drain_thread(t, width, entry, last);
+                }
             }
         }
-        self.windows.record_busy(self.cycle - entry);
+        self.windows.record_busy(tid != 0, self.cycle - entry);
         halted
     }
 
-    /// After main-only cycle `self.cycle - 1` issued nothing, jump to the
-    /// main thread's next event ([`Engine::thread_event_fast`]), clamped
-    /// to the window's `horizon`. Until then the whole machine repeats
-    /// that cycle, so the skipped cycles land in the same Figure-10
-    /// bucket, the round-robin pointer rotates in closed form, and the
-    /// main thread's ROB drains in one pass. A fetch redirect is the
-    /// same jump, to `fetch_ready`.
-    ///
-    /// Under [`SimMode::Crosschecked`] the event is verified against
-    /// the brute-force rescan ([`Engine::thread_event_brute`]).
-    fn skip_to_main_event(&mut self, stall: Option<StallReason>, horizon: u64) {
+    /// After window cycle `self.cycle - 1`, in which issuer `tid` issued
+    /// nothing, jump to the issuer's next event
+    /// ([`Engine::thread_event`]), clamped to the window's `horizon`.
+    /// Until then the whole machine repeats that cycle: every other
+    /// context stays blocked and the main thread's `stall` is constant,
+    /// so the skipped cycles land in the same Figure-10 bucket, the
+    /// round-robin pointer rotates in closed form, and the issuer's ROB
+    /// drains in one pass. A fetch redirect is the same jump, to
+    /// `fetch_ready`.
+    fn skip_to_event(&mut self, tid: usize, stall: Option<StallReason>, horizon: u64) {
         let now = self.cycle - 1;
-        let event = self.thread_event_fast(0, now);
-        if self.mode == SimMode::Crosschecked {
-            let brute = self.thread_event_brute(0, now);
-            assert_eq!(
-                event, brute,
-                "event-queue divergence: main thread, now {now}: fast {event} != brute {brute}"
-            );
-            assert!(event > now, "main thread: event {event} not after now {now}");
-        }
-        let target = event.min(horizon);
+        let target = self.thread_event(tid, now).min(horizon);
         if target <= self.cycle {
             return;
         }
         let skipped = target - self.cycle;
         if self.cfg.pipeline == PipelineKind::OutOfOrder {
             let width = self.commit_width();
-            drain_thread(&mut self.threads[0], width, self.cycle, target - 1);
+            drain_thread(&mut self.threads[tid], width, self.cycle, target - 1);
         }
         self.rotate_rr(skipped);
         if self.effective_roi() {
@@ -535,6 +667,24 @@ impl<'a> Engine<'a> {
 
     fn effective_roi(&self) -> bool {
         !self.has_roi || self.in_roi
+    }
+
+    /// Thread `tid`'s next event after `now` ([`Engine::thread_event_fast`]),
+    /// which every skip and every cached main-thread wake-up is taken
+    /// from. Under [`SimMode::Crosschecked`] each answer is verified
+    /// against the brute-force rescan ([`Engine::thread_event_brute`])
+    /// and required to lie strictly after `now`.
+    fn thread_event(&mut self, tid: usize, now: u64) -> u64 {
+        let event = self.thread_event_fast(tid, now);
+        if self.mode == SimMode::Crosschecked {
+            let brute = self.thread_event_brute(tid, now);
+            assert_eq!(
+                event, brute,
+                "event-queue divergence: thread {tid}, now {now}: fast {event} != brute {brute}"
+            );
+            assert!(event > now, "thread {tid}: event {event} not after now {now}");
+        }
+        event
     }
 
     /// Per-thread next-event query backed by the incremental structures:
@@ -582,12 +732,8 @@ impl<'a> Engine<'a> {
                     Some(head) => {
                         let mut ev =
                             if head.complete_at <= now { now + 1 } else { head.complete_at };
-                        while let Some(&Reverse(s)) = t.rs_waiting.peek() {
-                            if s > now {
-                                ev = ev.min(s);
-                                break;
-                            }
-                            t.rs_waiting.pop();
+                        if let Some(s) = t.rs_waiting.next_after(now) {
+                            ev = ev.min(s);
                         }
                         if let Some((c, _)) = t.first_outstanding_load(now) {
                             ev = ev.min(c);
@@ -635,7 +781,7 @@ impl<'a> Engine<'a> {
                 None => u64::MAX,
                 Some(head) => {
                     let mut ev = if head.complete_at <= now { now + 1 } else { head.complete_at };
-                    for e in &t.rob {
+                    for e in t.rob.iter() {
                         if e.start_at > now {
                             ev = ev.min(e.start_at);
                         }
@@ -667,11 +813,11 @@ impl<'a> Engine<'a> {
 
     /// Simulate one cycle in which the contexts `issuers` names may
     /// issue: the one cycle protocol every mode and regime runs. Under
-    /// [`Issuers::MainUntil`] no speculative context issues or commits,
-    /// but the round-robin pointer still rotates; the busy window
-    /// replays their commits at exit.
+    /// [`Issuers::Alone`] only the issuer attempts to issue and commits
+    /// (the main thread's stall is still classified, from its cached
+    /// wake-up), and the round-robin pointer still rotates; the busy
+    /// window replays the other contexts' commits at exit.
     fn step_cycle(&mut self, issuers: Issuers) -> StepOutcome {
-        let main_only = issuers != Issuers::All;
         self.fu_used = [0; 4];
         if self.cfg.pipeline == PipelineKind::OutOfOrder {
             self.advance_fu_ring();
@@ -696,9 +842,10 @@ impl<'a> Engine<'a> {
         }
         if main_ready {
             if self.fast() && self.threads[0].blocked_until > self.cycle {
-                // Sleeping on an in-order source stall: reuse the cached
-                // classification instead of re-deriving it — the payload
-                // is provably constant until the cached wakeup.
+                // Sleeping on a stall: reuse the cached classification
+                // instead of re-deriving it — the payload is provably
+                // constant until the cached wakeup, the main thread's
+                // next event.
                 main_stall = self.main_sleep_stall;
             } else {
                 let (count, stall, halted) = self.issue_thread(0, width);
@@ -706,10 +853,16 @@ impl<'a> Engine<'a> {
                 if count == 0 {
                     main_stall = stall;
                     if self.fast()
-                        && self.cfg.pipeline == PipelineKind::InOrder
-                        && matches!(stall, Some(StallReason::SrcNotReady(_)))
+                        && matches!(
+                            stall,
+                            Some(
+                                StallReason::SrcNotReady(_)
+                                    | StallReason::RobFull(_)
+                                    | StallReason::RsFull(_)
+                            )
+                        )
                     {
-                        self.threads[0].blocked_until = self.spec_blocked_until(0);
+                        self.threads[0].blocked_until = self.thread_event(0, self.cycle);
                         self.main_sleep_stall = stall;
                     }
                 }
@@ -724,38 +877,33 @@ impl<'a> Engine<'a> {
         if !halt && n > 1 {
             let start = self.rr_next;
             self.rr_next = if start + 1 < n { start + 1 } else { 1 };
-            let turns = if main_only { 0 } else { n - 1 };
-            let mut tid = start;
-            for _ in 0..turns {
-                if bundles_left == 0 {
-                    break;
+            match issuers {
+                Issuers::All => {
+                    let mut tid = start;
+                    for _ in 0..n - 1 {
+                        if bundles_left == 0 {
+                            break;
+                        }
+                        let (count, halted) = self.spec_turn(tid, width);
+                        tid = if tid + 1 < n { tid + 1 } else { 1 };
+                        spec_issued += count;
+                        if halted {
+                            halt = true;
+                            break;
+                        }
+                        if count > 0 {
+                            bundles_left -= 1;
+                        }
+                    }
                 }
-                let cur = tid;
-                tid = if tid + 1 < n { tid + 1 } else { 1 };
-                let tid = cur;
-                if !self.threads[tid].active() || self.threads[tid].fetch_ready > self.cycle {
-                    continue;
+                // Every other context is proven blocked, so the issuer's
+                // turn is the only one that could issue.
+                Issuers::Alone { tid, .. } if tid != 0 && bundles_left > 0 => {
+                    let (count, halted) = self.spec_turn(tid, width);
+                    spec_issued += count;
+                    halt = halted;
                 }
-                // Fast engine: a sleeping context (wakeup cached at stall
-                // time) is skipped with one compare. The stepped oracle
-                // re-attempts the issue, which has no side effects when
-                // it stalls — the equivalence suite pins that down.
-                if self.fast() && self.threads[tid].blocked_until > self.cycle {
-                    continue;
-                }
-                let (count, _, halted) = self.issue_thread(tid, width);
-                spec_issued += count;
-                if halted {
-                    halt = true;
-                    break;
-                }
-                if count > 0 {
-                    bundles_left -= 1;
-                } else if self.fast() {
-                    // Stalled: cache the proven wakeup so the next cycles
-                    // skip this context without re-deriving the stall.
-                    self.threads[tid].blocked_until = self.spec_blocked_until(tid);
-                }
+                Issuers::Alone { .. } => {}
             }
         }
         // Leftover bundle back to the main thread ("2 bundles from 1") —
@@ -775,9 +923,13 @@ impl<'a> Engine<'a> {
         // OOO commit, by the contexts allowed to issue.
         if self.cfg.pipeline == PipelineKind::OutOfOrder {
             let (width, now) = (self.commit_width(), self.cycle);
-            let committers = if main_only { 1 } else { n };
-            for t in &mut self.threads[..committers] {
-                drain_thread(t, width, now, now);
+            match issuers {
+                Issuers::All => {
+                    for t in &mut self.threads {
+                        drain_thread(t, width, now, now);
+                    }
+                }
+                Issuers::Alone { tid, .. } => drain_thread(&mut self.threads[tid], width, now, now),
             }
         }
 
@@ -788,6 +940,30 @@ impl<'a> Engine<'a> {
             self.result.cycles += 1;
         }
         StepOutcome { halt, issued: main_issued + spec_issued, main_stall }
+    }
+
+    /// Speculative context `tid`'s turn in the round-robin: one bundle if
+    /// it is active, fetch-ready and not sleeping. Returns `(issued,
+    /// halted)`.
+    #[inline]
+    fn spec_turn(&mut self, tid: usize, width: usize) -> (usize, bool) {
+        if !self.threads[tid].active() || self.threads[tid].fetch_ready > self.cycle {
+            return (0, false);
+        }
+        // Fast engine: a sleeping context (wakeup cached at stall time)
+        // is skipped with one compare. The stepped oracle re-attempts the
+        // issue, which has no side effects when it stalls — the
+        // equivalence suite pins that down.
+        if self.fast() && self.threads[tid].blocked_until > self.cycle {
+            return (0, false);
+        }
+        let (count, _, halted) = self.issue_thread(tid, width);
+        if count == 0 && !halted && self.fast() {
+            // Stalled: cache the proven wakeup so the next cycles skip
+            // this context without re-deriving the stall.
+            self.threads[tid].blocked_until = self.spec_blocked_until(tid);
+        }
+        (count, halted)
     }
 
     /// Whether the main thread has an L1-missing load outstanding — the
@@ -876,15 +1052,16 @@ impl<'a> Engine<'a> {
                 }
                 // RS entries are freed at issue, not completion: only
                 // instructions still waiting for operands occupy one.
-                // The fast engine answers from the monotone event queue;
-                // the stepped oracle keeps the O(ROB) occupancy rescan.
-                let now = self.cycle;
-                let waiting = if self.fast() {
-                    self.threads[tid].rs_waiting_count(now)
+                // The fast engine answers from the reservation-station
+                // buffer; the stepped oracle keeps the O(ROB) occupancy
+                // rescan.
+                let (now, entries) = (self.cycle, self.cfg.rs_entries);
+                let rs_full = if self.fast() {
+                    self.threads[tid].rs_waiting.full(now, entries)
                 } else {
-                    self.threads[tid].rob.iter().filter(|e| e.start_at > now).count()
+                    self.threads[tid].rob.iter().filter(|e| e.start_at > now).count() >= entries
                 };
-                if waiting >= self.cfg.rs_entries {
+                if rs_full {
                     let h = if self.fast() {
                         self.threads[tid].first_outstanding_load(now).map(|(_, h)| h)
                     } else {
@@ -901,9 +1078,9 @@ impl<'a> Engine<'a> {
                 // payload reports the *first* unready source in use
                 // order, which the decoded table preserves. Use lists
                 // are short (≤3), so a direct walk beats the bitset
-                // filter here; the pending-bitset queries earn their
-                // keep in the event computations (`min_ready` /
-                // `max_ready`), where the *unready subset* is needed.
+                // filter here; the pending-bitset query earns its keep
+                // in the event computations (`min_ready`), where the
+                // *unready subset* is needed.
                 let mut stall = None;
                 for &u in d.uses() {
                     if self.threads[tid].sb.ready_at(u) > self.cycle {
@@ -963,24 +1140,17 @@ impl<'a> Engine<'a> {
     }
 
     /// Start time of an instruction: current cycle (in-order) or the max
-    /// of its operands' ready times (OOO, perfect renaming). The fast
-    /// engine computes the max through the scoreboard bitset (order-free,
-    /// so `trailing_zeros` iteration over the pending intersection is
-    /// enough); the stepped oracle walks the use list.
-    fn start_time(&mut self, tid: usize, d: &DecodedInst) -> u64 {
-        if self.cfg.pipeline == PipelineKind::InOrder {
-            return self.cycle;
-        }
-        if self.fast() {
-            let now = self.cycle;
-            self.threads[tid].sb.max_ready(&d.use_mask, now)
-        } else {
-            let mut t = self.cycle;
+    /// of its operands' ready times (OOO, perfect renaming), floored at
+    /// the current cycle. Use lists are short (≤3), so both engines walk
+    /// them directly; a ready operand's time is already below the floor.
+    fn start_time(&self, tid: usize, d: &DecodedInst) -> u64 {
+        let mut t = self.cycle;
+        if self.cfg.pipeline == PipelineKind::OutOfOrder {
             for &u in d.uses() {
                 t = t.max(self.threads[tid].sb.ready_at(u));
             }
-            t
         }
+        t
     }
 
     fn finish_write(
@@ -1000,6 +1170,8 @@ impl<'a> Engine<'a> {
     /// Dispatch an entry into the ROB (OOO only). The fast engine also
     /// feeds the incremental event queues here — the only place entries
     /// are born, so each queue stays a monotone image of the ROB.
+    /// Inlined into every dispatch (`tools/check_inlined.sh` checks it).
+    #[inline]
     fn push_rob(
         &mut self,
         tid: usize,
@@ -1017,11 +1189,10 @@ impl<'a> Engine<'a> {
                 // Drop what every query would drop at `now` before each
                 // push, so a queue no query reads for a while stays no
                 // longer than the ROB. Time only moves forward: no
-                // answer changes. `issue_thread`'s occupancy query has
-                // already pruned `rs_waiting` at `now`.
+                // answer changes. `issue_thread`'s full test has already
+                // left `rs_waiting` room for one more time.
                 if start_at > now {
-                    t.rs_waiting.push(Reverse(start_at));
-                    debug_assert!(t.rs_waiting.len() <= t.rob.len(), "RS queue outgrew the ROB");
+                    t.rs_waiting.push(start_at);
                 }
                 if let (true, Some(h)) = (is_load, hit) {
                     t.first_outstanding_load(now);
@@ -1623,4 +1794,87 @@ pub fn simulate_snapshot_stepped(
         SimOptions { mode: SimMode::Stepped, snapshot: Some(tag_bound), ..Default::default() };
     let run = simulate_with(prog, cfg, opts);
     (run.result, run.snapshot.expect("snapshot requested"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::mem::{offset_of, size_of};
+
+    /// The engine's speed moves with where its hot fields sit: a field
+    /// that grows or moves can shift which of them share a cache line,
+    /// which has cost tune-cold ±4–7% with no simulated cycle changed.
+    /// `Engine` and `Thread` are `#[repr(C)]`, so their layout is the
+    /// declaration order; this test pins it. When a change fails it,
+    /// measure the change (perfbench tune-cold pairs), then update the
+    /// numbers here.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn engine_layout_is_pinned() {
+        type E = Engine<'static>;
+        let engine = [
+            ("size", size_of::<E>()),
+            ("cycle", offset_of!(E, cycle)),
+            ("mode", offset_of!(E, mode)),
+            ("in_roi", offset_of!(E, in_roi)),
+            ("main_sleep_stall", offset_of!(E, main_sleep_stall)),
+            ("rr_next", offset_of!(E, rr_next)),
+            ("cfg", offset_of!(E, cfg)),
+            ("decode", offset_of!(E, decode)),
+            ("threads", offset_of!(E, threads)),
+            ("fu_used", offset_of!(E, fu_used)),
+            ("fu_limits", offset_of!(E, fu_limits)),
+            ("fu_ring", offset_of!(E, fu_ring)),
+            ("fu_ring_base", offset_of!(E, fu_ring_base)),
+            ("telemetry", offset_of!(E, telemetry)),
+            ("snap", offset_of!(E, snap)),
+            ("result", offset_of!(E, result)),
+        ];
+        let expected = [
+            ("size", 1232),
+            ("cycle", 0),
+            ("mode", 8),
+            ("in_roi", 9),
+            ("main_sleep_stall", 11),
+            ("rr_next", 16),
+            ("cfg", 24),
+            ("decode", 32),
+            ("threads", 40),
+            ("fu_used", 64),
+            ("fu_limits", 96),
+            ("fu_ring", 128),
+            ("fu_ring_base", 152),
+            ("telemetry", 160),
+            ("snap", 168),
+            ("result", 472),
+        ];
+        assert_eq!(engine, expected, "Engine layout moved: measure the change, then update");
+        let thread = [
+            ("size", size_of::<Thread>()),
+            ("pc", offset_of!(Thread, pc)),
+            ("fetch_ready", offset_of!(Thread, fetch_ready)),
+            ("blocked_until", offset_of!(Thread, blocked_until)),
+            ("speculative", offset_of!(Thread, speculative)),
+            ("insts", offset_of!(Thread, insts)),
+            ("rob", offset_of!(Thread, rob)),
+            ("rs_waiting", offset_of!(Thread, rs_waiting)),
+            ("loads_q", offset_of!(Thread, loads_q)),
+            ("missload_q", offset_of!(Thread, missload_q)),
+            ("sb", offset_of!(Thread, sb)),
+        ];
+        let expected = [
+            ("size", 2424),
+            ("pc", 0),
+            ("fetch_ready", 8),
+            ("blocked_until", 16),
+            ("speculative", 24),
+            ("insts", 32),
+            ("rob", 56),
+            ("rs_waiting", 88),
+            ("loads_q", 120),
+            ("missload_q", 152),
+            ("sb", 232),
+        ];
+        assert_eq!(thread, expected, "Thread layout moved: measure the change, then update");
+    }
 }

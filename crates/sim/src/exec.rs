@@ -112,23 +112,6 @@ impl Scoreboard {
         out
     }
 
-    /// Latest ready time over the unready subset of `mask`, floored at
-    /// `now` — the out-of-order issue (reservation-station leave) time.
-    #[inline]
-    pub fn max_ready(&mut self, mask: &RegMask, now: u64) -> u64 {
-        let unready = self.unready_among(mask, now);
-        let mut t = now;
-        for (w, &word) in unready.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                t = t.max(self.ready_at[w * 64 + b]);
-            }
-        }
-        t
-    }
-
     /// Earliest ready time over the unready subset of `mask` —
     /// the in-order thread's next source-availability event.
     /// `u64::MAX` when every source in `mask` is ready.
@@ -288,12 +271,10 @@ mod tests {
         assert_eq!(un[0], 1 << 5, "r5 still in flight at cycle 5");
         assert_eq!(un[1], 0, "r70 became ready at cycle 4");
         assert_eq!(sb.min_ready(&mask, 5), 10);
-        assert_eq!(sb.max_ready(&mask, 5), 10);
         assert_eq!(sb.src_of(Reg(5)), Some(HitWhere::L2));
         let un = sb.unready_among(&mask, 10);
         assert_eq!(un, [0, 0], "everything ready at cycle 10");
         assert_eq!(sb.min_ready(&mask, 10), u64::MAX);
-        assert_eq!(sb.max_ready(&mask, 10), 10, "floored at now");
         // Writes to r0 are discarded.
         sb.set(Reg(0), 99, None, 0);
         assert_eq!(sb.ready_at(Reg(0)), 0);

@@ -165,13 +165,15 @@ pub fn speedup(base: &SimResult, new: &SimResult) -> f64 {
 pub const WINDOW_HIST_BUCKETS: usize = 24;
 
 /// How a run spent its simulated cycles — the per-window
-/// instrumentation behind `ssp-perf-report/5`'s `windows` object, which
+/// instrumentation behind `ssp-perf-report/6`'s `windows` object, which
 /// `perf_report` takes from its timed fast runs.
 ///
 /// Two regimes are distinguished:
 ///
-/// * **busy windows** — spans in which the main thread issued alone
-///   because every speculative context was proven blocked;
+/// * **busy windows** — spans in which one context issued alone because
+///   every other context was proven blocked: the main thread (a
+///   main-issuer window) or one speculative context while the main
+///   thread stalls (a speculative-issuer window);
 /// * **stepped cycles** — everything else, simulated one cycle at a time
 ///   with every context allowed to issue.
 ///
@@ -181,13 +183,18 @@ pub const WINDOW_HIST_BUCKETS: usize = 24;
 /// overhead) or a few long ones.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct WindowStats {
-    /// Busy windows the batcher completed.
+    /// Busy windows the batcher completed, of either issuer.
     pub busy_windows: u64,
-    /// Cycles simulated inside busy windows.
+    /// Cycles simulated inside busy windows, of either issuer.
     pub busy_cycles: u64,
+    /// The busy windows whose issuer was a speculative context; the
+    /// rest had the main thread as issuer.
+    pub spec_windows: u64,
+    /// Cycles simulated inside speculative-issuer windows.
+    pub spec_cycles: u64,
     /// Cycles simulated one at a time by the full cycle loop.
     pub stepped_cycles: u64,
-    /// Busy-window lengths, bucketed by power of two.
+    /// Busy-window lengths, of either issuer, bucketed by power of two.
     pub busy_len_hist: [u64; WINDOW_HIST_BUCKETS],
 }
 
@@ -205,10 +212,15 @@ impl WindowStats {
         self.busy_cycles + self.stepped_cycles
     }
 
-    /// Record one completed busy window of `len` cycles.
-    pub fn record_busy(&mut self, len: u64) {
+    /// Record one completed busy window of `len` cycles, whose issuer
+    /// was a speculative context if `speculative`.
+    pub fn record_busy(&mut self, speculative: bool, len: u64) {
         self.busy_windows += 1;
         self.busy_cycles += len;
+        if speculative {
+            self.spec_windows += 1;
+            self.spec_cycles += len;
+        }
         self.busy_len_hist[hist_bucket(len)] += 1;
     }
 
@@ -217,6 +229,8 @@ impl WindowStats {
     pub fn merge(&mut self, other: &WindowStats) {
         self.busy_windows += other.busy_windows;
         self.busy_cycles += other.busy_cycles;
+        self.spec_windows += other.spec_windows;
+        self.spec_cycles += other.spec_cycles;
         self.stepped_cycles += other.stepped_cycles;
         for i in 0..WINDOW_HIST_BUCKETS {
             self.busy_len_hist[i] += other.busy_len_hist[i];
@@ -257,12 +271,13 @@ mod tests {
     #[test]
     fn window_hist_buckets_are_pow2() {
         let mut w = WindowStats::default();
-        w.record_busy(1); // bucket 0
-        w.record_busy(3); // bucket 1
-        w.record_busy(4); // bucket 2
-        w.record_busy(1 << 30); // clamps into the last bucket
+        w.record_busy(false, 1); // bucket 0
+        w.record_busy(true, 3); // bucket 1
+        w.record_busy(false, 4); // bucket 2
+        w.record_busy(false, 1 << 30); // clamps into the last bucket
         assert_eq!(w.busy_windows, 4);
         assert_eq!(w.busy_cycles, 8 + (1 << 30));
+        assert_eq!((w.spec_windows, w.spec_cycles), (1, 3));
         assert_eq!(w.busy_len_hist[0], 1);
         assert_eq!(w.busy_len_hist[1], 1);
         assert_eq!(w.busy_len_hist[2], 1);
@@ -273,14 +288,15 @@ mod tests {
     #[test]
     fn window_stats_merge_is_fieldwise() {
         let mut a = WindowStats::default();
-        a.record_busy(4);
+        a.record_busy(false, 4);
         a.stepped_cycles = 2;
         let mut b = WindowStats::default();
-        b.record_busy(1);
+        b.record_busy(true, 1);
         b.stepped_cycles = 10;
         a.merge(&b);
         assert_eq!(a.busy_windows, 2);
         assert_eq!(a.busy_cycles, 5);
+        assert_eq!((a.spec_windows, a.spec_cycles), (1, 1));
         assert_eq!(a.stepped_cycles, 12);
         assert_eq!(a.busy_len_hist[0], 1);
         assert_eq!(a.busy_len_hist[2], 1);

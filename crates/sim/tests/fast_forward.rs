@@ -7,9 +7,11 @@
 //! build; equivalence does not depend on the cap (and one test checks
 //! the cap interaction explicitly).
 
+use ssp_ir::reg::conv;
+use ssp_ir::{CmpKind, Operand, Program, ProgramBuilder, Reg};
 use ssp_sim::{
     simulate, simulate_snapshot, simulate_snapshot_stepped, simulate_stepped, simulate_traced,
-    simulate_traced_stepped, MachineConfig,
+    simulate_traced_stepped, simulate_windowed, MachineConfig,
 };
 
 const SEED: u64 = 2002;
@@ -88,6 +90,93 @@ fn cycle_cap_clamps_the_jump() {
                 );
                 assert_eq!(fast, stepped, "{} on {model} cap={cap}: stats diverged", w.name);
             }
+        }
+    }
+}
+
+/// A chaining-SP kernel: the main thread walks `N` arcs, each a chain of
+/// two dependent loads, and at every arc a `chk.c` stub spawns a slice
+/// that prefetches the arc's node and spawns the next link. The main
+/// thread stalls on its loads while one slice runs, so the fast engine
+/// takes speculative-issuer windows.
+fn chaining_kernel() -> Program {
+    const ARCS: u64 = 0x0100_0000;
+    const NODES: u64 = 0x0800_0000;
+    const N: u64 = 300;
+    let mut pb = ProgramBuilder::new();
+    for i in 0..N {
+        let node = NODES + 64 * ((i * 7919) % N);
+        pb.data_word(ARCS + 64 * i, node);
+        pb.data_word(node, i);
+    }
+    let mut f = pb.function("main");
+    let (entry, body, rest, exit) = (f.entry_block(), f.new_block(), f.new_block(), f.new_block());
+    let (stub, slice, link, work) = (f.new_block(), f.new_block(), f.new_block(), f.new_block());
+    let (arc, end, node, val, sum, more) = (Reg(64), Reg(65), Reg(66), Reg(67), Reg(68), Reg(69));
+    f.at(entry).movi(arc, ARCS as i64).movi(end, (ARCS + 64 * N) as i64).movi(sum, 0).br(body);
+    f.at(body).chk_c(stub).br(rest);
+    f.at(rest)
+        .ld(node, arc, 0)
+        .ld(val, node, 0)
+        .add(sum, sum, Operand::Reg(val))
+        .add(arc, arc, 64)
+        .cmp(CmpKind::Lt, more, arc, Operand::Reg(end))
+        .br_cond(more, body, exit);
+    f.at(exit).halt();
+    let slot = Reg(20);
+    f.at(stub)
+        .lib_alloc(slot)
+        .lib_st(slot, 0, arc)
+        .lib_st(slot, 1, end)
+        .spawn(slice, slot)
+        .br(rest);
+    let (s_arc, s_end, s_next, s_more, s_node, s_slot) =
+        (Reg(30), Reg(31), Reg(32), Reg(33), Reg(34), Reg(35));
+    f.at(slice)
+        .lib_ld(s_arc, conv::SLOT, 0)
+        .lib_ld(s_end, conv::SLOT, 1)
+        .lib_free(conv::SLOT)
+        .add(s_next, s_arc, 64)
+        .cmp(CmpKind::Lt, s_more, s_next, Operand::Reg(s_end))
+        .br_cond(s_more, link, work);
+    f.at(link)
+        .lib_alloc(s_slot)
+        .lib_st(s_slot, 0, s_next)
+        .lib_st(s_slot, 1, s_end)
+        .spawn(slice, s_slot)
+        .br(work);
+    f.at(work).ld(s_node, s_arc, 0).lfetch(s_node, 0).kill_thread();
+    let main = f.finish();
+    let mut prog = pb.finish_with(main);
+    for b in [stub, slice, link, work] {
+        prog.funcs[0].blocks[b.index()].attachment = true;
+    }
+    prog
+}
+
+#[test]
+fn speculative_issuer_windows_match_stepped_engine_under_odd_caps() {
+    // Every cap of a 64-cycle stretch, so caps land inside speculative-
+    // issuer windows (and inside their skips), plus a few odd caps
+    // further on and the whole run.
+    let prog = chaining_kernel();
+    let bound = prog.next_tag;
+    for (model, full) in machines(400_000) {
+        let (whole, stats) = simulate_windowed(&prog, &full);
+        assert!(whole.halted, "{model}: the kernel runs to its halt");
+        assert!(
+            stats.spec_windows > 0 && stats.spec_cycles > 0,
+            "{model}: no speculative-issuer window ({stats:?})"
+        );
+        for cap in (2_000..2_064).chain([4_801, 9_973, 30_011, 400_000]) {
+            let mut cfg = full.clone();
+            cfg.max_cycles = cap;
+            let what = format!("{model} cap={cap}");
+            let (fr, fs) = simulate_snapshot(&prog, &cfg, bound);
+            let (sr, ss) = simulate_snapshot_stepped(&prog, &cfg, bound);
+            assert!(fr.total_cycles <= cap, "{what}: the run escaped the cycle cap");
+            assert_eq!(fr, sr, "{what}: stats diverged");
+            assert_eq!(fs, ss, "{what}: architectural snapshot diverged");
         }
     }
 }
