@@ -17,8 +17,7 @@
 //!     cached denominators with the suite),
 //!   - `cache`: process-wide baseline-cache hit/miss counters.
 //!
-//! Timings are min-of-5, the fast and stepped repetitions of a row
-//! alternating, so one scheduler hiccup cannot distort a row.
+//! Timings are min-of-5 so one scheduler hiccup cannot distort a row.
 //! The JSON is hand-rolled (no serde dependency); run with
 //! `cargo run --release -p ssp-bench --bin perf_report`.
 //!
@@ -58,11 +57,18 @@ struct EngineRow {
     windows: WindowStats,
 }
 
-/// Wall time of one call of `f`, and what it returned.
-fn timed<R>(f: impl FnOnce() -> R) -> (f64, R) {
-    let t0 = Instant::now();
-    let r = f();
-    (t0.elapsed().as_secs_f64(), r)
+/// Min-of-`reps` wall time of `f` (first return value), plus whatever
+/// `f` returned on the last repetition.
+fn min_secs<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
+    let mut best = f64::MAX;
+    let mut last = None;
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        let r = f();
+        best = best.min(t0.elapsed().as_secs_f64());
+        last = Some(r);
+    }
+    (best, last.expect("reps >= 1"))
 }
 
 fn engine_row(
@@ -71,17 +77,10 @@ fn engine_row(
     progs: &[&Program],
     cfg: &MachineConfig,
 ) -> EngineRow {
-    // Min-of-5 per mode, the fast and stepped repetitions alternating,
-    // so a host stall costs each mode one repetition rather than all
-    // five of one mode.
-    let (mut fast_forward_seconds, mut stepped_seconds) = (f64::MAX, f64::MAX);
-    let (mut runs, mut stepped) = (Vec::new(), Vec::new());
-    for _ in 0..5 {
-        let (secs, r) = timed(|| progs.iter().map(|p| simulate_windowed(p, cfg)).collect());
-        (fast_forward_seconds, runs) = (fast_forward_seconds.min(secs), r);
-        let (secs, r) = timed(|| progs.iter().map(|p| simulate_stepped(p, cfg)).collect());
-        (stepped_seconds, stepped) = (stepped_seconds.min(secs), r);
-    }
+    let (fast_forward_seconds, runs) =
+        min_secs(5, || progs.iter().map(|p| simulate_windowed(p, cfg)).collect::<Vec<_>>());
+    let (stepped_seconds, stepped) =
+        min_secs(5, || progs.iter().map(|p| simulate_stepped(p, cfg)).collect::<Vec<_>>());
     // Where did the fast engine's cycles go? Every run records its
     // window statistics, so the timed runs answer that too.
     let mut windows = WindowStats::default();

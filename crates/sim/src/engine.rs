@@ -80,71 +80,6 @@ pub(crate) struct RobEntry {
     pub(crate) hit: Option<HitWhere>,
 }
 
-const EMPTY_ROB_ENTRY: RobEntry =
-    RobEntry { start_at: 0, complete_at: 0, is_load: false, hit: None };
-
-/// A thread's reorder buffer: its dispatched entries in program order,
-/// in a fixed power-of-two ring sized from `rob_entries` at engine
-/// construction. Dispatch stalls on a full ROB, so a push never finds
-/// the ring full, and the cycle loop never allocates.
-#[derive(Clone, Debug)]
-pub(crate) struct Rob {
-    slots: Box<[RobEntry]>,
-    /// Ring index of the oldest entry.
-    head: usize,
-    len: usize,
-}
-
-impl Rob {
-    /// An empty ROB with room for at least `entries` entries.
-    fn new(entries: usize) -> Self {
-        let cap = entries.next_power_of_two();
-        Rob { slots: vec![EMPTY_ROB_ENTRY; cap].into_boxed_slice(), head: 0, len: 0 }
-    }
-
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The oldest entry, the next to commit.
-    #[inline]
-    pub(crate) fn front(&self) -> Option<&RobEntry> {
-        (self.len > 0).then(|| &self.slots[self.head])
-    }
-
-    #[inline]
-    fn push_back(&mut self, e: RobEntry) {
-        let mask = self.slots.len() - 1;
-        debug_assert!(self.len <= mask, "ROB ring overflow");
-        self.slots[(self.head + self.len) & mask] = e;
-        self.len += 1;
-    }
-
-    #[inline]
-    fn pop_front(&mut self) {
-        debug_assert!(self.len > 0, "pop from an empty ROB");
-        self.head = (self.head + 1) & (self.slots.len() - 1);
-        self.len -= 1;
-    }
-
-    fn clear(&mut self) {
-        self.head = 0;
-        self.len = 0;
-    }
-
-    /// The entries, oldest first.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &RobEntry> {
-        let mask = self.slots.len() - 1;
-        (0..self.len).map(move |i| &self.slots[(self.head + i) & mask])
-    }
-}
-
 /// Fast-engine reservation-station buffer: the leave times (`start_at`)
 /// of dispatched instructions that were still waiting for operands when
 /// they entered the ROB, unordered, with their minimum cached. Times
@@ -248,7 +183,7 @@ pub(crate) struct Thread {
     pub(crate) speculative: bool,
     pub(crate) insts: u64,
     pub(crate) owned_slot: Option<u64>,
-    pub(crate) rob: Rob,
+    pub(crate) rob: VecDeque<RobEntry>,
     /// Fast-engine reservation-station occupancy, O(1) per dispatch
     /// instead of the O(ROB) rescan the stepped oracle performs.
     pub(crate) rs_waiting: RsWaiting,
@@ -284,7 +219,7 @@ impl Thread {
             speculative: false,
             insts: 0,
             owned_slot: None,
-            rob: Rob::new(if ooo { cfg.rob_entries } else { 0 }),
+            rob: VecDeque::with_capacity(if ooo { cfg.rob_entries } else { 0 }),
             outstanding: Vec::new(),
             rs_waiting: RsWaiting::new(if ooo { cfg.rs_entries } else { 0 }),
             loads_q: VecDeque::new(),

@@ -4,28 +4,27 @@
 //! The example adapts the seven suite workloads (seed 2002, default
 //! options, in-order profile) and runs each adapted binary's gated
 //! simulation — the run the tuner's oracle gate makes, with the
-//! architectural snapshot and the telemetry collector installed — for
-//! `--passes` passes on one machine model. An `ITIMER_REAL` timer raises
-//! `SIGALRM` every `--interval-us` microseconds of wall time, and the
-//! handler records the interrupted program counter. Afterwards every
-//! sampled PC is symbolized with `addr2line -f -i -C` (binutils), which
-//! reports the PC's whole inline chain, and the sample is attributed to
+//! architectural snapshot and the telemetry collector installed — for 40
+//! passes on one machine model. An `ITIMER_REAL` timer raises `SIGALRM`
+//! every 200 microseconds of wall time, and the handler records the
+//! interrupted program counter. Afterwards every sampled PC is
+//! symbolized with `addr2line -f -i -C` (binutils), which reports the
+//! PC's whole inline chain, and the sample is attributed to
 //! the innermost frame that belongs to `ssp_sim` (the innermost frame of
 //! all when none does), so a standard-library call inlined into an
 //! engine function counts as that function. The table on stdout lists
-//! every function with at least 0.5% of the samples; with `--lines`, every
-//! source line of such a frame instead.
+//! every function with at least 0.5% of the samples.
 //!
 //! Build in release (the workspace keeps debug info there, which the
 //! inline chains need) and run:
 //!
 //! ```sh
-//! cargo run --release -q -p ssp-bench --example pc_sampler -- --model ooo --passes 40
+//! cargo run --release -q -p ssp-bench --example pc_sampler -- --model ooo
 //! ```
 //!
-//! Flags: `--model io|ooo` (default `ooo`), `--passes N` (default 20),
-//! `--interval-us N` (default 200), `--lines`. Wall-clock sampling counts time the
-//! host spent elsewhere too, so run it on an otherwise idle machine.
+//! `--model io|ooo` picks the machine model (default `ooo`). Wall-clock
+//! sampling counts time the host spent elsewhere too, so run it on an
+//! otherwise idle machine.
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod sampler {
@@ -41,6 +40,10 @@ mod sampler {
     const CAPACITY: usize = 1 << 20;
     static SAMPLES: [AtomicU64; CAPACITY] = [const { AtomicU64::new(0) }; CAPACITY];
     static TAKEN: AtomicUsize = AtomicUsize::new(0);
+    /// Sampling period in microseconds of wall time.
+    const INTERVAL_US: i64 = 200;
+    /// Passes over the seven gated simulations.
+    const PASSES: usize = 40;
 
     const SIGALRM: i32 = 14;
     const ITIMER_REAL: i32 = 0;
@@ -97,10 +100,6 @@ mod sampler {
         assert_eq!(rc, 0, "setitimer failed");
     }
 
-    fn flag(args: &[String], name: &str) -> Option<String> {
-        args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
-    }
-
     /// The address the executable is loaded at: the start of its mapping
     /// at file offset 0, which `addr2line` addresses are relative to for
     /// a position-independent executable.
@@ -118,9 +117,9 @@ mod sampler {
     }
 
     /// Innermost `ssp_sim` frame of each address's inline chain, as its
-    /// function name (with its `file:line` if `lines`), via one
-    /// `addr2line` process reading every address on stdin.
-    fn symbolize(addrs: &[u64], lines_too: bool) -> HashMap<u64, String> {
+    /// function name, via one `addr2line` process reading every address
+    /// on stdin.
+    fn symbolize(addrs: &[u64]) -> HashMap<u64, String> {
         let exe = std::fs::read_link("/proc/self/exe").expect("/proc/self/exe");
         let mut child = Command::new("addr2line")
             .args(["-f", "-i", "-C", "-a", "-e"])
@@ -149,28 +148,21 @@ mod sampler {
                 if l.starts_with("0x") {
                     break;
                 }
-                let name = lines.next().expect("peeked").to_string();
-                let at = lines.next().unwrap_or("??").rsplit('/').next().unwrap_or("??");
-                frames.push((name, at.to_string()));
+                frames.push(lines.next().expect("peeked").to_string());
+                lines.next(); // the frame's `file:line`
             }
-            let pick = frames.iter().find(|(f, _)| f.contains("ssp_sim::")).or(frames.first());
-            let key = match pick {
-                Some((f, at)) if lines_too => format!("{f} {at}"),
-                Some((f, _)) => f.clone(),
-                None => "??".into(),
-            };
-            names.insert(addr, key);
+            let pick = frames.iter().find(|f| f.contains("ssp_sim::")).or(frames.first());
+            names.insert(addr, pick.cloned().unwrap_or_else(|| "??".into()));
         }
         names
     }
 
     pub fn main() {
         let args: Vec<String> = std::env::args().collect();
-        let model = flag(&args, "--model").unwrap_or_else(|| "ooo".into());
-        let passes: usize = flag(&args, "--passes").map_or(20, |s| s.parse().expect("--passes N"));
-        let interval: i64 =
-            flag(&args, "--interval-us").map_or(200, |s| s.parse().expect("--interval-us N"));
-        let lines_too = args.iter().any(|a| a == "--lines");
+        let model = match args.iter().position(|a| a == "--model") {
+            Some(i) => args.get(i + 1).expect("--model io|ooo").clone(),
+            None => "ooo".into(),
+        };
         let cfg = match model.as_str() {
             "io" => MachineConfig::in_order(),
             "ooo" => MachineConfig::out_of_order(),
@@ -192,8 +184,8 @@ mod sampler {
         // SAFETY: installs a handler that only touches atomics.
         let rc = unsafe { sigaction(SIGALRM, &act, std::ptr::null_mut()) };
         assert_eq!(rc, 0, "sigaction failed");
-        set_timer(interval);
-        for _ in 0..passes {
+        set_timer(INTERVAL_US);
+        for _ in 0..PASSES {
             for (w, (a, t)) in ws.iter().zip(adapted.iter().zip(&targets)) {
                 let opts = SimOptions {
                     snapshot: Some(w.program.next_tag),
@@ -212,14 +204,14 @@ mod sampler {
         let mut unique = pcs.clone();
         unique.sort_unstable();
         unique.dedup();
-        let names = symbolize(&unique, lines_too);
+        let names = symbolize(&unique);
         let mut by_fn: HashMap<&str, u64> = HashMap::new();
         for pc in &pcs {
             *by_fn.entry(names[pc].as_str()).or_default() += 1;
         }
         let mut rows: Vec<_> = by_fn.into_iter().collect();
         rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-        println!("{taken} samples, model {model}, {passes} passes, every {interval} us");
+        println!("{taken} samples, model {model}, {PASSES} passes, every {INTERVAL_US} us");
         for (name, n) in rows {
             let share = 100.0 * n as f64 / taken.max(1) as f64;
             if share >= 0.5 {

@@ -26,15 +26,12 @@ if ! command -v nm > /dev/null 2>&1; then
 fi
 
 # Demangled names of the helpers that must be inlined: the cache level's
-# way lookup, the OOO dispatch into the ROB, and the ROB ring and
-# reservation-station buffer operations on the per-dispatch path.
+# way lookup, the OOO dispatch into the ROB, the reservation-station
+# buffer operations on the per-dispatch path, and the commit drain.
 helpers='
 ssp_sim::cache::Level::lookup
 ssp_sim::cache::Level::ways
 ssp_sim::engine::Engine::push_rob
-ssp_sim::engine::Rob::front
-ssp_sim::engine::Rob::push_back
-ssp_sim::engine::Rob::pop_front
 ssp_sim::engine::RsWaiting::full
 ssp_sim::engine::RsWaiting::next_after
 ssp_sim::engine::RsWaiting::push
