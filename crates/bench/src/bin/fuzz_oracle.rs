@@ -78,7 +78,7 @@ fn main() {
     }
 
     let workers = parallel::threads();
-    let results = parallel::map_indexed(&specs, workers, |_, s| run_case(s, &ocfg));
+    let results = parallel::map_indexed(&specs, workers, |_, s| run_case(s, &ocfg, 1));
     print!("{}", summarize(&results).to_json());
 
     // Shrinking runs serially, in input order, after the summary: it is

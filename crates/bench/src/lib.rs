@@ -25,9 +25,12 @@
 
 pub mod cache;
 pub mod hand;
-pub mod parallel;
 pub mod persist;
 pub mod trace;
+
+/// The deterministic fan-out every harness here uses, defined in
+/// `ssp-core` so the fuzz oracle below this crate shares it.
+pub use ssp_core::parallel;
 
 use ssp_core::{AdaptOptions, AdaptReport, MachineConfig, MemoryMode, PostPassTool, SimResult};
 use ssp_workloads::Workload;

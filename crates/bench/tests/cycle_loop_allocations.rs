@@ -10,7 +10,7 @@
 //! on other threads of the harness do not disturb them.
 
 use ssp_core::{simulate, MachineConfig, PostPassTool};
-use ssp_sim::Memory;
+use ssp_sim::{simulate_with, Memory, SimOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -133,6 +133,31 @@ fn every_default_adapted_simulation_peaks_under_420_kb_of_heap() {
             let (_, peak) = peak_of(|| simulate(&adapted.program, &cfg));
             let model = cfg.pipeline;
             assert!(peak <= BOUND, "{name} {model:?}: {peak} bytes of heap at peak");
+        }
+    }
+}
+
+#[test]
+fn every_corpus_case_simulation_peaks_under_108_kb_of_heap() {
+    // A lone case request runs its simulations two at a time, so each
+    // one's heap is what the second worker costs. The largest is a
+    // gated out-of-order run at about 101 KB; with eager 8-byte runs for
+    // every L2 and L3 set, three 12 KB pool segments and a full ROB for
+    // the last context, the smallest took 102 KB and the largest 128 KB.
+    // A stepped replay makes the same allocations as its fast run.
+    const BOUND: usize = 108 << 10;
+    let corpus = include_str!("../../../tests/corpus/adaptation_oracle.corpus");
+    let (io, ooo) = (MachineConfig::in_order(), MachineConfig::out_of_order());
+    for spec in ssp_fuzz::corpus::parse(corpus).expect("the corpus parses") {
+        let prog = ssp_fuzz::gen::generate(&spec).expect("a corpus case generates");
+        let adapted = PostPassTool::new(io.clone()).run(&prog).expect("adaptation succeeds");
+        for (binary, p) in [("baseline", &prog), ("adapted", &adapted.program)] {
+            for cfg in [&io, &ooo] {
+                let opts = SimOptions { snapshot: Some(prog.next_tag), ..Default::default() };
+                let (_, peak) = peak_of(|| simulate_with(p, cfg, opts));
+                let model = cfg.pipeline;
+                assert!(peak <= BOUND, "{spec} {binary} {model:?}: {peak} bytes of heap at peak");
+            }
         }
     }
 }

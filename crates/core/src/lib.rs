@@ -69,6 +69,8 @@
 
 #![warn(missing_docs)]
 
+pub mod parallel;
+
 pub use ssp_codegen::{AdaptError, AdaptOptions, AdaptReport, SkipReason};
 pub use ssp_ir::{Program, ProgramBuilder};
 pub use ssp_lint::{Diagnostic, LintReport};

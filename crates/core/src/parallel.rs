@@ -1,7 +1,7 @@
-//! Deterministic thread-scoped fan-out for independent experiment work.
+//! Deterministic thread-scoped fan-out for independent simulation work.
 //!
-//! Every simulation an experiment binary runs is a pure function of a
-//! `(program, machine config)` pair, so a suite of them can execute in
+//! Every simulation is a pure function of a `(program, machine config)`
+//! pair, so a suite of them, or one fuzz case's eight, can execute in
 //! any order on any number of threads without changing a single number.
 //! [`map_indexed`] exploits that: workers pull indices from a shared
 //! atomic counter and write each result into its input's slot, so the
@@ -53,7 +53,8 @@ pub fn threads() -> usize {
 }
 
 /// Print one `ssp-bench:` note to stderr, once per process — `threads()`
-/// is called from hot fan-out paths and must not spam.
+/// is called from hot fan-out paths and must not spam. The prefix names
+/// the experiment harness whose binaries read `SSP_THREADS`.
 fn warn_once(msg: &str) {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| eprintln!("ssp-bench: {msg}"));

@@ -20,8 +20,11 @@
 //!    tier-1 tests replay.
 //!
 //! The `fuzz_oracle` binary in `ssp-bench` fans [`oracle::run_case`]
-//! across worker threads deterministically; see the repository README's
-//! "Correctness" section for the command-line workflow.
+//! across worker threads deterministically, one case per worker; the
+//! `ssp-serve` daemon gives a lone case request every worker, and
+//! `run_case` spreads that case's own simulations over them. See the
+//! repository README's "Correctness" section for the command-line
+//! workflow.
 
 #![warn(missing_docs)]
 

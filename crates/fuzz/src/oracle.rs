@@ -31,18 +31,24 @@
 //! A case's violation kinds are reported once each, in first-seen order
 //! ([`kinds`]).
 //!
+//! [`run_case`] takes its eight simulations as two job lists of four on
+//! the workers it is given: the baseline's fast run and stepped replay
+//! on each model, then, once both baselines halted and adaptation
+//! returned, the adapted binary's. The checks run on the finished runs
+//! in one fixed order, so no verdict depends on the worker count.
+//!
 //! Nothing in this path panics on a bad case: generator, tool, and
 //! checker failures all become [`Violation`]s in the returned
 //! [`CaseResult`], so a batch run always completes and reports.
 
 use crate::gen;
 use crate::spec::CaseSpec;
-use ssp_core::PostPassTool;
+use ssp_core::{parallel, PostPassTool};
 use ssp_ir::reg::{conv, NUM_REGS};
 use ssp_ir::{InstTag, Op, Program};
 use ssp_sim::{
-    simulate_snapshot, simulate_snapshot_stepped, simulate_with, ArchSnapshot, MachineConfig,
-    SimOptions, SimResult, SimRun, TrapKind,
+    simulate_snapshot, simulate_with, ArchSnapshot, MachineConfig, SimMode, SimOptions, SimResult,
+    SimRun, TrapKind,
 };
 use std::collections::HashMap;
 
@@ -305,32 +311,62 @@ fn check_ssp_invariants(
     }
 }
 
-/// Replay one simulation on the stepped (fast-forward-disabled) engine
-/// and report any difference from the fast-forward run's statistics or
-/// architectural snapshot as an `engine-divergence` violation.
+/// Compare one simulation's fast run with its stepped
+/// (fast-forward-disabled) replay, and report any difference in
+/// statistics or architectural snapshot as an `engine-divergence`
+/// violation.
 fn check_engines(
     model: &str,
     binary: &str,
-    prog: &Program,
-    cfg: &MachineConfig,
-    bound: u32,
-    fast: (&SimResult, &ArchSnapshot),
+    fast: &SimRun,
+    stepped: &SimRun,
     out: &mut Vec<Violation>,
 ) {
-    let (res, snap) = simulate_snapshot_stepped(prog, cfg, bound);
-    if *fast.0 != res || *fast.1 != snap {
+    let (fast_snap, stepped_snap) = (snapshot_of(fast), snapshot_of(stepped));
+    if fast.result != stepped.result || fast_snap != stepped_snap {
         out.push(Violation {
             kind: "engine-divergence",
             detail: format!(
                 "{model}/{binary}: fast-forward engine diverged from stepped \
                  (cycles {} vs {}, trap {} vs {})",
-                fast.0.total_cycles,
-                res.total_cycles,
-                fast.1.trap.name(),
-                snap.trap.name()
+                fast.result.total_cycles,
+                stepped.result.total_cycles,
+                fast_snap.trap.name(),
+                stepped_snap.trap.name()
             ),
         });
     }
+}
+
+/// The snapshot of a run the oracle asked to record one.
+fn snapshot_of(run: &SimRun) -> &ArchSnapshot {
+    run.snapshot.as_ref().expect("snapshot requested")
+}
+
+/// One binary's four simulations in a case: per model, in-order first,
+/// its fast run and the stepped replay of it.
+struct CaseRuns {
+    fast: [SimRun; 2],
+    stepped: [SimRun; 2],
+}
+
+/// Take `prog`'s [`CaseRuns`] on `models` (in-order, then out-of-order),
+/// every snapshot's commit digest bounded by `bound`, as one
+/// [`parallel::map_indexed`] job list on `workers` threads, longest
+/// first: a stepped replay takes several times as long as a fast run,
+/// and an out-of-order fast run about 1.6 times an in-order one. A fast
+/// run of an adapted binary is the same simulation as its
+/// [`gated_run`].
+fn case_runs(prog: &Program, bound: u32, models: [&MachineConfig; 2], workers: usize) -> CaseRuns {
+    const JOBS: [(SimMode, usize); 4] =
+        [(SimMode::Stepped, 0), (SimMode::Stepped, 1), (SimMode::Fast, 1), (SimMode::Fast, 0)];
+    let runs = parallel::map_indexed(&JOBS, workers, |_, &(mode, model)| {
+        let opts = SimOptions { mode, snapshot: Some(bound), ..Default::default() };
+        simulate_with(prog, models[model], opts)
+    });
+    let [stepped_io, stepped_ooo, fast_ooo, fast_io]: [SimRun; 4] =
+        runs.try_into().expect("one run per job");
+    CaseRuns { fast: [fast_io, fast_ooo], stepped: [stepped_io, stepped_ooo] }
 }
 
 /// Baseline snapshots of one *original* program on both machine models,
@@ -444,7 +480,7 @@ pub fn check_runs(
     for (model, b_snap, run) in
         [("in-order", &base.io.1, &runs[0]), ("out-of-order", &base.ooo.1, &runs[1])]
     {
-        let a_snap = run.snapshot.as_ref().expect("snapshot requested");
+        let a_snap = snapshot_of(run);
         if b_snap.trap != TrapKind::CycleCap {
             check_equivalence(model, b_snap, a_snap, &base.mentioned, &mut violations);
         }
@@ -453,13 +489,21 @@ pub fn check_runs(
     violations
 }
 
-/// Run the full differential check for one case: generate the program,
-/// take its [`baseline_snapshots`], adapt it once against the in-order
-/// profile (as the paper does), and gate that one binary on both models
-/// with a [`gated_run`] each and [`check_runs`]. Each of the four runs is
-/// also replayed on the stepped engine, and a dynamic violation of an
+/// Run the full differential check for one case on up to `workers`
+/// threads: generate the program, take its four baseline simulations
+/// (both models, fast and stepped) as one job list, adapt it once
+/// against the in-order profile (as the paper does), and take the
+/// adapted binary's four simulations as a second job list. The adapted
+/// binary's fast runs are its [`gated_run`]s, gated by [`check_runs`]
+/// against the program's [`BaselineSnapshots`]; every fast run is
+/// checked against its stepped replay; and a dynamic violation of an
 /// invariant the static linter claims to prove is a linter blind spot.
-pub fn run_case(spec: &CaseSpec, ocfg: &OracleConfig) -> CaseResult {
+///
+/// The checks run in one order whatever `workers` is, so the verdict and
+/// its violation order are too. The fuzz harness, which fans out over
+/// cases, and the shrinker pass 1; the `ssp-serve` daemon passes a lone
+/// request's worker share.
+pub fn run_case(spec: &CaseSpec, ocfg: &OracleConfig, workers: usize) -> CaseResult {
     let prog = match gen::generate(spec) {
         Ok(p) => p,
         Err(e) => return CaseResult::failed(spec, "generate-verify", e.to_string()),
@@ -468,18 +512,24 @@ pub fn run_case(spec: &CaseSpec, ocfg: &OracleConfig) -> CaseResult {
     io.max_cycles = ocfg.max_cycles;
     let mut ooo = MachineConfig::out_of_order();
     ooo.max_cycles = ocfg.max_cycles;
-    let models = [("in-order", &io), ("out-of-order", &ooo)];
+    let models = ["in-order", "out-of-order"];
 
     // Engine agreement is checked even on capped baselines — a capped
     // run is exactly where a fast-forward jump could overshoot the cap.
-    let base = baseline_snapshots(&prog, &io, &ooo);
+    let base_runs = case_runs(&prog, prog.next_tag, [&io, &ooo], workers);
     let mut violations = Vec::new();
-    for ((model, cfg), (res, snap)) in models.into_iter().zip([&base.io, &base.ooo]) {
-        check_engines(model, "baseline", &prog, cfg, base.bound, (res, snap), &mut violations);
+    for (i, model) in models.into_iter().enumerate() {
+        let (fast, stepped) = (&base_runs.fast[i], &base_runs.stepped[i]);
+        check_engines(model, "baseline", fast, stepped, &mut violations);
     }
     if !violations.is_empty() {
         return CaseResult::early(spec, CaseOutcome::Violations(violations));
     }
+    let [base_io, base_ooo] =
+        base_runs.fast.map(|r| (r.result, r.snapshot.expect("snapshot requested")));
+    let base = BaselineSnapshots::new(&prog, base_io, base_ooo);
+    // Only a program both baselines ran to a halt is adapted: the
+    // profiler would run a capped one for up to 500M instructions.
     if base.io.1.trap == TrapKind::CycleCap || base.ooo.1.trap == TrapKind::CycleCap {
         return CaseResult::early(spec, CaseOutcome::BaselineCapped);
     }
@@ -488,12 +538,10 @@ pub fn run_case(spec: &CaseSpec, ocfg: &OracleConfig) -> CaseResult {
         Ok(a) => a,
         Err(e) => return CaseResult::failed(spec, "adapt-error", e.to_string()),
     };
-    let runs = [&io, &ooo].map(|cfg| gated_run(&adapted.program, &base, cfg, None));
-    let mut violations = check_runs(&adapted.program, &base, &runs);
-    for ((model, cfg), run) in models.into_iter().zip(&runs) {
-        let snap = run.snapshot.as_ref().expect("snapshot requested");
-        let fast = (&run.result, snap);
-        check_engines(model, "adapted", &adapted.program, cfg, base.bound, fast, &mut violations);
+    let runs = case_runs(&adapted.program, base.bound, [&io, &ooo], workers);
+    let mut violations = check_runs(&adapted.program, &base, &runs.fast);
+    for (i, model) in models.into_iter().enumerate() {
+        check_engines(model, "adapted", &runs.fast[i], &runs.stepped[i], &mut violations);
     }
 
     // Cross-check static vs dynamic verdicts: every invariant the
@@ -520,7 +568,7 @@ pub fn run_case(spec: &CaseSpec, ocfg: &OracleConfig) -> CaseResult {
             CaseOutcome::Violations(violations)
         },
         slices: adapted.report.slice_count(),
-        threads_spawned: runs.iter().map(|r| r.result.threads_spawned).sum(),
+        threads_spawned: runs.fast.iter().map(|r| r.result.threads_spawned).sum(),
     }
 }
 
@@ -609,7 +657,7 @@ mod tests {
     #[test]
     fn a_plain_chase_case_passes() {
         let spec = CaseSpec::parse("seed=1 chase=48 loads=2").unwrap();
-        let r = run_case(&spec, &OracleConfig::default());
+        let r = run_case(&spec, &OracleConfig::default(), 1);
         assert_eq!(r.outcome, CaseOutcome::Pass, "{:?}", r.outcome);
     }
 
@@ -617,8 +665,26 @@ mod tests {
     fn decorated_cases_pass_too() {
         let spec =
             CaseSpec::parse("seed=3 chase=32 loads=3 diamond=1 call=1 stores=1 arith=3").unwrap();
-        let r = run_case(&spec, &OracleConfig::default());
+        let r = run_case(&spec, &OracleConfig::default(), 1);
         assert_eq!(r.outcome, CaseOutcome::Pass, "{:?}", r.outcome);
+    }
+
+    /// The worker count changes only how a case's simulations are
+    /// scheduled: every corpus verdict comes out the same on one worker
+    /// and two, and so does a `baseline-capped` one, which stops after
+    /// the first job list.
+    #[test]
+    fn a_case_answers_the_same_on_one_worker_and_two() {
+        let corpus = include_str!("../../../tests/corpus/adaptation_oracle.corpus");
+        let ocfg = OracleConfig::default();
+        for spec in crate::corpus::parse(corpus).expect("the corpus parses") {
+            assert_eq!(run_case(&spec, &ocfg, 2), run_case(&spec, &ocfg, 1), "{spec}");
+        }
+        let capped = OracleConfig { max_cycles: 500 };
+        let spec = CaseSpec::parse("seed=1 chase=48 loads=2").unwrap();
+        let serial = run_case(&spec, &capped, 1);
+        assert_eq!(serial.outcome, CaseOutcome::BaselineCapped);
+        assert_eq!(run_case(&spec, &capped, 2), serial);
     }
 
     #[test]
@@ -632,7 +698,7 @@ mod tests {
             })
             .collect();
         let cfg = OracleConfig::default();
-        let results: Vec<CaseResult> = specs.iter().map(|s| run_case(s, &cfg)).collect();
+        let results: Vec<CaseResult> = specs.iter().map(|s| run_case(s, &cfg, 1)).collect();
         let a = summarize(&results);
         let b = summarize(&results);
         assert_eq!(a.to_json(), b.to_json());

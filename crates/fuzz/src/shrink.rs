@@ -50,7 +50,7 @@ where
 /// Shrink a spec that violates the differential oracle: the predicate is
 /// "[`run_case`] still reports at least one violation".
 pub fn shrink_violation(spec: &CaseSpec, ocfg: &OracleConfig) -> (CaseSpec, u64) {
-    shrink_with(spec, |s| matches!(run_case(s, ocfg).outcome, CaseOutcome::Violations(_)))
+    shrink_with(spec, |s| matches!(run_case(s, ocfg, 1).outcome, CaseOutcome::Violations(_)))
 }
 
 #[cfg(test)]

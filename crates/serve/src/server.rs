@@ -87,7 +87,10 @@ pub struct Server {
     ooo_fp: String,
     opts_fp: String,
     oracle_fp: String,
-    memo: Memo<String>,
+    /// Rendered responses, each held at its length: a `format!`ted
+    /// `String` keeps up to twice its length in spare capacity, and a
+    /// long-lived daemon holds every distinct answer it gave.
+    memo: Memo<Box<str>>,
     requests: AtomicU64,
     workloads: AtomicU64,
     cases: AtomicU64,
@@ -137,20 +140,20 @@ impl Server {
     pub fn handle_batch(&self, input: &str) -> String {
         let requests: Vec<_> = input.lines().filter_map(parse_line).collect();
         self.requests.fetch_add(requests.len() as u64, Ordering::Relaxed);
-        // A workload or tune request fans its simulations over the
-        // workers its batch leaves idle: a lone frame gets them all, a
-        // full batch one each, so the daemon never runs more than
-        // `workers` simulations at once. No answer depends on it.
+        // Every request fans its simulations over the workers its batch
+        // leaves idle: a lone frame gets them all, a full batch one
+        // each, so the daemon never runs more than `workers`
+        // simulations at once. No answer depends on it.
         let share = (self.config.workers / requests.len().max(1)).max(1);
         let responses = parallel::map_indexed(&requests, self.config.workers, |_, req| {
             let answer = catch_unwind(AssertUnwindSafe(|| match req {
                 Ok(Request::Workload(name)) => Ok(self.respond_workload(name, share)),
                 Ok(Request::Tune(name)) => Ok(self.respond_tune(name, share)),
-                Ok(Request::Case(spec)) => Ok(self.respond_case(spec)),
+                Ok(Request::Case(spec)) => Ok(self.respond_case(spec, share)),
                 Err(e) => Err(e.to_string()),
             }));
             let error = match answer {
-                Ok(Ok(response)) => return response,
+                Ok(Ok(response)) => return response.into(),
                 Ok(Err(e)) => e,
                 Err(panic) => format!("request panicked: {}", panic_message(panic.as_ref())),
             };
@@ -204,7 +207,7 @@ impl Server {
         )
     }
 
-    fn respond_workload(&self, name: &str, workers: usize) -> String {
+    fn respond_workload(&self, name: &str, workers: usize) -> Box<str> {
         self.workloads.fetch_add(1, Ordering::Relaxed);
         let key = format!(
             "workload name={name} seed={} io={} ooo={} opts={}",
@@ -241,7 +244,7 @@ impl Server {
         })
     }
 
-    fn respond_tune(&self, name: &str, workers: usize) -> String {
+    fn respond_tune(&self, name: &str, workers: usize) -> Box<str> {
         self.tunes.fetch_add(1, Ordering::Relaxed);
         let key = format!(
             "tune name={name} seed={} rounds={} io={} ooo={} opts={}",
@@ -281,12 +284,12 @@ impl Server {
         })
     }
 
-    fn respond_case(&self, spec: &CaseSpec) -> String {
+    fn respond_case(&self, spec: &CaseSpec, workers: usize) -> Box<str> {
         self.cases.fetch_add(1, Ordering::Relaxed);
         let key = format!("case {spec} {}", self.oracle_fp);
         let decode = |text: &str| CaseEntry::decode(text).ok().as_ref().map(render_case);
         self.memo.get(&self.oracle_fp, &key, decode, || {
-            let result = run_case(spec, &self.config.oracle);
+            let result = run_case(spec, &self.config.oracle, workers);
             let entry = CaseEntry {
                 spec: result.spec.to_string(),
                 outcome: result.outcome_name().to_owned(),
@@ -299,7 +302,7 @@ impl Server {
     }
 }
 
-fn render_workload(entry: &WorkloadEntry) -> String {
+fn render_workload(entry: &WorkloadEntry) -> Box<str> {
     format!(
         "{{\"kind\": \"workload\", \"row\": {}, \"plan_digest\": \"{}\", \"slices\": {}, \"skipped\": {}}}",
         suite_row_json(&entry.suite_row()),
@@ -307,23 +310,25 @@ fn render_workload(entry: &WorkloadEntry) -> String {
         entry.slices,
         entry.skipped,
     )
+    .into_boxed_str()
 }
 
-fn render_case(entry: &CaseEntry) -> String {
-    format!("{{\"kind\": \"case\", \"case\": {}}}", entry.to_json())
+fn render_case(entry: &CaseEntry) -> Box<str> {
+    format!("{{\"kind\": \"case\", \"case\": {}}}", entry.to_json()).into_boxed_str()
 }
 
 /// Render a tune answer from its entry — same path cold and warm, so
 /// both are byte-identical (the rows go through
 /// [`ssp_tune::report::row_json`], the renderer the `tune` binary
 /// uses).
-fn render_tune(entry: &TuneEntry) -> String {
+fn render_tune(entry: &TuneEntry) -> Box<str> {
     format!(
         "{{\"kind\": \"tune\", \"rounds\": {}, \"io\": {}, \"ooo\": {}}}",
         entry.rounds,
         ssp_tune::report::row_json(&entry.io_row),
         ssp_tune::report::row_json(&entry.ooo_row),
     )
+    .into_boxed_str()
 }
 
 /// The message a panic was raised with, when it carries one.

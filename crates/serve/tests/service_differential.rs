@@ -1,10 +1,10 @@
 //! Tier-1 property: the `ssp-serve` daemon is observably
 //! indistinguishable from the one-shot binaries. Every response line is
 //! byte-compared against an answer built independently from the
-//! one-shot APIs (`run_benchmark_configured`, `oracle::run_case`) —
-//! cold, warm in-memory, across worker counts, across a daemon
-//! "restart" (a second `Server` on the same store directory), and over
-//! the framed socket transport.
+//! one-shot APIs (`run_benchmark_configured`, `oracle::run_case` on one
+//! worker) — cold, warm in-memory, across worker counts, across a
+//! daemon "restart" (a second `Server` on the same store directory),
+//! and over the framed socket transport.
 //!
 //! Machine configs are cycle-capped because tier-1 runs this in a debug
 //! build; capped configs fingerprint differently from the paper
@@ -91,7 +91,7 @@ fn expected_responses(cfg: &ServerConfig) -> String {
             continue;
         }
         let spec = CaseSpec::parse(line).expect("corpus specs parse");
-        let result = run_case(&spec, &cfg.oracle);
+        let result = run_case(&spec, &cfg.oracle, 1);
         out.push_str(&format!("{{\"kind\": \"case\", \"case\": {}}}\n", result.to_json()));
     }
     out
@@ -165,6 +165,28 @@ fn a_lone_workload_frame_answers_the_same_at_any_worker_count() {
         assert_eq!(*response, workload_line(&serial), "{name}: 4 workers vs a serial run");
         assert_eq!(answers[1], answers[0], "{name}: 2 vs 4 workers ({report})");
         assert_eq!(answers[2], answers[0], "{name}: 1 vs 4 workers ({report})");
+    }
+}
+
+#[test]
+fn a_lone_case_frame_answers_the_same_at_any_worker_count() {
+    // In the batch above each case request gets one worker; alone in
+    // its batch, it runs its baseline and adapted simulations as two
+    // four-job lists on every worker. Case answers are not memoized
+    // across servers, so each server simulates.
+    for line in CORPUS.lines().map(str::trim).filter(|l| !l.is_empty() && !l.starts_with('#')) {
+        let frame = format!("{line}\n");
+        let answers = [4, 2, 1].map(|w| {
+            let server = Server::new(capped_config(w));
+            (server.handle_batch(&frame), server.report_json())
+        });
+        let spec = CaseSpec::parse(line).expect("corpus specs parse");
+        let serial = run_case(&spec, &OracleConfig::default(), 1);
+        let (response, report) = &answers[0];
+        let want = format!("{{\"kind\": \"case\", \"case\": {}}}\n", serial.to_json());
+        assert_eq!(*response, want, "{line}: 4 workers vs a serial run");
+        assert_eq!(answers[1], answers[0], "{line}: 2 vs 4 workers ({report})");
+        assert_eq!(answers[2], answers[0], "{line}: 1 vs 4 workers ({report})");
     }
 }
 

@@ -101,19 +101,46 @@ impl Line {
     }
 }
 
-/// One set's ways inside a [`Level`]'s pool: `len` occupied ways at
-/// slots `base..base + len`, with room for `cap` before the run must
-/// move. Slot `i` is entry `i % SEGMENT` of segment `i / SEGMENT`. An
+/// One set's ways inside a [`Level`]'s pool, in four bytes: `len`
+/// occupied ways (the low 8 bits) at slots `base..base + len` (the high
+/// 24). Slot `i` is entry `i % SEGMENT` of segment `i / SEGMENT`. An
 /// untouched set is the empty run and holds no lines.
 #[derive(Clone, Copy, Debug, Default)]
-struct Run {
-    base: u32,
-    len: u8,
-    cap: u8,
+struct Run(u32);
+
+impl Run {
+    fn new(base: usize, len: usize) -> Run {
+        debug_assert!(base < 1 << 24 && len <= u8::MAX as usize, "run {base}+{len} does not pack");
+        Run((base as u32) << 8 | len as u32)
+    }
+
+    #[inline]
+    fn base(self) -> usize {
+        (self.0 >> 8) as usize
+    }
+
+    #[inline]
+    fn len(self) -> usize {
+        (self.0 & 0xFF) as usize
+    }
+
+    /// The ways the run has room for before it must move. Runs grow
+    /// through 2, 4, 8, … ways, capped at `assoc`, and move only when
+    /// full; a set never loses a way, so a run of `len` ways has room
+    /// for the first of those sizes that is at least `len`.
+    fn cap(self, assoc: usize) -> usize {
+        match self.len() {
+            0 => 0,
+            len => len.next_power_of_two().max(2).min(assoc),
+        }
+    }
 }
 
 /// Slots in one segment of a [`Level`]'s pool: 12 KB of lines.
 const SEGMENT: usize = 512;
+
+/// Slots the first segment of a [`Level`]'s pool starts with: 1.5 KB.
+const FIRST_SEGMENT: usize = 64;
 
 /// One set-associative cache level whose host memory grows with the
 /// sets it holds: each set is a run of ways inside a pool of segments.
@@ -128,15 +155,17 @@ const SEGMENT: usize = 512;
 /// eager `sets × assoc` array — 2.17× for the 12-way L3, 1.5× for the
 /// 4-way L1 and L2.
 ///
-/// The pool grows in segments of [`SEGMENT`] slots, each allocated at
-/// that capacity and filled only as runs are placed in it, so a
-/// segment's buffer never moves or leaves an outgrown copy behind. No
-/// run straddles two segments: a run that does not fit in the last
-/// segment's tail starts the next one, leaving the tail (fewer than
-/// `assoc` slots, under 2% of a segment on the 12-way L3) empty. No simulation comes
-/// near a full level: at the workloads' seed 2002 none holds more than
-/// 2,479 of the L3's 49,152 lines, for which an eager array would
-/// spend 1.1 MB of host memory.
+/// The pool grows in segments of [`SEGMENT`] slots. The first starts
+/// at [`FIRST_SEGMENT`] slots and doubles as runs are placed in it, so
+/// the few hundred lines of a small program cost a few KB a level;
+/// every later one is allocated at full capacity and filled only as
+/// runs are placed in it, so its buffer never moves or leaves an
+/// outgrown copy behind. No run straddles two segments: a run that does
+/// not fit in the last segment's tail starts the next one, leaving the
+/// tail (fewer than `assoc` slots, under 2% of a segment on the 12-way
+/// L3) empty. No simulation comes near a full level: at the workloads'
+/// seed 2002 none holds more than 2,479 of the L3's 49,152 lines, for
+/// which an eager array would spend 1.1 MB of host memory.
 ///
 /// Occupied ways of a set behave exactly like a per-set `Vec`: lookups
 /// scan ways in order, insertion appends, and a full set evicts the
@@ -170,12 +199,9 @@ impl Level {
         // and a segment's empty tail is shorter than the run that did
         // not fit, so under half the segment: slot indices stay below
         // twice that.
-        assert!(
-            u32::try_from(6 * sets * cfg.assoc).is_ok(),
-            "cache level too large for u32 pool indices"
-        );
+        assert!(6 * sets * cfg.assoc < 1 << 24, "cache level too large for 24-bit pool indices");
         Level {
-            pool: vec![Vec::with_capacity(SEGMENT)],
+            pool: vec![Vec::with_capacity(FIRST_SEGMENT)],
             runs: vec![Run::default(); sets],
             assoc: cfg.assoc,
             set_shift: cfg.line.trailing_zeros(),
@@ -192,8 +218,8 @@ impl Level {
     #[inline]
     fn ways(&mut self, si: usize) -> &mut [Line] {
         let r = self.runs[si];
-        let (seg, at) = (r.base as usize / SEGMENT, r.base as usize % SEGMENT);
-        &mut self.pool[seg][at..at + r.len as usize]
+        let (seg, at) = (r.base() / SEGMENT, r.base() % SEGMENT);
+        &mut self.pool[seg][at..at + r.len()]
     }
 
     /// Look the line up; on hit, refresh LRU and return it. Inlined
@@ -236,16 +262,16 @@ impl Level {
             set[len - 1] = new;
             return;
         }
-        let r = &mut self.runs[si];
-        if r.len == r.cap {
+        let mut r = self.runs[si];
+        if len == r.cap(assoc) {
             // Move the ways, in order, to a run twice the size, in the
             // last segment or, when its tail is too short, a new one.
-            let cap = (2 * r.cap as usize).max(2).min(assoc);
+            let cap = (2 * len).max(2).min(assoc);
             if self.pool.last().is_some_and(|s| s.len() + cap > SEGMENT) {
                 self.pool.push(Vec::with_capacity(SEGMENT));
             }
             let (last, full) = self.pool.split_last_mut().expect("a level has a segment");
-            let (seg, at) = (r.base as usize / SEGMENT, r.base as usize % SEGMENT);
+            let (seg, at) = (r.base() / SEGMENT, r.base() % SEGMENT);
             let base = full.len() * SEGMENT + last.len();
             if seg == full.len() {
                 last.extend_from_within(at..at + len);
@@ -253,12 +279,11 @@ impl Level {
                 last.extend_from_slice(&full[seg][at..at + len]);
             }
             last.resize(base % SEGMENT + cap, EMPTY_LINE);
-            r.base = base as u32;
-            r.cap = cap as u8;
+            r = Run::new(base, len);
         }
-        let slot = r.base as usize + len;
+        let slot = r.base() + len;
         self.pool[slot / SEGMENT][slot % SEGMENT] = new;
-        r.len += 1;
+        self.runs[si] = Run::new(r.base(), len + 1);
     }
 }
 
@@ -685,7 +710,7 @@ mod tests {
     }
 
     fn lines_held(level: &Level) -> usize {
-        level.runs.iter().map(|r| r.len as usize).sum()
+        level.runs.iter().map(|r| r.len()).sum()
     }
 
     /// Slots the level's runs have been placed in, abandoned ones
@@ -738,7 +763,7 @@ mod tests {
                 }
             }
             let held = lines_held(&pooled);
-            let full = pooled.runs.iter().filter(|r| r.len as usize == cfg.assoc).count();
+            let full = pooled.runs.iter().filter(|r| r.len() == cfg.assoc).count();
             assert_eq!(full as u64, hot, "every hot set reached full associativity");
             let placed = slots_placed(&pooled);
             assert!(placed < 3 * held, "pool {placed} for {held} lines");
@@ -769,7 +794,10 @@ mod tests {
         // 504 of a segment's 512 slots.
         let allocated = level.pool.len() * SEGMENT;
         assert!(allocated as f64 <= 2.2 * (sets * assoc) as f64, "{allocated} slots allocated");
-        assert!(level.pool.iter().all(|seg| seg.capacity() == SEGMENT), "no segment grew");
+        assert!(
+            level.pool.iter().all(|seg| seg.capacity() == SEGMENT),
+            "every segment holds SEGMENT slots, the first after doubling"
+        );
         // The worst moment is 9 lines per set in 26 slots.
         assert!(worst < 3.0, "pool reached {worst:.2}x the lines held");
     }

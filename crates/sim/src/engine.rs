@@ -206,8 +206,11 @@ pub(crate) struct Thread {
 }
 
 impl Thread {
-    /// A free context whose ROB and reservation-station buffer are sized
-    /// from `cfg`: allocated once, never grown.
+    /// A free context whose reservation-station buffer is sized from
+    /// `cfg`. Its ROB and queues start empty and grow to their
+    /// high-water marks, which [`Thread::free`] keeps: a context that
+    /// never runs, or runs short slices, holds a few entries, not
+    /// `rob_entries`.
     fn new(cfg: &MachineConfig) -> Self {
         let ooo = cfg.pipeline == PipelineKind::OutOfOrder;
         Thread {
@@ -219,7 +222,7 @@ impl Thread {
             speculative: false,
             insts: 0,
             owned_slot: None,
-            rob: VecDeque::with_capacity(if ooo { cfg.rob_entries } else { 0 }),
+            rob: VecDeque::new(),
             outstanding: Vec::new(),
             rs_waiting: RsWaiting::new(if ooo { cfg.rs_entries } else { 0 }),
             loads_q: VecDeque::new(),

@@ -18,7 +18,7 @@ fn corpus_replays_clean() {
     assert!(specs.len() >= 8, "seed corpus present");
     let ocfg = OracleConfig::default();
     for s in &specs {
-        let r = run_case(s, &ocfg);
+        let r = run_case(s, &ocfg, 1);
         assert_eq!(r.outcome, CaseOutcome::Pass, "{s}: {:?}", r.outcome);
     }
 }
@@ -34,8 +34,8 @@ fn summary_is_byte_identical_across_worker_counts() {
         })
         .collect();
     let ocfg = OracleConfig::default();
-    let serial = parallel::map_indexed(&specs, 1, |_, s| run_case(s, &ocfg));
-    let wide = parallel::map_indexed(&specs, 8, |_, s| run_case(s, &ocfg));
+    let serial = parallel::map_indexed(&specs, 1, |_, s| run_case(s, &ocfg, 1));
+    let wide = parallel::map_indexed(&specs, 8, |_, s| run_case(s, &ocfg, 1));
     let (a, b) = (summarize(&serial).to_json(), summarize(&wide).to_json());
     assert_eq!(a, b, "summary JSON depends on worker count");
     assert!(a.contains("\"cases\": 12"));
