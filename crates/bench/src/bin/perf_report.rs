@@ -17,7 +17,10 @@
 //!     cached denominators with the suite),
 //!   - `cache`: process-wide baseline-cache hit/miss counters.
 //!
-//! Timings are min-of-5 so one scheduler hiccup cannot distort a row.
+//! Timings are min-of-5 so one scheduler hiccup cannot distort a row,
+//! and an engine row alternates its fast and stepped repetitions, so a
+//! host stall costs each mode a repetition instead of sinking every
+//! repetition of one mode.
 //! The JSON is hand-rolled (no serde dependency); run with
 //! `cargo run --release -p ssp-bench --bin perf_report`.
 //!
@@ -57,18 +60,27 @@ struct EngineRow {
     windows: WindowStats,
 }
 
-/// Min-of-`reps` wall time of `f` (first return value), plus whatever
-/// `f` returned on the last repetition.
-fn min_secs<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut best = f64::MAX;
-    let mut last = None;
-    for _ in 0..reps {
+/// Min-of-`reps` wall times of `a` and `b`, repeated alternately (`a`,
+/// `b`, `a`, `b`, ...), each with whatever it returned on its last
+/// repetition.
+fn min_secs_alternating<A, B>(
+    reps: usize,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> ((f64, A), (f64, B)) {
+    fn timed<R>(best: &mut f64, f: impl FnOnce() -> R) -> R {
         let t0 = Instant::now();
         let r = f();
-        best = best.min(t0.elapsed().as_secs_f64());
-        last = Some(r);
+        *best = best.min(t0.elapsed().as_secs_f64());
+        r
     }
-    (best, last.expect("reps >= 1"))
+    let (mut best_a, mut best_b) = (f64::MAX, f64::MAX);
+    let (mut last_a, mut last_b) = (None, None);
+    for _ in 0..reps {
+        last_a = Some(timed(&mut best_a, &mut a));
+        last_b = Some(timed(&mut best_b, &mut b));
+    }
+    ((best_a, last_a.expect("reps >= 1")), (best_b, last_b.expect("reps >= 1")))
 }
 
 fn engine_row(
@@ -77,10 +89,11 @@ fn engine_row(
     progs: &[&Program],
     cfg: &MachineConfig,
 ) -> EngineRow {
-    let (fast_forward_seconds, runs) =
-        min_secs(5, || progs.iter().map(|p| simulate_windowed(p, cfg)).collect::<Vec<_>>());
-    let (stepped_seconds, stepped) =
-        min_secs(5, || progs.iter().map(|p| simulate_stepped(p, cfg)).collect::<Vec<_>>());
+    let ((fast_forward_seconds, runs), (stepped_seconds, stepped)) = min_secs_alternating(
+        5,
+        || progs.iter().map(|p| simulate_windowed(p, cfg)).collect::<Vec<_>>(),
+        || progs.iter().map(|p| simulate_stepped(p, cfg)).collect::<Vec<_>>(),
+    );
     // Where did the fast engine's cycles go? Every run records its
     // window statistics, so the timed runs answer that too.
     let mut windows = WindowStats::default();

@@ -31,11 +31,13 @@
 //! A case's violation kinds are reported once each, in first-seen order
 //! ([`kinds`]).
 //!
-//! [`run_case`] takes its eight simulations as two job lists of four on
-//! the workers it is given: the baseline's fast run and stepped replay
-//! on each model, then, once both baselines halted and adaptation
-//! returned, the adapted binary's. The checks run on the finished runs
-//! in one fixed order, so no verdict depends on the worker count.
+//! [`run_case`] takes its eight simulations as two job lists on the
+//! workers it is given: the baseline's two fast runs, then, once both
+//! halted, one list whose first job adapts the program and whose other
+//! jobs take the baseline's stepped replays and the adapted binary's
+//! runs, so the adaptation overlaps a baseline replay. The checks run on
+//! the finished runs in one fixed order, so no verdict depends on the
+//! worker count.
 //!
 //! Nothing in this path panics on a bad case: generator, tool, and
 //! checker failures all become [`Violation`]s in the returned
@@ -51,6 +53,7 @@ use ssp_sim::{
     SimRun, TrapKind,
 };
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Oracle knobs.
 #[derive(Clone, Copy, Debug)]
@@ -343,31 +346,44 @@ fn snapshot_of(run: &SimRun) -> &ArchSnapshot {
     run.snapshot.as_ref().expect("snapshot requested")
 }
 
-/// One binary's four simulations in a case: per model, in-order first,
-/// its fast run and the stepped replay of it.
-struct CaseRuns {
-    fast: [SimRun; 2],
-    stepped: [SimRun; 2],
+/// The binary one simulation of a case runs.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Binary {
+    /// The generated program.
+    Baseline,
+    /// Its adaptation.
+    Adapted,
 }
 
-/// Take `prog`'s [`CaseRuns`] on `models` (in-order, then out-of-order),
-/// every snapshot's commit digest bounded by `bound`, as one
-/// [`parallel::map_indexed`] job list on `workers` threads, longest
-/// first: a stepped replay takes several times as long as a fast run,
-/// and an out-of-order fast run about 1.6 times an in-order one. A fast
-/// run of an adapted binary is the same simulation as its
-/// [`gated_run`].
-fn case_runs(prog: &Program, bound: u32, models: [&MachineConfig; 2], workers: usize) -> CaseRuns {
-    const JOBS: [(SimMode, usize); 4] =
-        [(SimMode::Stepped, 0), (SimMode::Stepped, 1), (SimMode::Fast, 1), (SimMode::Fast, 0)];
-    let runs = parallel::map_indexed(&JOBS, workers, |_, &(mode, model)| {
-        let opts = SimOptions { mode, snapshot: Some(bound), ..Default::default() };
-        simulate_with(prog, models[model], opts)
-    });
-    let [stepped_io, stepped_ooo, fast_ooo, fast_io]: [SimRun; 4] =
-        runs.try_into().expect("one run per job");
-    CaseRuns { fast: [fast_io, fast_ooo], stepped: [stepped_io, stepped_ooo] }
-}
+/// One simulation of a case: the binary, how the clock advances, and
+/// the model, an index into `[in-order, out-of-order]`.
+type Job = (Binary, SimMode, usize);
+
+/// A case's first job list: the baseline's fast runs, out-of-order (the
+/// longer) first.
+const FAST_BASELINES: [Job; 2] =
+    [(Binary::Baseline, SimMode::Fast, 1), (Binary::Baseline, SimMode::Fast, 0)];
+
+/// The second job list of a case whose baselines both halted, in the
+/// order the workers take it. The first job adapts the program, then
+/// takes the adapted binary's stepped out-of-order replay; a baseline
+/// replay comes second, so a second worker starts on it and never waits
+/// on the adaptation. The stepped replays take several times as long as
+/// a fast run, so they come before the fast runs, and an out-of-order
+/// fast run takes about 1.6 times an in-order one.
+const CASE_JOBS: [Job; 6] = [
+    (Binary::Adapted, SimMode::Stepped, 1),
+    (Binary::Baseline, SimMode::Stepped, 1),
+    (Binary::Baseline, SimMode::Stepped, 0),
+    (Binary::Adapted, SimMode::Stepped, 0),
+    (Binary::Adapted, SimMode::Fast, 1),
+    (Binary::Adapted, SimMode::Fast, 0),
+];
+
+/// The second job list of a case with a capped baseline, which is never
+/// adapted: the baseline's stepped replays alone.
+const CAPPED_JOBS: [Job; 2] =
+    [(Binary::Baseline, SimMode::Stepped, 1), (Binary::Baseline, SimMode::Stepped, 0)];
 
 /// Baseline snapshots of one *original* program on both machine models,
 /// for use with [`check_adapted`]. Computed once per program and reused
@@ -490,19 +506,25 @@ pub fn check_runs(
 }
 
 /// Run the full differential check for one case on up to `workers`
-/// threads: generate the program, take its four baseline simulations
-/// (both models, fast and stepped) as one job list, adapt it once
-/// against the in-order profile (as the paper does), and take the
-/// adapted binary's four simulations as a second job list. The adapted
-/// binary's fast runs are its [`gated_run`]s, gated by [`check_runs`]
-/// against the program's [`BaselineSnapshots`]; every fast run is
-/// checked against its stepped replay; and a dynamic violation of an
-/// invariant the static linter claims to prove is a linter blind spot.
+/// threads: generate the program, take its two fast baseline runs, then
+/// its two stepped baseline replays and, if both baselines halted, its
+/// adaptation against the in-order profile (as the paper does) and the
+/// adapted binary's four simulations, as a second job list. The first
+/// job of that list adapts the program, into a cell the adapted jobs
+/// share and wait on, so the adaptation overlaps a baseline replay. The
+/// adapted binary's fast runs are its [`gated_run`]s, gated by
+/// [`check_runs`] against the program's [`BaselineSnapshots`]; every
+/// fast run is checked against its stepped replay; and a dynamic
+/// violation of an invariant the static linter claims to prove is a
+/// linter blind spot.
 ///
-/// The checks run in one order whatever `workers` is, so the verdict and
-/// its violation order are too. The fuzz harness, which fans out over
-/// cases, and the shrinker pass 1; the `ssp-serve` daemon passes a lone
-/// request's worker share.
+/// The checks run on the finished runs in one order whatever `workers`
+/// is (baseline engine agreement, `baseline-capped`, `adapt-error`, the
+/// gate, adapted engine agreement, the linter blind spot), so the
+/// verdict and its violation order are too. When the baseline's engines
+/// disagree, the adapted runs already taken are dropped. The fuzz
+/// harness, which fans out over cases, and the shrinker pass 1; the
+/// `ssp-serve` daemon passes a lone request's worker share.
 pub fn run_case(spec: &CaseSpec, ocfg: &OracleConfig, workers: usize) -> CaseResult {
     let prog = match gen::generate(spec) {
         Ok(p) => p,
@@ -513,35 +535,65 @@ pub fn run_case(spec: &CaseSpec, ocfg: &OracleConfig, workers: usize) -> CaseRes
     let mut ooo = MachineConfig::out_of_order();
     ooo.max_cycles = ocfg.max_cycles;
     let models = ["in-order", "out-of-order"];
+    // Every snapshot's commit digest is bounded by the original
+    // program's tags, so baseline and adapted digests compare.
+    let bound = prog.next_tag;
+    let simulate = |binary: &Program, &(_, mode, model): &Job| {
+        let opts = SimOptions { mode, snapshot: Some(bound), ..Default::default() };
+        simulate_with(binary, [&io, &ooo][model], opts)
+    };
+
+    let fast = parallel::map_indexed(&FAST_BASELINES, workers, |_, job| simulate(&prog, job));
+    let [fast_ooo, fast_io]: [SimRun; 2] = fast.try_into().expect("one run per job");
+    let base_fast = [fast_io, fast_ooo];
+    // Only a program both baselines ran to a halt is adapted: the
+    // profiler would run a capped one for up to 500M instructions.
+    let capped = base_fast.iter().any(|r| snapshot_of(r).trap == TrapKind::CycleCap);
+    let adaptation = OnceLock::new();
+    let jobs: &[Job] = if capped { &CAPPED_JOBS } else { &CASE_JOBS };
+    let mut runs = parallel::map_indexed(jobs, workers, |_, job| match job.0 {
+        Binary::Baseline => Some(simulate(&prog, job)),
+        Binary::Adapted => adaptation
+            .get_or_init(|| PostPassTool::new(io.clone()).run(&prog))
+            .as_ref()
+            .ok()
+            .map(|adapted| simulate(&adapted.program, job)),
+    });
+    // One binary's finished runs in one mode, in-order first; `None`
+    // for an adapted run when the adaptation failed.
+    let mut take = |binary, mode| {
+        [0, 1].map(|model| {
+            let at = jobs.iter().position(|&j| j == (binary, mode, model));
+            runs[at.expect("the job is listed")].take()
+        })
+    };
 
     // Engine agreement is checked even on capped baselines — a capped
     // run is exactly where a fast-forward jump could overshoot the cap.
-    let base_runs = case_runs(&prog, prog.next_tag, [&io, &ooo], workers);
+    let stepped = take(Binary::Baseline, SimMode::Stepped).map(|r| r.expect("a baseline run"));
     let mut violations = Vec::new();
     for (i, model) in models.into_iter().enumerate() {
-        let (fast, stepped) = (&base_runs.fast[i], &base_runs.stepped[i]);
-        check_engines(model, "baseline", fast, stepped, &mut violations);
+        check_engines(model, "baseline", &base_fast[i], &stepped[i], &mut violations);
     }
     if !violations.is_empty() {
         return CaseResult::early(spec, CaseOutcome::Violations(violations));
     }
-    let [base_io, base_ooo] =
-        base_runs.fast.map(|r| (r.result, r.snapshot.expect("snapshot requested")));
-    let base = BaselineSnapshots::new(&prog, base_io, base_ooo);
-    // Only a program both baselines ran to a halt is adapted: the
-    // profiler would run a capped one for up to 500M instructions.
-    if base.io.1.trap == TrapKind::CycleCap || base.ooo.1.trap == TrapKind::CycleCap {
+    if capped {
         return CaseResult::early(spec, CaseOutcome::BaselineCapped);
     }
+    let [base_io, base_ooo] =
+        base_fast.map(|r| (r.result, r.snapshot.expect("snapshot requested")));
+    let base = BaselineSnapshots::new(&prog, base_io, base_ooo);
 
-    let adapted = match PostPassTool::new(io.clone()).run(&prog) {
+    let adapted = match adaptation.into_inner().expect("the first job adapted the program") {
         Ok(a) => a,
         Err(e) => return CaseResult::failed(spec, "adapt-error", e.to_string()),
     };
-    let runs = case_runs(&adapted.program, base.bound, [&io, &ooo], workers);
-    let mut violations = check_runs(&adapted.program, &base, &runs.fast);
+    let fast = take(Binary::Adapted, SimMode::Fast).map(|r| r.expect("an adapted run"));
+    let stepped = take(Binary::Adapted, SimMode::Stepped).map(|r| r.expect("an adapted run"));
+    let mut violations = check_runs(&adapted.program, &base, &fast);
     for (i, model) in models.into_iter().enumerate() {
-        check_engines(model, "adapted", &runs.fast[i], &runs.stepped[i], &mut violations);
+        check_engines(model, "adapted", &fast[i], &stepped[i], &mut violations);
     }
 
     // Cross-check static vs dynamic verdicts: every invariant the
@@ -568,7 +620,7 @@ pub fn run_case(spec: &CaseSpec, ocfg: &OracleConfig, workers: usize) -> CaseRes
             CaseOutcome::Violations(violations)
         },
         slices: adapted.report.slice_count(),
-        threads_spawned: runs.fast.iter().map(|r| r.result.threads_spawned).sum(),
+        threads_spawned: fast.iter().map(|r| r.result.threads_spawned).sum(),
     }
 }
 
@@ -670,14 +722,18 @@ mod tests {
     }
 
     /// The worker count changes only how a case's simulations are
-    /// scheduled: every corpus verdict comes out the same on one worker
-    /// and two, and so does a `baseline-capped` one, which stops after
-    /// the first job list.
+    /// scheduled: every corpus verdict and those of 40 seeded random
+    /// specs come out the same on one worker and two, and so does a
+    /// `baseline-capped` one, which is never adapted.
     #[test]
     fn a_case_answers_the_same_on_one_worker_and_two() {
         let corpus = include_str!("../../../tests/corpus/adaptation_oracle.corpus");
+        let mut rng = TestRng::from_seed(424242);
+        let random = (0..40).map(|_| CaseSpec::random(&mut rng));
         let ocfg = OracleConfig::default();
-        for spec in crate::corpus::parse(corpus).expect("the corpus parses") {
+        for spec in
+            crate::corpus::parse(corpus).expect("the corpus parses").into_iter().chain(random)
+        {
             assert_eq!(run_case(&spec, &ocfg, 2), run_case(&spec, &ocfg, 1), "{spec}");
         }
         let capped = OracleConfig { max_cycles: 500 };

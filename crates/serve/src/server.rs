@@ -255,11 +255,14 @@ impl Server {
             let w = ssp_workloads::by_name(name, self.config.seed)
                 .expect("parse_line admits only known workload names");
             // Fanning a tune over every worker costs little memory: a
-            // gated simulation's heap peaks under 0.8 MB, the tuner keeps
-            // no more simulations alive than it has workers, all sharing
-            // the workload's one frozen data image, and perfbench's
-            // tune-cold daemon (two workers, two-vCPU host) peaked at a
-            // median 5.87 MB of RSS over eight runs.
+            // gated simulation of a default adapted binary, snapshot and
+            // telemetry recorders installed, peaks at 377-564 KB of heap
+            // (a plain one under 420 KB, which
+            // `every_default_adapted_simulation_peaks_under_420_kb_of_heap`
+            // bounds), the tuner keeps no more simulations alive than it
+            // has workers, all sharing the workload's one frozen data
+            // image, and perfbench's tune-cold daemon (two workers,
+            // two-vCPU host) peaks at about 4.9 MB of RSS.
             let mut tuner = Tuner::new(TuneConfig {
                 seed: self.config.seed,
                 io: self.config.io.clone(),

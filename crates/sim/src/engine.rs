@@ -206,13 +206,12 @@ pub(crate) struct Thread {
 }
 
 impl Thread {
-    /// A free context whose reservation-station buffer is sized from
-    /// `cfg`. Its ROB and queues start empty and grow to their
-    /// high-water marks, which [`Thread::free`] keeps: a context that
-    /// never runs, or runs short slices, holds a few entries, not
-    /// `rob_entries`.
-    fn new(cfg: &MachineConfig) -> Self {
-        let ooo = cfg.pipeline == PipelineKind::OutOfOrder;
+    /// A free context whose reservation-station buffer has `rs_entries`
+    /// slots (none on the in-order pipeline). Its ROB and queues start
+    /// empty and grow to their high-water marks, which [`Thread::free`]
+    /// keeps: a context that never runs, or runs short slices, holds a
+    /// few entries, not `rob_entries`.
+    fn new(rs_entries: usize) -> Self {
         Thread {
             rf: RegFile::new(),
             pc: None,
@@ -224,7 +223,7 @@ impl Thread {
             owned_slot: None,
             rob: VecDeque::new(),
             outstanding: Vec::new(),
-            rs_waiting: RsWaiting::new(if ooo { cfg.rs_entries } else { 0 }),
+            rs_waiting: RsWaiting::new(rs_entries),
             loads_q: VecDeque::new(),
             missload_q: VecDeque::new(),
             blocked_until: 0,
@@ -381,12 +380,19 @@ const FU_RING_MIN: usize = 64;
 
 /// The simulation engine, built and run only by [`simulate_with`].
 ///
+/// `OOO` is the pipeline model, picked once from
+/// [`MachineConfig::pipeline`]: `false` for the in-order pipeline, `true`
+/// for the out-of-order one. Every pipeline test in the cycle loop reads
+/// the constant, so each model's engine, fast and stepped, is compiled
+/// without the other model's code. The clock's [`SimMode`] stays a
+/// runtime value.
+///
 /// `#[repr(C)]` keeps the fields in the order written: the scalars and
 /// handles every cycle reads come first, the large per-run state after
 /// them, so a field added later moves no hot field. The
 /// `engine_layout_is_pinned` test fails when a change moves one.
 #[repr(C)]
-pub(crate) struct Engine<'a> {
+pub(crate) struct Engine<'a, const OOO: bool> {
     pub(crate) cycle: u64,
     /// How the clock advances. [`SimMode::Fast`] and
     /// [`SimMode::Crosschecked`] run busy windows on the incremental
@@ -448,7 +454,7 @@ pub(crate) struct Engine<'a> {
     pub(crate) hier: Hierarchy,
 }
 
-impl<'a> Engine<'a> {
+impl<'a, const OOO: bool> Engine<'a, OOO> {
     /// Set up a machine to run `prog`, decoded as `decode`, with the
     /// recorders `opts` asks for.
     fn new(
@@ -458,7 +464,12 @@ impl<'a> Engine<'a> {
         opts: SimOptions<'_>,
     ) -> Self {
         let mem = Memory::new(Arc::clone(&prog.image));
-        let mut threads = vec![Thread::new(cfg); cfg.num_contexts];
+        debug_assert_eq!(
+            OOO,
+            cfg.pipeline == PipelineKind::OutOfOrder,
+            "engine built for the wrong pipeline"
+        );
+        let mut threads = vec![Thread::new(if OOO { cfg.rs_entries } else { 0 }); cfg.num_contexts];
         // The main thread starts at the program entry with SP set.
         threads[0].pc = Some(decode.entry(prog.entry).expect("the entry function exists"));
         threads[0].rf.write(conv::SP, 0x7FFF_FF00_0000);
@@ -552,7 +563,7 @@ impl<'a> Engine<'a> {
                 break;
             }
         }
-        if self.cfg.pipeline == PipelineKind::OutOfOrder {
+        if OOO {
             let (width, last) = (self.commit_width(), self.cycle - 1);
             for (i, t) in self.threads.iter_mut().enumerate() {
                 if i != tid {
@@ -580,7 +591,7 @@ impl<'a> Engine<'a> {
             return;
         }
         let skipped = target - self.cycle;
-        if self.cfg.pipeline == PipelineKind::OutOfOrder {
+        if OOO {
             let width = self.commit_width();
             drain_thread(&mut self.threads[tid], width, self.cycle, target - 1);
         }
@@ -657,29 +668,25 @@ impl<'a> Engine<'a> {
         if self.threads[tid].fetch_ready > now {
             return self.threads[tid].fetch_ready;
         }
-        let soonest = match self.cfg.pipeline {
-            PipelineKind::InOrder => {
-                let at = self.threads[tid].pc.expect("active thread has a pc");
-                let mask = self.decode.get(at).use_mask;
-                self.threads[tid].sb.min_ready(&mask, now)
-            }
-            PipelineKind::OutOfOrder => {
-                let t = &mut self.threads[tid];
-                match t.rob.front().copied() {
-                    None => u64::MAX,
-                    Some(head) => {
-                        let mut ev =
-                            if head.complete_at <= now { now + 1 } else { head.complete_at };
-                        if let Some(s) = t.rs_waiting.next_after(now) {
-                            ev = ev.min(s);
-                        }
-                        if let Some((c, _)) = t.first_outstanding_load(now) {
-                            ev = ev.min(c);
-                        }
-                        ev
+        let soonest = if OOO {
+            let t = &mut self.threads[tid];
+            match t.rob.front().copied() {
+                None => u64::MAX,
+                Some(head) => {
+                    let mut ev = if head.complete_at <= now { now + 1 } else { head.complete_at };
+                    if let Some(s) = t.rs_waiting.next_after(now) {
+                        ev = ev.min(s);
                     }
+                    if let Some((c, _)) = t.first_outstanding_load(now) {
+                        ev = ev.min(c);
+                    }
+                    ev
                 }
             }
+        } else {
+            let at = self.threads[tid].pc.expect("active thread has a pc");
+            let mask = self.decode.get(at).use_mask;
+            self.threads[tid].sb.min_ready(&mask, now)
         };
         if soonest == u64::MAX {
             // No future event found for a thread that just failed to
@@ -703,19 +710,8 @@ impl<'a> Engine<'a> {
         if t.fetch_ready > now {
             return t.fetch_ready;
         }
-        let soonest = match self.cfg.pipeline {
-            PipelineKind::InOrder => {
-                let at = t.pc.expect("active thread has a pc");
-                let mut soonest = u64::MAX;
-                for &u in self.decode.get(at).uses() {
-                    let r = t.sb.ready_at(u);
-                    if r > now {
-                        soonest = soonest.min(r);
-                    }
-                }
-                soonest
-            }
-            PipelineKind::OutOfOrder => match t.rob.front() {
+        let soonest = if OOO {
+            match t.rob.front() {
                 None => u64::MAX,
                 Some(head) => {
                     let mut ev = if head.complete_at <= now { now + 1 } else { head.complete_at };
@@ -729,7 +725,17 @@ impl<'a> Engine<'a> {
                     }
                     ev
                 }
-            },
+            }
+        } else {
+            let at = t.pc.expect("active thread has a pc");
+            let mut soonest = u64::MAX;
+            for &u in self.decode.get(at).uses() {
+                let r = t.sb.ready_at(u);
+                if r > now {
+                    soonest = soonest.min(r);
+                }
+            }
+            soonest
         };
         if soonest == u64::MAX {
             now + 1
@@ -756,9 +762,10 @@ impl<'a> Engine<'a> {
     /// wake-up), and the round-robin pointer still rotates; the busy
     /// window replays the other contexts' commits at exit.
     fn step_cycle(&mut self, issuers: Issuers) -> StepOutcome {
-        self.fu_used = [0; 4];
-        if self.cfg.pipeline == PipelineKind::OutOfOrder {
+        if OOO {
             self.advance_fu_ring();
+        } else {
+            self.fu_used = [0; 4];
         }
 
         let width = self.cfg.bundle_width; // instructions per bundle
@@ -859,7 +866,7 @@ impl<'a> Engine<'a> {
         }
 
         // OOO commit, by the contexts allowed to issue.
-        if self.cfg.pipeline == PipelineKind::OutOfOrder {
+        if OOO {
             let (width, now) = (self.commit_width(), self.cycle);
             match issuers {
                 Issuers::All => {
@@ -965,7 +972,6 @@ impl<'a> Engine<'a> {
     /// thread `tid`. Returns `(issued, stall, halted)`.
     fn issue_thread(&mut self, tid: usize, max: usize) -> (usize, Option<StallReason>, bool) {
         let mut count = 0usize;
-        let ooo = self.cfg.pipeline == PipelineKind::OutOfOrder;
         // The table reference is copied out of `self`, so `d` borrows the
         // decoded program (not the engine) and stays usable across the
         // `&mut self` calls below.
@@ -976,7 +982,7 @@ impl<'a> Engine<'a> {
             };
             let d = decode.get(pc);
 
-            if ooo {
+            if OOO {
                 if self.threads[tid].rob.len() >= self.cfg.rob_entries {
                     let head = self.threads[tid].rob.front().copied();
                     let r = head.map(|e| {
@@ -1033,7 +1039,7 @@ impl<'a> Engine<'a> {
 
             // Functional-unit check (in-order uses per-cycle counters;
             // OOO books at the computed start time inside exec).
-            if !ooo {
+            if !OOO {
                 let class = d.fu;
                 if self.fu_used[class as usize] >= self.fu_limits[class as usize] {
                     return (count, Some(StallReason::Structural), false);
@@ -1083,7 +1089,7 @@ impl<'a> Engine<'a> {
     /// them directly; a ready operand's time is already below the floor.
     fn start_time(&self, tid: usize, d: &DecodedInst) -> u64 {
         let mut t = self.cycle;
-        if self.cfg.pipeline == PipelineKind::OutOfOrder {
+        if OOO {
             for &u in d.uses() {
                 t = t.max(self.threads[tid].sb.ready_at(u));
             }
@@ -1118,7 +1124,7 @@ impl<'a> Engine<'a> {
         is_load: bool,
         hit: Option<HitWhere>,
     ) {
-        if self.cfg.pipeline == PipelineKind::OutOfOrder {
+        if OOO {
             let now = self.cycle;
             let fast = self.fast();
             let t = &mut self.threads[tid];
@@ -1192,9 +1198,8 @@ impl<'a> Engine<'a> {
     /// Execute the instruction `d` at flat index `pc` functionally and
     /// apply its timing.
     fn exec_inst(&mut self, tid: usize, pc: u32, d: &DecodedInst) -> Flow {
-        let ooo = self.cfg.pipeline == PipelineKind::OutOfOrder;
         let start0 = self.start_time(tid, d);
-        let start = if ooo { self.book_fu(d.fu, start0) } else { start0 };
+        let start = if OOO { self.book_fu(d.fu, start0) } else { start0 };
         let next = pc + 1;
         let spec = self.threads[tid].speculative;
 
@@ -1267,7 +1272,7 @@ impl<'a> Engine<'a> {
                 }
                 self.finish_write(tid, dst, v, ready, Some(hit));
                 self.push_rob(tid, start, ready, true, Some(hit));
-                if hit.is_l1_miss() && !ooo {
+                if hit.is_l1_miss() && !OOO {
                     self.threads[tid].outstanding.retain(|&(r, _)| r > self.cycle);
                     self.threads[tid].outstanding.push((ready, hit));
                 }
@@ -1635,7 +1640,20 @@ pub struct SimRun {
 /// ([`WindowStats::simulated`] equals `total_cycles`).
 pub fn simulate_with(prog: &Program, cfg: &MachineConfig, opts: SimOptions<'_>) -> SimRun {
     let decode = DecodedProgram::new(prog);
-    let mut e = Engine::new(prog, &decode, cfg, opts);
+    match cfg.pipeline {
+        PipelineKind::InOrder => run_engine::<false>(prog, &decode, cfg, opts),
+        PipelineKind::OutOfOrder => run_engine::<true>(prog, &decode, cfg, opts),
+    }
+}
+
+/// [`simulate_with`]'s body on the engine built for one pipeline model.
+fn run_engine<const OOO: bool>(
+    prog: &Program,
+    decode: &DecodedProgram,
+    cfg: &MachineConfig,
+    opts: SimOptions<'_>,
+) -> SimRun {
+    let mut e = Engine::<OOO>::new(prog, decode, cfg, opts);
     e.run();
     let w = &e.windows;
     assert_eq!(
@@ -1739,35 +1757,41 @@ mod tests {
     use super::*;
     use std::mem::{offset_of, size_of};
 
+    /// Where the pinned fields of the engine built for one pipeline model
+    /// sit.
+    #[cfg(target_pointer_width = "64")]
+    fn engine_layout<const OOO: bool>() -> [(&'static str, usize); 16] {
+        type E<const OOO: bool> = Engine<'static, OOO>;
+        [
+            ("size", size_of::<E<OOO>>()),
+            ("cycle", offset_of!(E<OOO>, cycle)),
+            ("mode", offset_of!(E<OOO>, mode)),
+            ("in_roi", offset_of!(E<OOO>, in_roi)),
+            ("main_sleep_stall", offset_of!(E<OOO>, main_sleep_stall)),
+            ("rr_next", offset_of!(E<OOO>, rr_next)),
+            ("cfg", offset_of!(E<OOO>, cfg)),
+            ("decode", offset_of!(E<OOO>, decode)),
+            ("threads", offset_of!(E<OOO>, threads)),
+            ("fu_used", offset_of!(E<OOO>, fu_used)),
+            ("fu_limits", offset_of!(E<OOO>, fu_limits)),
+            ("fu_ring", offset_of!(E<OOO>, fu_ring)),
+            ("fu_ring_base", offset_of!(E<OOO>, fu_ring_base)),
+            ("telemetry", offset_of!(E<OOO>, telemetry)),
+            ("snap", offset_of!(E<OOO>, snap)),
+            ("result", offset_of!(E<OOO>, result)),
+        ]
+    }
+
     /// The engine's speed moves with where its hot fields sit: a field
     /// that grows or moves can shift which of them share a cache line,
     /// which has cost tune-cold ±4–7% with no simulated cycle changed.
     /// `Engine` and `Thread` are `#[repr(C)]`, so their layout is the
-    /// declaration order; this test pins it. When a change fails it,
-    /// measure the change (perfbench tune-cold pairs), then update the
-    /// numbers here.
+    /// declaration order; this test pins it, for the in-order and the
+    /// out-of-order engine alike. When a change fails it, measure the
+    /// change (perfbench tune-cold pairs), then update the numbers here.
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn engine_layout_is_pinned() {
-        type E = Engine<'static>;
-        let engine = [
-            ("size", size_of::<E>()),
-            ("cycle", offset_of!(E, cycle)),
-            ("mode", offset_of!(E, mode)),
-            ("in_roi", offset_of!(E, in_roi)),
-            ("main_sleep_stall", offset_of!(E, main_sleep_stall)),
-            ("rr_next", offset_of!(E, rr_next)),
-            ("cfg", offset_of!(E, cfg)),
-            ("decode", offset_of!(E, decode)),
-            ("threads", offset_of!(E, threads)),
-            ("fu_used", offset_of!(E, fu_used)),
-            ("fu_limits", offset_of!(E, fu_limits)),
-            ("fu_ring", offset_of!(E, fu_ring)),
-            ("fu_ring_base", offset_of!(E, fu_ring_base)),
-            ("telemetry", offset_of!(E, telemetry)),
-            ("snap", offset_of!(E, snap)),
-            ("result", offset_of!(E, result)),
-        ];
         let expected = [
             ("size", 1232),
             ("cycle", 0),
@@ -1786,7 +1810,9 @@ mod tests {
             ("snap", 168),
             ("result", 472),
         ];
-        assert_eq!(engine, expected, "Engine layout moved: measure the change, then update");
+        let moved = "Engine layout moved: measure the change, then update";
+        assert_eq!(engine_layout::<false>(), expected, "in-order {moved}");
+        assert_eq!(engine_layout::<true>(), expected, "out-of-order {moved}");
         let thread = [
             ("size", size_of::<Thread>()),
             ("pc", offset_of!(Thread, pc)),

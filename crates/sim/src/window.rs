@@ -26,7 +26,6 @@
 //! exit, so every statistic, snapshot, and telemetry byte matches the
 //! stepped engine; the equivalence suite asserts exactly that.
 
-use crate::config::PipelineKind;
 use crate::engine::{Engine, SimMode};
 
 /// The contexts allowed to issue, chosen once by [`Engine::issuers`].
@@ -45,7 +44,7 @@ pub(crate) enum Issuers {
     },
 }
 
-impl Engine<'_> {
+impl<const OOO: bool> Engine<'_, OOO> {
     /// The earliest cycle at which speculative context `tid` could
     /// possibly issue again, or `u64::MAX` for an inactive context. A
     /// return equal to `self.cycle` means "not provably blocked".
@@ -76,27 +75,24 @@ impl Engine<'_> {
         if self.threads[tid].fetch_ready > now {
             return self.threads[tid].fetch_ready;
         }
-        match self.cfg.pipeline {
-            PipelineKind::InOrder => {
-                let at = self.threads[tid].pc.expect("active thread has a pc");
-                let mask = self.decode.get(at).use_mask;
-                let ev = self.threads[tid].sb.min_ready(&mask, now);
-                if ev == u64::MAX {
-                    now // every source ready: could issue this cycle
-                } else {
-                    ev
-                }
+        if OOO {
+            let t = &mut self.threads[tid];
+            if t.rob.len() >= self.cfg.rob_entries {
+                let head = t.rob.front().expect("full ROB has a head");
+                head.complete_at.max(now) + 1
+            } else if t.rs_waiting.full(now, self.cfg.rs_entries) {
+                t.rs_waiting.next_after(now).unwrap_or(now)
+            } else {
+                now // room to dispatch: could issue this cycle
             }
-            PipelineKind::OutOfOrder => {
-                let t = &mut self.threads[tid];
-                if t.rob.len() >= self.cfg.rob_entries {
-                    let head = t.rob.front().expect("full ROB has a head");
-                    head.complete_at.max(now) + 1
-                } else if t.rs_waiting.full(now, self.cfg.rs_entries) {
-                    t.rs_waiting.next_after(now).unwrap_or(now)
-                } else {
-                    now // room to dispatch: could issue this cycle
-                }
+        } else {
+            let at = self.threads[tid].pc.expect("active thread has a pc");
+            let mask = self.decode.get(at).use_mask;
+            let ev = self.threads[tid].sb.min_ready(&mask, now);
+            if ev == u64::MAX {
+                now // every source ready: could issue this cycle
+            } else {
+                ev
             }
         }
     }

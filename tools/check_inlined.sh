@@ -25,9 +25,10 @@ if ! command -v nm > /dev/null 2>&1; then
     exit 2
 fi
 
-# Demangled names of the helpers that must be inlined: the cache level's
-# way lookup, the OOO dispatch into the ROB, the reservation-station
-# buffer operations on the per-dispatch path, and the commit drain.
+# Demangled names of the helpers that must be inlined, without generic
+# arguments: the cache level's way lookup, the OOO dispatch into the ROB,
+# the reservation-station buffer operations on the per-dispatch path, and
+# the commit drain.
 helpers='
 ssp_sim::cache::Level::lookup
 ssp_sim::cache::Level::ways
@@ -38,8 +39,13 @@ ssp_sim::engine::RsWaiting::push
 ssp_sim::engine::drain_thread
 '
 
-# Function symbols (text section), demangled, without their addresses.
-symbols=$(nm -C "$bin" | awk '$2 == "t" || $2 == "T" { $1 = ""; $2 = ""; sub(/^  /, ""); print }')
+# Function symbols (text section), demangled, without their addresses
+# and with every generic argument list dropped, innermost first: the
+# engine is generic over its pipeline model, so its out-of-line
+# `push_rob` demangles as `ssp_sim::engine::Engine<_>::push_rob`, and a
+# helper matches whatever it is instantiated with.
+symbols=$(nm -C "$bin" | awk '$2 == "t" || $2 == "T" { $1 = ""; $2 = ""; sub(/^  /, ""); print }' \
+    | sed -e ':a' -e 's/<[^<>]*>//g' -e 'ta')
 
 status=0
 for h in $helpers; do
